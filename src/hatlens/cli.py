@@ -15,9 +15,9 @@ and flags always produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import sys
+from pathlib import Path
+from typing import Sequence
 
 from .dsl import (
     DslParseError,
@@ -35,10 +35,12 @@ from .model import Ooda2Model, Strictness, UnknownIdError, has_errors, validate
 from .report import (
     ReportBundle,
     ReportError,
+    csv_text,
     emit_csv,
     emit_dot,
     emit_json,
     emit_markdown,
+    pathway_label,
 )
 from .tracing import DEFAULT_MAX_DEPTH, TraceDirection, TracePathway, derive_second_order, trace
 
@@ -66,6 +68,8 @@ def _read(path: str) -> str:
             return handle.read()
     except OSError as exc:
         _fail(f"cannot read {path}: {exc.strerror or exc}", EXIT_USAGE)
+    except UnicodeDecodeError as exc:
+        _fail(f"cannot read {path}: {exc}", EXIT_USAGE)
 
 
 def _parse_file(path: str, parser):
@@ -79,28 +83,34 @@ def _parse_file(path: str, parser):
         raise _CliError(EXIT_USAGE) from None
 
 
-def _lens_catalog(args) -> LensCatalog:
-    catalog = (LensCatalog(lenses=[]) if getattr(args, "no_builtin", False)
-               else builtin_catalog())
-    for path in getattr(args, "lens", None) or []:
+def load_catalogs(lens_paths: Sequence[str | Path] = (),
+                  mit_paths: Sequence[str | Path] = (), *,
+                  builtin_lenses: bool = True) -> tuple[LensCatalog, list[Mitigation]]:
+    """The lens and mitigation catalogs of a run: the builtins (the builtin
+    lenses only if ``builtin_lenses``) followed by each file in order.  A file
+    that does not parse, or that repeats a lens, mode or mitigation id,
+    stops the run."""
+    catalog = builtin_catalog() if builtin_lenses else LensCatalog(lenses=[])
+    for path in lens_paths:
         extra = _parse_file(path, parse_lens_catalog)
         try:
             catalog = merge_catalogs(catalog, extra)
         except CatalogError as exc:
             _fail(str(exc))
-    return catalog
-
-
-def _mitigation_catalog(args) -> list[Mitigation]:
     mitigations = list(builtin_mitigations())
     seen = {mit.id for mit in mitigations}
-    for path in getattr(args, "mit", None) or []:
+    for path in mit_paths:
         for mit in _parse_file(path, parse_mitigation_catalog):
             if mit.id in seen:
                 _fail(f"duplicate mitigation id '{mit.id}' from {path}")
             seen.add(mit.id)
             mitigations.append(mit)
-    return mitigations
+    return catalog, mitigations
+
+
+def _catalogs(args) -> tuple[LensCatalog, list[Mitigation]]:
+    return load_catalogs(args.lens, getattr(args, "mit", ()),
+                         builtin_lenses=not args.no_builtin)
 
 
 def _checked_model(args, catalog: LensCatalog,
@@ -130,14 +140,6 @@ def _write(args, text: str) -> None:
             _fail(f"cannot write {output}: {exc.strerror or exc}", EXIT_USAGE)
     else:
         sys.stdout.write(text)
-
-
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
 
 
 def _build_table(args, model: Ooda2Model, interactions: list[Interaction],
@@ -175,45 +177,27 @@ def _trace_pathways(args, model: Ooda2Model, interactions: list[Interaction],
     return pathways
 
 
-def _pathway_line(pathway: TracePathway) -> str:
-    chain = " -> ".join(pathway.node_ids())
-    return (f"interaction {pathway.origin.i_id} [{pathway.mode_category}, "
-            f"{pathway.direction.value}]: {chain} "
-            f"(gain {pathway.total_gain!r}, {pathway.classification.value})")
-
-
 def _cmd_validate(args) -> int:
-    catalog = _lens_catalog(args)
-    mitigations = _mitigation_catalog(args)
-    model = _parse_file(args.model, parse_model)
-    strictness = Strictness.STRICT if args.strict else Strictness.LENIENT
-    diagnostics = validate(model, strictness, lens_catalog=catalog,
-                           mitigation_catalog=mitigations)
-    for diag in diagnostics:
-        line = diag.line if diag.line is not None else 0
-        print(f"{args.model}:{line}: {diag.severity.value}: {diag.code}: "
-              f"{diag.message}", file=sys.stderr)
-    return EXIT_FINDINGS if has_errors(diagnostics) else EXIT_OK
+    _checked_model(args, *_catalogs(args))
+    return EXIT_OK
 
 
 def _cmd_interactions(args) -> int:
-    catalog = _lens_catalog(args)
-    mitigations = _mitigation_catalog(args)
+    catalog, mitigations = _catalogs(args)
     model = _checked_model(args, catalog, mitigations)
     rows = [
         [interaction.i_id, interaction.name, interaction.machine_stage.display(),
          interaction.human_stage.display(), interaction.direction.display()]
         for interaction in extract_interactions(model)
     ]
-    _write(args, _csv_text(
+    _write(args, csv_text(
         ["I ID", "Interaction Name", "Machine Stage", "Human Stage", "Direction"],
         rows))
     return EXIT_OK
 
 
 def _cmd_map(args) -> int:
-    catalog = _lens_catalog(args)
-    mitigations = _mitigation_catalog(args)
+    catalog, mitigations = _catalogs(args)
     model = _checked_model(args, catalog, mitigations)
     interactions = extract_interactions(model)
     table, _ = _build_table(args, model, interactions, catalog)
@@ -222,13 +206,12 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    catalog = _lens_catalog(args)
-    mitigations = _mitigation_catalog(args)
+    catalog, mitigations = _catalogs(args)
     model = _checked_model(args, catalog, mitigations)
     interactions = extract_interactions(model)
     pathways = _trace_pathways(args, model, interactions, mitigations)
     if args.format == "text":
-        text = "".join(f"{_pathway_line(pathway)}\n" for pathway in pathways)
+        text = "".join(f"{pathway_label(pathway)}\n" for pathway in pathways)
     elif args.format == "json":
         text = emit_json(ReportBundle(pathways=pathways))
     else:
@@ -241,8 +224,7 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_mitigations(args) -> int:
-    catalog = _lens_catalog(args)
-    mitigations = _mitigation_catalog(args)
+    catalog, mitigations = _catalogs(args)
     model = _checked_model(args, catalog, mitigations)
     interactions = extract_interactions(model)
     table, _ = _build_table(args, model, interactions, catalog)
@@ -251,14 +233,13 @@ def _cmd_mitigations(args) -> int:
          row.generic_mode_category, mitigation.id, mitigation.name]
         for row, mitigation in suggest_mitigations(table, mitigations)
     ]
-    _write(args, _csv_text(
+    _write(args, csv_text(
         ["I ID", "SFM ID", "Category", "Mitigation ID", "Mitigation Name"], rows))
     return EXIT_OK
 
 
 def _cmd_report(args) -> int:
-    catalog = _lens_catalog(args)
-    mitigations = _mitigation_catalog(args)
+    catalog, mitigations = _catalogs(args)
     model = _checked_model(args, catalog, mitigations)
     interactions = extract_interactions(model)
     table, sfms = _build_table(args, model, interactions, catalog)
@@ -292,7 +273,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_lenses(args) -> int:
-    catalog = _lens_catalog(args)
+    catalog, _ = _catalogs(args)
     if args.export:
         _write(args, serialize_lens_catalog(catalog))
         return EXIT_OK

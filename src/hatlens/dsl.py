@@ -1,54 +1,40 @@
 """Parsers and serializers for the four line-oriented analysis file formats.
 
 All formats share one lexical shape: one statement per line, tokens
-separated by spaces, ``"``-quoted strings (with ``\\"`` and ``\\\\``
+separated by spaces or tabs, ``"``-quoted strings (with ``\\"`` and ``\\\\``
 escapes), ``key=value`` attributes, blank lines and lines starting with
 ``#`` ignored.  Input may use LF or CRLF line endings; output is LF.
 
-Model files (``.hat``):
-
-    model "<name>"
-    lane <id> side=<human|machine> kind=<operator|autonomy|hmi|other> "<display>"
-    node <id> lane=<lane-id> stage=<observe|orient|decide|act> "<label>"
-         [cause=<token>[,<token>...]]
-         [response.<category>=<amplify[:N]|dampen[:N]|neutral>]
-         [mitigation=<id>[,<id>...]]
-    edge <from-id> -> <to-id> ["<guard>"] [name="<text>"] [mitigation=<id>[,<id>...]]
-
-Lens catalogs (``.lens``):
-
-    lens <id> "<name>"
-    mode <id> lens=<lens-id> direction=<m2h|h2m|both> category=<token>
-         [benign=<true|false>] "<title>" question="<text>"
-
-Specialisation lists (``.sfm``):
-
-    sfm <id> interaction=<I-id> mode=<mode-id> "<text>"
-
-Mitigation catalogs (``.mit``):
-
-    mitigation <id> category=<token>[,<token>...] placement=<node|edge>
-               [damping=<N>] "<name>" detail="<text>"
+Each statement keyword is declared once, as a tuple of ``_Field``s in
+``_MODEL`` (``.hat``), ``_LENS`` (``.lens``), ``_SFM`` (``.sfm``) and
+``_MITIGATION`` (``.mit``): its positional words, quoted strings and
+attributes in canonical order, which are optional, which are ids or
+references to ids, and the converters that parse and write each one.
+``_read`` parses any statement from its declaration and ``_write`` writes
+any statement from it, so parse and serialize are mutually inverse on valid
+values by construction.  The ``parse_*`` functions add only the rules no
+declaration states: one model statement per file, no edge self-loops, and
+ascending sfm ids.  ``docs/dsl-reference.md`` describes the formats for
+authors.
 
 Parsing is all-or-nothing: a parse either returns the value or raises
 ``DslParseError`` carrying every diagnostic, sorted by (line, column).
 References must point at already-declared elements.  Serializers emit the
 canonical form (fixed statement and attribute order, explicit gain
-coefficients, blank line between statement groups); parse and serialize
-are mutually inverse on valid values.
+coefficients, blank line between statement groups).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import Callable, NamedTuple
 
 from .lenses import Applicability, GenericFailureMode, Lens, LensCatalog
-from .mapping import SpecialisedFailureMode
+from .mapping import SpecialisedFailureMode, sfm_id_problem
 from .mitigations import Mitigation, Placement
 from .model import (
-    DEFAULT_AMPLIFY_COEFFICIENT,
-    DEFAULT_DAMPEN_COEFFICIENT,
     ActionNode,
     ActivityEdge,
     GainBehaviour,
@@ -60,7 +46,7 @@ from .model import (
     Stage,
 )
 
-_IDENT = re.compile(r"[a-z][a-z0-9_]*\Z")
+_IDENT = "[a-z][a-z0-9_]*"
 
 
 @dataclass(frozen=True)
@@ -82,564 +68,126 @@ class DslParseError(ValueError):
         super().__init__(summary)
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "word" | "string" | "attr"
+# ---------------------------------------------------------------------------
+# Lexer.
+
+_WORD, _STRING, _ATTR = "word", "string", "attr"
+
+
+class _Token(NamedTuple):
+    kind: str  # _WORD, _STRING or _ATTR
     column: int
-    text: str = ""  # word text or unescaped string value
+    text: str  # word text, unescaped string, or attribute value (unescaped when quoted)
     key: str = ""  # attribute name
-    value: str = ""  # attribute value, unescaped when quoted
-    quoted: bool = False
 
 
-def _statements(text: str):
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        line = raw.rstrip("\r")
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        yield line_no, line
+_BODY = r'[^"\\]*(?:\\["\\][^"\\]*)*'  # a string's contents: only \" and \\ escapes
+_TOKEN = re.compile(
+    rf'[ \t]*(?:"(?P<string>{_BODY})"'
+    rf'|(?P<key>[^ \t"=]+)=(?:"(?P<quoted>{_BODY})"|(?!")(?P<bare>[^ \t"]*))'
+    r'|(?P<word>[^ \t"=]+)(?=[ \t"]|\Z))'
+)
+# The longest well-formed start of a string; where it stops, the string is broken.
+_STRING_START = re.compile(f'"{_BODY}')
+_ESCAPE = re.compile(r'\\(["\\])')
 
 
-def _scan_string(line: str, start: int, line_no: int, diags: list[ParseDiagnostic]):
-    """Scan a quoted string beginning at ``start``; returns (value, end) or None."""
-    parts: list[str] = []
-    i = start + 1
-    while i < len(line):
-        ch = line[i]
-        if ch == '"':
-            return "".join(parts), i + 1
-        if ch == "\\":
-            if i + 1 < len(line) and line[i + 1] in ('"', "\\"):
-                parts.append(line[i + 1])
-                i += 2
-                continue
-            diags.append(ParseDiagnostic(line_no, i + 1, "unsupported escape sequence"))
-            return None
-        parts.append(ch)
-        i += 1
-    diags.append(ParseDiagnostic(line_no, start + 1, "unterminated string"))
-    return None
+def _unescape(text: str) -> str:
+    return _ESCAPE.sub(r"\1", text) if "\\" in text else text
 
 
 def _tokenize(line: str, line_no: int, diags: list[ParseDiagnostic]) -> list[_Token] | None:
+    """The line's tokens, or None after recording its first lexical error."""
     tokens: list[_Token] = []
-    i = 0
-    n = len(line)
-    while i < n:
-        ch = line[i]
-        if ch in (" ", "\t"):
-            i += 1
-            continue
-        column = i + 1
-        if ch == '"':
-            scanned = _scan_string(line, i, line_no, diags)
-            if scanned is None:
-                return None
-            value, i = scanned
-            tokens.append(_Token("string", column, text=value))
-            continue
-        j = i
-        while j < n and line[j] not in (" ", "\t", '"', "="):
-            j += 1
-        if j < n and line[j] == "=":
-            key = line[i:j]
-            if not key:
-                diags.append(ParseDiagnostic(line_no, column, "attribute name missing before '='"))
-                return None
-            if j + 1 < n and line[j + 1] == '"':
-                scanned = _scan_string(line, j + 1, line_no, diags)
-                if scanned is None:
-                    return None
-                value, i = scanned
-                tokens.append(_Token("attr", column, key=key, value=value, quoted=True))
-            else:
-                k = j + 1
-                while k < n and line[k] not in (" ", "\t", '"'):
-                    k += 1
-                tokens.append(_Token("attr", column, key=key, value=line[j + 1:k]))
-                i = k
-            continue
-        tokens.append(_Token("word", column, text=line[i:j]))
-        i = j
-    return tokens
+    pos = 0
+    while match := _TOKEN.match(line, pos):
+        kind = match.lastgroup
+        if kind == "word":
+            tokens.append(_Token(_WORD, match.start(kind) + 1, match[kind]))
+        elif kind == "string":
+            tokens.append(_Token(_STRING, match.start(kind), _unescape(match[kind])))
+        else:
+            value = _unescape(match[kind]) if kind == "quoted" else match[kind]
+            tokens.append(_Token(_ATTR, match.start("key") + 1, value, match["key"]))
+        pos = match.end()
+    rest = line[pos:].lstrip(" \t")
+    if not rest:
+        return tokens
+    start = len(line) - len(rest)
+    if rest[0] == "=":
+        diags.append(ParseDiagnostic(line_no, start + 1, "attribute name missing before '='"))
+        return None
+    # Nothing else stops the lexer but a broken string: a token or an attribute value.
+    quote = line.index('"', start)
+    stop = _STRING_START.match(line, quote).end()
+    if stop < len(line):
+        diags.append(ParseDiagnostic(line_no, stop + 1, "unsupported escape sequence"))
+    else:
+        diags.append(ParseDiagnostic(line_no, quote + 1, "unterminated string"))
+    return None
 
 
-class _Statements:
-    """Shared per-statement bookkeeping: classify tokens, collect diagnostics."""
+# ---------------------------------------------------------------------------
+# Field converters.  A parser raises ValueError with the diagnostic's message.
 
-    def __init__(self) -> None:
-        self.diags: list[ParseDiagnostic] = []
+def _matching(pattern: str, message: str, convert: Callable[[str], object] = str):
+    """A parser for text that matches ``pattern`` whole, converted by
+    ``convert``; other text fails with ``message`` formatted with the text."""
+    regex = re.compile(pattern)
 
-    def error(self, line_no: int, column: int, message: str) -> None:
-        self.diags.append(ParseDiagnostic(line_no, column, message))
+    def parse(text: str):
+        if regex.fullmatch(text) is None:
+            raise ValueError(message.format(text))
+        return convert(text)
+    return parse
 
-    def split(self, tokens: list[_Token], line_no: int):
-        words: list[_Token] = []
-        strings: list[_Token] = []
-        attrs: dict[str, _Token] = {}
-        for tok in tokens[1:]:
-            if tok.kind == "word":
-                words.append(tok)
-            elif tok.kind == "string":
-                strings.append(tok)
-            elif tok.key in attrs:
-                self.error(line_no, tok.column, f"duplicate attribute '{tok.key}'")
-            else:
-                attrs[tok.key] = tok
-        return words, strings, attrs
 
-    def take_word(self, words: list[_Token], line_no: int, keyword: _Token, what: str):
-        if not words:
-            self.error(line_no, keyword.column, f"{keyword.text} statement is missing {what}")
-            return None
-        return words.pop(0)
+def _ident(what: str):
+    return _matching(_IDENT, f"invalid {what} '{{}}'")
 
-    def take_string(self, strings: list[_Token], line_no: int, keyword: _Token, what: str):
-        if not strings:
-            self.error(line_no, keyword.column, f"{keyword.text} statement is missing {what}")
-            return None
-        return strings.pop(0)
 
-    def take_attr(self, attrs: dict[str, _Token], key: str, line_no: int,
-                  keyword: _Token, required: bool = True):
-        tok = attrs.pop(key, None)
-        if tok is None and required:
-            self.error(line_no, keyword.column,
-                       f"{keyword.text} statement is missing the {key}= attribute")
-        return tok
+def _idents(what: str, collection=list):
+    ident = _ident(what)
+    return lambda text: collection(map(ident, text.split(",")))
 
-    def ident(self, tok: _Token, line_no: int, what: str):
-        text = tok.text if tok.kind == "word" else tok.value
-        if not _IDENT.match(text):
-            self.error(line_no, tok.column, f"invalid {what} '{text}'")
-            return None
-        return text
 
-    def ident_list(self, tok: _Token, line_no: int, what: str):
-        items = tok.value.split(",")
-        out: list[str] = []
-        for item in items:
-            if not _IDENT.match(item):
-                self.error(line_no, tok.column, f"invalid {what} '{item}'")
-                return None
-            out.append(item)
-        return out
+def _enum(cls, what: str):
+    values = "|".join(re.escape(member.value) for member in cls)
+    return _matching(values, f"unknown {what} '{{}}'", cls)
 
-    def nonempty(self, tok: _Token, line_no: int, what: str):
-        if not tok.text:
-            self.error(line_no, tok.column, f"{what} must be non-empty")
-            return None
-        return tok.text
 
-    def leftovers(self, words: list[_Token], strings: list[_Token],
-                  attrs: dict[str, _Token], line_no: int) -> None:
-        for tok in words:
-            self.error(line_no, tok.column, f"unexpected token '{tok.text}'")
-        for tok in strings:
-            self.error(line_no, tok.column, "unexpected quoted string")
-        for tok in attrs.values():
-            self.error(line_no, tok.column, f"unknown attribute '{tok.key}'")
+def _nonempty(what: str):
+    return _matching("(?s).+", f"{what} must be non-empty")
 
-    def finish(self) -> None:
-        if self.diags:
-            raise DslParseError(self.diags)
+
+def _positive(what: str):
+    # ASCII digits only: str.isdigit() and int() also accept other scripts' digits.
+    return _matching("0*[1-9][0-9]*", f"{what} must be a positive integer, not '{{}}'", int)
+
+
+def _damping(text: str) -> float:
+    try:
+        damping = float(text)
+    except ValueError:
+        raise ValueError(f"bad damping '{text}'") from None
+    if not 0 < damping < 1:
+        raise ValueError(f"damping must be in (0, 1), got {text}")
+    return damping
 
 
 def _parse_gain(raw: str) -> GainBehaviour:
     kind_text, sep, coeff_text = raw.partition(":")
-    if kind_text == "neutral":
-        if sep:
-            raise ValueError("neutral takes no coefficient")
-        return GainBehaviour.neutral()
-    if kind_text not in ("amplify", "dampen"):
+    if kind_text not in ("amplify", "dampen", "neutral"):
         raise ValueError(f"unknown gain kind '{kind_text}'")
     if not sep:
-        default = (DEFAULT_AMPLIFY_COEFFICIENT if kind_text == "amplify"
-                   else DEFAULT_DAMPEN_COEFFICIENT)
-        return GainBehaviour(GainKind(kind_text), default)
+        return getattr(GainBehaviour, kind_text)()  # the kind's default coefficient
+    if kind_text == "neutral":
+        raise ValueError("neutral takes no coefficient")
     try:
         coefficient = float(coeff_text)
     except ValueError:
         raise ValueError(f"bad gain coefficient '{coeff_text}'") from None
     return GainBehaviour(GainKind(kind_text), coefficient)
-
-
-def parse_model(text: str) -> Ooda2Model:
-    """Parse a ``.hat`` document; raises DslParseError on any problem."""
-    ctx = _Statements()
-    name: str | None = None
-    name_line: int | None = None
-    lanes: list[Lane] = []
-    lane_ids: set[str] = set()
-    nodes: list[ActionNode] = []
-    node_ids: set[str] = set()
-    edges: list[ActivityEdge] = []
-
-    for line_no, line in _statements(text):
-        tokens = _tokenize(line, line_no, ctx.diags)
-        if not tokens:
-            continue
-        keyword = tokens[0]
-        if keyword.kind != "word":
-            ctx.error(line_no, keyword.column, "expected a statement keyword")
-            continue
-        words, strings, attrs = ctx.split(tokens, line_no)
-
-        if keyword.text == "model":
-            value = ctx.take_string(strings, line_no, keyword, "its quoted name")
-            if value is not None:
-                if name is not None:
-                    ctx.error(line_no, keyword.column, "duplicate model statement")
-                elif ctx.nonempty(value, line_no, "model name") is not None:
-                    name, name_line = value.text, line_no
-
-        elif keyword.text == "lane":
-            id_tok = ctx.take_word(words, line_no, keyword, "its id")
-            side_tok = ctx.take_attr(attrs, "side", line_no, keyword)
-            kind_tok = ctx.take_attr(attrs, "kind", line_no, keyword)
-            display_tok = ctx.take_string(strings, line_no, keyword, "its quoted display name")
-            lane_id = side = kind = display = None
-            if id_tok is not None:
-                lane_id = ctx.ident(id_tok, line_no, "lane id")
-                if lane_id in lane_ids:
-                    ctx.error(line_no, id_tok.column, f"duplicate lane id '{lane_id}'")
-                    lane_id = None
-            if side_tok is not None:
-                try:
-                    side = Side(side_tok.value)
-                except ValueError:
-                    ctx.error(line_no, side_tok.column, f"unknown side '{side_tok.value}'")
-            if kind_tok is not None:
-                try:
-                    kind = LaneKind(kind_tok.value)
-                except ValueError:
-                    ctx.error(line_no, kind_tok.column, f"unknown lane kind '{kind_tok.value}'")
-            if display_tok is not None:
-                display = ctx.nonempty(display_tok, line_no, "lane display name")
-            if None not in (lane_id, side, kind, display):
-                lane_ids.add(lane_id)
-                lanes.append(Lane(lane_id, side, kind, display, line=line_no))
-
-        elif keyword.text == "node":
-            id_tok = ctx.take_word(words, line_no, keyword, "its id")
-            lane_tok = ctx.take_attr(attrs, "lane", line_no, keyword)
-            stage_tok = ctx.take_attr(attrs, "stage", line_no, keyword)
-            label_tok = ctx.take_string(strings, line_no, keyword, "its quoted label")
-            cause_tok = ctx.take_attr(attrs, "cause", line_no, keyword, required=False)
-            mit_tok = ctx.take_attr(attrs, "mitigation", line_no, keyword, required=False)
-            node_id = lane_id = stage = label = None
-            causes: list[str] = []
-            mitigation_ids: list[str] = []
-            response: dict[str, GainBehaviour] = {}
-            if id_tok is not None:
-                node_id = ctx.ident(id_tok, line_no, "node id")
-                if node_id in node_ids:
-                    ctx.error(line_no, id_tok.column, f"duplicate node id '{node_id}'")
-                    node_id = None
-            if lane_tok is not None:
-                lane_id = ctx.ident(lane_tok, line_no, "lane reference")
-                if lane_id is not None and lane_id not in lane_ids:
-                    ctx.error(line_no, lane_tok.column,
-                              f"node references undeclared lane '{lane_id}'")
-                    lane_id = None
-            if stage_tok is not None:
-                try:
-                    stage = Stage(stage_tok.value)
-                except ValueError:
-                    ctx.error(line_no, stage_tok.column, f"unknown stage '{stage_tok.value}'")
-            if label_tok is not None:
-                label = ctx.nonempty(label_tok, line_no, "node label")
-            if cause_tok is not None:
-                causes = ctx.ident_list(cause_tok, line_no, "cause category") or []
-            if mit_tok is not None:
-                mitigation_ids = ctx.ident_list(mit_tok, line_no, "mitigation id") or []
-            for key in [k for k in attrs if k.startswith("response.")]:
-                tok = attrs.pop(key)
-                category = key[len("response."):]
-                if not _IDENT.match(category):
-                    ctx.error(line_no, tok.column, f"invalid response category '{category}'")
-                    continue
-                try:
-                    response[category] = _parse_gain(tok.value)
-                except ValueError as exc:
-                    ctx.error(line_no, tok.column, str(exc))
-            if None not in (node_id, lane_id, stage, label):
-                node_ids.add(node_id)
-                nodes.append(ActionNode(
-                    node_id, lane_id, stage, label,
-                    response=response, causes=causes,
-                    mitigation_ids=mitigation_ids, line=line_no,
-                ))
-
-        elif keyword.text == "edge":
-            from_tok = ctx.take_word(words, line_no, keyword, "its source node id")
-            arrow_tok = ctx.take_word(words, line_no, keyword, "'->'")
-            to_tok = ctx.take_word(words, line_no, keyword, "its target node id")
-            if arrow_tok is not None and arrow_tok.text != "->":
-                ctx.error(line_no, arrow_tok.column, f"expected '->', found '{arrow_tok.text}'")
-            guard = strings.pop(0).text if strings else None
-            name_tok = ctx.take_attr(attrs, "name", line_no, keyword, required=False)
-            mit_tok = ctx.take_attr(attrs, "mitigation", line_no, keyword, required=False)
-            endpoints: list[str | None] = []
-            for tok in (from_tok, to_tok):
-                node_id = ctx.ident(tok, line_no, "node reference") if tok is not None else None
-                if node_id is not None and node_id not in node_ids:
-                    ctx.error(line_no, tok.column,
-                              f"edge references undeclared node '{node_id}'")
-                    node_id = None
-                endpoints.append(node_id)
-            from_id, to_id = endpoints
-            if from_id is not None and from_id == to_id:
-                ctx.error(line_no, from_tok.column,
-                          f"edge loops node '{from_id}' onto itself")
-                from_id = None
-            mitigation_ids = []
-            if mit_tok is not None:
-                mitigation_ids = ctx.ident_list(mit_tok, line_no, "mitigation id") or []
-            if from_id is not None and to_id is not None:
-                edges.append(ActivityEdge(
-                    id=f"e{len(edges) + 1}", from_id=from_id, to_id=to_id,
-                    guard=guard, name=name_tok.value if name_tok is not None else None,
-                    mitigation_ids=mitigation_ids, line=line_no,
-                ))
-
-        else:
-            ctx.error(line_no, keyword.column, f"unknown keyword '{keyword.text}'")
-            continue
-        ctx.leftovers(words, strings, attrs, line_no)
-
-    if name is None and not ctx.diags:
-        ctx.error(1, 1, "missing model statement")
-    ctx.finish()
-    return Ooda2Model(name=name, lanes=lanes, nodes=nodes, edges=edges, line=name_line)
-
-
-def parse_lens_catalog(text: str) -> LensCatalog:
-    """Parse a ``.lens`` document; raises DslParseError on any problem."""
-    ctx = _Statements()
-    order: list[str] = []
-    lens_info: dict[str, tuple[str, int]] = {}
-    lens_modes: dict[str, list[GenericFailureMode]] = {}
-    mode_ids: set[str] = set()
-
-    for line_no, line in _statements(text):
-        tokens = _tokenize(line, line_no, ctx.diags)
-        if not tokens:
-            continue
-        keyword = tokens[0]
-        if keyword.kind != "word":
-            ctx.error(line_no, keyword.column, "expected a statement keyword")
-            continue
-        words, strings, attrs = ctx.split(tokens, line_no)
-
-        if keyword.text == "lens":
-            id_tok = ctx.take_word(words, line_no, keyword, "its id")
-            name_tok = ctx.take_string(strings, line_no, keyword, "its quoted name")
-            lens_id = lens_name = None
-            if id_tok is not None:
-                lens_id = ctx.ident(id_tok, line_no, "lens id")
-                if lens_id in lens_info:
-                    ctx.error(line_no, id_tok.column, f"duplicate lens id '{lens_id}'")
-                    lens_id = None
-            if name_tok is not None:
-                lens_name = ctx.nonempty(name_tok, line_no, "lens name")
-            if None not in (lens_id, lens_name):
-                order.append(lens_id)
-                lens_info[lens_id] = (lens_name, line_no)
-                lens_modes[lens_id] = []
-
-        elif keyword.text == "mode":
-            id_tok = ctx.take_word(words, line_no, keyword, "its id")
-            lens_tok = ctx.take_attr(attrs, "lens", line_no, keyword)
-            direction_tok = ctx.take_attr(attrs, "direction", line_no, keyword)
-            category_tok = ctx.take_attr(attrs, "category", line_no, keyword)
-            benign_tok = ctx.take_attr(attrs, "benign", line_no, keyword, required=False)
-            title_tok = ctx.take_string(strings, line_no, keyword, "its quoted title")
-            question_tok = ctx.take_attr(attrs, "question", line_no, keyword)
-            mode_id = lens_id = applicability = category = title = question = None
-            benign = False
-            if id_tok is not None:
-                mode_id = ctx.ident(id_tok, line_no, "mode id")
-                if mode_id in mode_ids:
-                    ctx.error(line_no, id_tok.column, f"duplicate mode id '{mode_id}'")
-                    mode_id = None
-            if lens_tok is not None:
-                lens_id = ctx.ident(lens_tok, line_no, "lens reference")
-                if lens_id is not None and lens_id not in lens_info:
-                    ctx.error(line_no, lens_tok.column,
-                              f"mode references undeclared lens '{lens_id}'")
-                    lens_id = None
-            if direction_tok is not None:
-                try:
-                    applicability = Applicability(direction_tok.value)
-                except ValueError:
-                    ctx.error(line_no, direction_tok.column,
-                              f"unknown direction '{direction_tok.value}'")
-            if category_tok is not None:
-                category = ctx.ident(category_tok, line_no, "category")
-            if benign_tok is not None:
-                if benign_tok.value in ("true", "false"):
-                    benign = benign_tok.value == "true"
-                else:
-                    ctx.error(line_no, benign_tok.column,
-                              f"benign must be true or false, not '{benign_tok.value}'")
-            if title_tok is not None:
-                title = ctx.nonempty(title_tok, line_no, "mode title")
-            if question_tok is not None:
-                if question_tok.value:
-                    question = question_tok.value
-                else:
-                    ctx.error(line_no, question_tok.column, "mode question must be non-empty")
-            if None not in (mode_id, lens_id, applicability, category, title, question):
-                mode_ids.add(mode_id)
-                lens_modes[lens_id].append(GenericFailureMode(
-                    id=mode_id, lens_id=lens_id, category=category, title=title,
-                    question=question, applicability=applicability, benign=benign,
-                    line=line_no,
-                ))
-
-        else:
-            ctx.error(line_no, keyword.column, f"unknown keyword '{keyword.text}'")
-            continue
-        ctx.leftovers(words, strings, attrs, line_no)
-
-    ctx.finish()
-    lenses = [
-        Lens(id=lens_id, name=lens_info[lens_id][0], modes=tuple(lens_modes[lens_id]),
-             line=lens_info[lens_id][1])
-        for lens_id in order
-    ]
-    return LensCatalog(lenses=lenses)
-
-
-def parse_sfm_bindings(text: str) -> list[SpecialisedFailureMode]:
-    """Parse a ``.sfm`` document; raises DslParseError on any problem."""
-    ctx = _Statements()
-    sfms: list[SpecialisedFailureMode] = []
-    previous: int | None = None
-
-    for line_no, line in _statements(text):
-        tokens = _tokenize(line, line_no, ctx.diags)
-        if not tokens:
-            continue
-        keyword = tokens[0]
-        if keyword.kind != "word" or keyword.text != "sfm":
-            what = keyword.text if keyword.kind == "word" else "a quoted string"
-            ctx.error(line_no, keyword.column, f"unknown keyword '{what}'")
-            continue
-        words, strings, attrs = ctx.split(tokens, line_no)
-        id_tok = ctx.take_word(words, line_no, keyword, "its numeric id")
-        interaction_tok = ctx.take_attr(attrs, "interaction", line_no, keyword)
-        mode_tok = ctx.take_attr(attrs, "mode", line_no, keyword)
-        text_tok = ctx.take_string(strings, line_no, keyword, "its quoted text")
-        sfm_id = interaction_id = mode_id = sfm_text = None
-        if id_tok is not None:
-            if id_tok.text.isdigit() and int(id_tok.text) >= 1:
-                sfm_id = int(id_tok.text)
-            else:
-                ctx.error(line_no, id_tok.column,
-                          f"sfm id must be a positive integer, not '{id_tok.text}'")
-        if interaction_tok is not None:
-            if interaction_tok.value.isdigit() and int(interaction_tok.value) >= 1:
-                interaction_id = int(interaction_tok.value)
-            else:
-                ctx.error(line_no, interaction_tok.column,
-                          f"interaction must be a positive integer, not "
-                          f"'{interaction_tok.value}'")
-        if mode_tok is not None:
-            mode_id = ctx.ident(mode_tok, line_no, "mode reference")
-        if text_tok is not None:
-            sfm_text = ctx.nonempty(text_tok, line_no, "sfm text")
-        if sfm_id is not None and previous is not None:
-            if sfm_id == previous:
-                ctx.error(line_no, id_tok.column, f"duplicate sfm id {sfm_id}")
-                sfm_id = None
-            elif sfm_id != previous + 1:
-                ctx.error(line_no, id_tok.column,
-                          f"sfm ids must ascend without gaps: {sfm_id} follows {previous}")
-                sfm_id = None
-        if sfm_id is not None:
-            previous = sfm_id
-        if None not in (sfm_id, interaction_id, mode_id, sfm_text):
-            sfms.append(SpecialisedFailureMode(
-                sfm_id=sfm_id, interaction_id=interaction_id,
-                generic_mode_id=mode_id, text=sfm_text, line=line_no,
-            ))
-        ctx.leftovers(words, strings, attrs, line_no)
-
-    ctx.finish()
-    return sfms
-
-
-def parse_mitigation_catalog(text: str) -> list[Mitigation]:
-    """Parse a ``.mit`` document; raises DslParseError on any problem."""
-    ctx = _Statements()
-    mitigations: list[Mitigation] = []
-    seen: set[str] = set()
-
-    for line_no, line in _statements(text):
-        tokens = _tokenize(line, line_no, ctx.diags)
-        if not tokens:
-            continue
-        keyword = tokens[0]
-        if keyword.kind != "word" or keyword.text != "mitigation":
-            what = keyword.text if keyword.kind == "word" else "a quoted string"
-            ctx.error(line_no, keyword.column, f"unknown keyword '{what}'")
-            continue
-        words, strings, attrs = ctx.split(tokens, line_no)
-        id_tok = ctx.take_word(words, line_no, keyword, "its id")
-        category_tok = ctx.take_attr(attrs, "category", line_no, keyword)
-        placement_tok = ctx.take_attr(attrs, "placement", line_no, keyword)
-        damping_tok = ctx.take_attr(attrs, "damping", line_no, keyword, required=False)
-        name_tok = ctx.take_string(strings, line_no, keyword, "its quoted name")
-        detail_tok = ctx.take_attr(attrs, "detail", line_no, keyword)
-        mit_id = categories = placement = mit_name = None
-        damping = 0.5
-        detail = ""
-        if id_tok is not None:
-            mit_id = ctx.ident(id_tok, line_no, "mitigation id")
-            if mit_id in seen:
-                ctx.error(line_no, id_tok.column, f"duplicate mitigation id '{mit_id}'")
-                mit_id = None
-        if category_tok is not None:
-            categories = ctx.ident_list(category_tok, line_no, "category")
-        if placement_tok is not None:
-            try:
-                placement = Placement(placement_tok.value)
-            except ValueError:
-                ctx.error(line_no, placement_tok.column,
-                          f"unknown placement '{placement_tok.value}'")
-        if damping_tok is not None:
-            try:
-                damping = float(damping_tok.value)
-            except ValueError:
-                ctx.error(line_no, damping_tok.column,
-                          f"bad damping '{damping_tok.value}'")
-                damping = None
-            else:
-                if not 0 < damping < 1:
-                    ctx.error(line_no, damping_tok.column,
-                              f"damping must be in (0, 1), got {damping_tok.value}")
-                    damping = None
-        if name_tok is not None:
-            mit_name = ctx.nonempty(name_tok, line_no, "mitigation name")
-        if detail_tok is not None:
-            detail = detail_tok.value
-        if None not in (mit_id, categories, placement, mit_name, damping):
-            seen.add(mit_id)
-            mitigations.append(Mitigation(
-                id=mit_id, name=mit_name, categories=tuple(categories),
-                placement=placement, detail=detail, damping=damping, line=line_no,
-            ))
-        ctx.leftovers(words, strings, attrs, line_no)
-
-    ctx.finish()
-    return mitigations
-
-
-def _quote(text: str) -> str:
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def _format_gain(gain: GainBehaviour) -> str:
@@ -648,75 +196,386 @@ def _format_gain(gain: GainBehaviour) -> str:
     return f"{gain.kind.value}:{gain.coefficient!r}"
 
 
+def _quote(text: str) -> str:
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+_value = attrgetter("value")
+_join = ",".join
+
+
+# ---------------------------------------------------------------------------
+# Statement declarations.
+
+_REQUIRED = object()
+
+
+class _Field(NamedTuple):
+    """One part of a statement.  A statement lists its fields in canonical
+    order, and its required fields in the order their absence is reported.
+
+    ``kind`` says what the field takes: the next positional word, the next
+    quoted string, or the attribute named ``key``.  A ``key`` ending in "."
+    takes every attribute with that prefix, as a dict keyed by the rest of
+    the name.  For a word or a string, ``key`` is how a "missing" diagnostic
+    names it.  ``attr`` names the value on the parsed object; a fixed word
+    has none.  ``parse`` converts token text and ``write`` turns a value
+    back into text.  A field with an ``omit`` value is optional: left out,
+    the object keeps its default, and it is written unless its value equals
+    ``omit``.
+
+    A ``unique`` field is the statement's id, which no earlier statement of
+    the same keyword may have declared; a statement declares it once every
+    field that ``blocks`` (by default, every required one) is well-formed.
+    A field that ``refers`` to a keyword must name an id declared earlier by
+    a statement of that keyword.
+    """
+
+    kind: str
+    key: str
+    attr: str | None
+    parse: Callable[[str], object] = str
+    write: Callable[[object], str] = str
+    omit: object = _REQUIRED
+    unique: bool = False
+    refers: str = ""
+    blocks: bool | None = None
+
+    @property
+    def blocking(self) -> bool:
+        return self.omit is _REQUIRED if self.blocks is None else self.blocks
+
+
+_MODEL = {
+    "model": (_Field(_STRING, "its quoted name", "name"),),
+    "lane": (
+        _Field(_WORD, "its id", "id", _ident("lane id"), unique=True),
+        _Field(_ATTR, "side", "side", _enum(Side, "side"), _value),
+        _Field(_ATTR, "kind", "kind", _enum(LaneKind, "lane kind"), _value),
+        _Field(_STRING, "its quoted display name", "display_name",
+               _nonempty("lane display name")),
+    ),
+    "node": (
+        _Field(_WORD, "its id", "id", _ident("node id"), unique=True),
+        _Field(_ATTR, "lane", "lane_id", _ident("lane reference"), refers="lane"),
+        _Field(_ATTR, "stage", "stage", _enum(Stage, "stage"), _value),
+        _Field(_STRING, "its quoted label", "label", _nonempty("node label")),
+        _Field(_ATTR, "cause", "causes", _idents("cause category"), _join, []),
+        _Field(_ATTR, "response.", "response", _parse_gain, _format_gain, {}),
+        _Field(_ATTR, "mitigation", "mitigation_ids", _idents("mitigation id"), _join, []),
+    ),
+    "edge": (
+        _Field(_WORD, "its source node id", "from_id", _ident("node reference"),
+               refers="node"),
+        _Field(_WORD, "'->'", None, _matching("->", "expected '->', found '{}'"),
+               lambda _: "->"),
+        _Field(_WORD, "its target node id", "to_id", _ident("node reference"),
+               refers="node"),
+        _Field(_STRING, "its guard", "guard", omit=None),
+        _Field(_ATTR, "name", "name", write=_quote, omit=None),
+        _Field(_ATTR, "mitigation", "mitigation_ids", _idents("mitigation id"), _join, []),
+    ),
+}
+
+_LENS = {
+    "lens": (
+        _Field(_WORD, "its id", "id", _ident("lens id"), unique=True),
+        _Field(_STRING, "its quoted name", "name", _nonempty("lens name")),
+    ),
+    "mode": (
+        _Field(_WORD, "its id", "id", _ident("mode id"), unique=True),
+        _Field(_ATTR, "lens", "lens_id", _ident("lens reference"), refers="lens"),
+        _Field(_ATTR, "direction", "applicability",
+               _enum(Applicability, "direction"), _value),
+        _Field(_ATTR, "category", "category", _ident("category")),
+        _Field(_ATTR, "benign", "benign",
+               _matching("true|false", "benign must be true or false, not '{}'",
+                         lambda text: text == "true"),
+               lambda flag: str(flag).lower(), False),
+        _Field(_STRING, "its quoted title", "title", _nonempty("mode title")),
+        _Field(_ATTR, "question", "question", _nonempty("mode question"), _quote),
+    ),
+}
+
+_SFM = {
+    "sfm": (
+        _Field(_WORD, "its numeric id", "sfm_id", _positive("sfm id")),
+        _Field(_ATTR, "interaction", "interaction_id", _positive("interaction")),
+        _Field(_ATTR, "mode", "generic_mode_id", _ident("mode reference")),
+        _Field(_STRING, "its quoted text", "text", _nonempty("sfm text")),
+    ),
+}
+
+_MITIGATION = {
+    "mitigation": (
+        _Field(_WORD, "its id", "id", _ident("mitigation id"), unique=True),
+        _Field(_ATTR, "category", "categories", _idents("category", tuple), _join),
+        _Field(_ATTR, "placement", "placement", _enum(Placement, "placement"), _value),
+        # Optional, yet always written (a damping is never None).  Whether
+        # the id counts as declared depends on damping= but not on detail=.
+        _Field(_ATTR, "damping", "damping", _damping, repr, None, blocks=True),
+        _Field(_STRING, "its quoted name", "name", _nonempty("mitigation name")),
+        _Field(_ATTR, "detail", "detail", write=_quote, blocks=False),
+    ),
+}
+
+
+# ---------------------------------------------------------------------------
+# The generic statement reader and writer.
+
+_BAD = object()  # the value of a required field that is missing, or of any malformed field
+_LEFTOVER = {
+    _WORD: "unexpected token '{0.text}'",
+    _STRING: "unexpected quoted string",
+    _ATTR: "unknown attribute '{0.key}'",
+}
+
+
+class _Statement:
+    """One statement read by its declaration: each field's value and column."""
+
+    def __init__(self, line: int, keyword: _Token, diags: list[ParseDiagnostic]):
+        self.line = line
+        self.keyword = keyword
+        self.diags = diags
+        self.values: dict[str, object] = {}
+        self.columns: dict[str, int] = {}
+
+    def error(self, column: int, message: str) -> None:
+        self.diags.append(ParseDiagnostic(self.line, column, message))
+
+    def reject(self, attr: str, message: str) -> None:
+        self.error(self.columns[attr], message)
+        self.values[attr] = _BAD
+
+    def good(self, *attrs: str) -> bool:
+        return all(self.values.get(attr) is not _BAD for attr in attrs)
+
+    def build(self, cls, **extra):
+        """``cls`` from the values given; the others keep their defaults."""
+        return cls(**self.values, **extra, line=self.line)
+
+    def split(self, tokens: list[_Token]) -> dict:
+        """The tokens after the keyword by kind, attributes by name; reports
+        repeated attributes."""
+        taken: dict = {_WORD: [], _STRING: [], _ATTR: {}}
+        for token in tokens[1:]:
+            if token.kind != _ATTR:
+                taken[token.kind].append(token)
+            elif token.key in taken[_ATTR]:
+                self.error(token.column, f"duplicate attribute '{token.key}'")
+            else:
+                taken[_ATTR][token.key] = token
+        return taken
+
+    def take(self, field: _Field, taken: dict, ids: dict[str, set]) -> None:
+        """Parse ``field`` from the ``taken`` tokens, checking ids against
+        those declared so far."""
+        attrs = taken[_ATTR]
+        if field.key.endswith("."):
+            found = {}
+            for key in [key for key in attrs if key.startswith(field.key)]:
+                token = attrs.pop(key)
+                try:
+                    if not re.fullmatch(_IDENT, name := key[len(field.key):]):
+                        raise ValueError(f"invalid {field.key[:-1]} category '{name}'")
+                    found[name] = field.parse(token.text)
+                except ValueError as exc:
+                    self.error(token.column, str(exc))
+            self.values[field.attr] = found
+            return
+        if field.kind == _ATTR:
+            token = attrs.pop(field.key, None)
+        else:
+            token = taken[field.kind].pop(0) if taken[field.kind] else None
+        if token is None:
+            if field.omit is _REQUIRED:
+                what = f"the {field.key}= attribute" if field.kind == _ATTR else field.key
+                self.error(self.keyword.column,
+                           f"{self.keyword.text} statement is missing {what}")
+                if field.attr:
+                    self.values[field.attr] = _BAD
+            return
+        keyword = self.keyword.text
+        try:
+            value = field.parse(token.text)
+            if field.unique and value in ids[keyword]:
+                raise ValueError(f"duplicate {keyword} id '{value}'")
+            if field.refers and value not in ids[field.refers]:
+                raise ValueError(f"{keyword} references undeclared {field.refers} '{value}'")
+        except ValueError as exc:
+            self.error(token.column, str(exc))
+            value = _BAD
+        if field.attr:
+            self.values[field.attr] = value
+            self.columns[field.attr] = token.column
+
+
+def _read(text: str, statements: dict[str, tuple[_Field, ...]], words_only: bool,
+          diags: list[ParseDiagnostic]) -> dict[str, list[_Statement]]:
+    """Every statement of ``text`` read by its declaration in ``statements``,
+    by keyword in file order, recording every lexical, keyword, attribute,
+    field and id problem in ``diags``.  With ``words_only`` (``.hat`` and
+    ``.lens``), a line must start with a word, and a line whose word is not
+    a keyword still has its attributes checked for repeats; otherwise
+    (``.sfm`` and ``.mit``) any other first token is an unknown keyword."""
+    read: dict[str, list[_Statement]] = {keyword: [] for keyword in statements}
+    ids: dict[str, set] = {keyword: set() for keyword in statements}
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        line = raw.rstrip("\r")
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        tokens = _tokenize(line, line_no, diags)
+        if not tokens:
+            continue
+        keyword = tokens[0]
+        if words_only and keyword.kind != _WORD:
+            diags.append(ParseDiagnostic(line_no, keyword.column,
+                                         "expected a statement keyword"))
+            continue
+        fields = statements.get(keyword.text) if keyword.kind == _WORD else None
+        statement = _Statement(line_no, keyword, diags)
+        if fields is None:
+            if words_only:
+                statement.split(tokens)
+            what = keyword.text if keyword.kind == _WORD else "a quoted string"
+            statement.error(keyword.column, f"unknown keyword '{what}'")
+            continue
+        taken = statement.split(tokens)
+        for field in fields:
+            statement.take(field, taken, ids)
+        for token in [*taken[_WORD], *taken[_STRING], *taken[_ATTR].values()]:
+            statement.error(token.column, _LEFTOVER[token.kind].format(token))
+        for field in fields:
+            if field.unique and statement.good(*(f.attr for f in fields if f.blocking)):
+                ids[keyword.text].add(statement.values[field.attr])
+        read[keyword.text].append(statement)
+    return read
+
+
+def _write(statements: dict[str, tuple[_Field, ...]], keyword: str, obj) -> str:
+    """The canonical line for ``obj`` as a ``keyword`` statement."""
+    parts = [keyword]
+    for field in statements[keyword]:
+        value = getattr(obj, field.attr) if field.attr else None
+        if field.omit is not _REQUIRED and value == field.omit:
+            continue
+        if field.kind == _WORD:
+            parts.append(field.write(value))
+        elif field.kind == _STRING:
+            parts.append(_quote(field.write(value)))
+        elif field.key.endswith("."):
+            parts.extend(f"{field.key}{name}={field.write(value[name])}"
+                         for name in sorted(value))
+        else:
+            parts.append(f"{field.key}={field.write(value)}")
+    return " ".join(parts)
+
+
+def _finish(diags: list[ParseDiagnostic]) -> None:
+    if diags:
+        raise DslParseError(diags)
+
+
 def _join_groups(groups: list[list[str]]) -> str:
     blocks = ["\n".join(group) for group in groups if group]
     return "\n\n".join(blocks) + "\n" if blocks else ""
 
 
+# ---------------------------------------------------------------------------
+# The four formats: the rules no declaration states, and statement grouping.
+
+def parse_model(text: str) -> Ooda2Model:
+    """Parse a ``.hat`` document; raises DslParseError on any problem."""
+    diags: list[ParseDiagnostic] = []
+    read = _read(text, _MODEL, True, diags)
+    model: _Statement | None = None
+    for statement in read["model"]:
+        # The name is checked here, not by its field: a repeated model
+        # statement reports only that it repeats.
+        if not statement.good("name"):
+            continue
+        if model is not None:
+            statement.error(statement.keyword.column, "duplicate model statement")
+        elif not statement.values["name"]:
+            statement.reject("name", "model name must be non-empty")
+        else:
+            model = statement
+    for edge in read["edge"]:
+        if edge.good("from_id") and edge.values["from_id"] == edge.values["to_id"]:
+            edge.reject("from_id", f"edge loops node '{edge.values['from_id']}' onto itself")
+    if model is None and not diags:
+        diags.append(ParseDiagnostic(1, 1, "missing model statement"))
+    _finish(diags)
+    return model.build(
+        Ooda2Model,
+        lanes=[lane.build(Lane) for lane in read["lane"]],
+        nodes=[node.build(ActionNode) for node in read["node"]],
+        edges=[edge.build(ActivityEdge, id=f"e{index}")
+               for index, edge in enumerate(read["edge"], start=1)],
+    )
+
+
+def parse_lens_catalog(text: str) -> LensCatalog:
+    """Parse a ``.lens`` document; raises DslParseError on any problem."""
+    diags: list[ParseDiagnostic] = []
+    read = _read(text, _LENS, True, diags)
+    _finish(diags)
+    modes = [mode.build(GenericFailureMode) for mode in read["mode"]]
+    return LensCatalog(lenses=[
+        lens.build(Lens, modes=tuple(mode for mode in modes if mode.lens_id == lens.values["id"]))
+        for lens in read["lens"]
+    ])
+
+
+def parse_sfm_bindings(text: str) -> list[SpecialisedFailureMode]:
+    """Parse a ``.sfm`` document; raises DslParseError on any problem."""
+    diags: list[ParseDiagnostic] = []
+    read = _read(text, _SFM, False, diags)
+    previous: int | None = None
+    for sfm in read["sfm"]:
+        if sfm.good("sfm_id"):
+            problem = sfm_id_problem(sfm.values["sfm_id"], previous)
+            if problem:
+                sfm.reject("sfm_id", problem)
+            else:
+                previous = sfm.values["sfm_id"]
+    _finish(diags)
+    return [sfm.build(SpecialisedFailureMode) for sfm in read["sfm"]]
+
+
+def parse_mitigation_catalog(text: str) -> list[Mitigation]:
+    """Parse a ``.mit`` document; raises DslParseError on any problem."""
+    diags: list[ParseDiagnostic] = []
+    read = _read(text, _MITIGATION, False, diags)
+    _finish(diags)
+    return [mit.build(Mitigation) for mit in read["mitigation"]]
+
+
 def serialize_model(model: Ooda2Model) -> str:
     """Canonical ``.hat`` text for a valid model."""
-    lanes = [
-        f"lane {lane.id} side={lane.side.value} kind={lane.kind.value} "
-        f"{_quote(lane.display_name)}"
-        for lane in model.lanes
-    ]
-    nodes = []
-    for node in model.nodes:
-        parts = [f"node {node.id} lane={node.lane_id} stage={node.stage.value}",
-                 _quote(node.label)]
-        if node.causes:
-            parts.append("cause=" + ",".join(node.causes))
-        for category in sorted(node.response):
-            parts.append(f"response.{category}={_format_gain(node.response[category])}")
-        if node.mitigation_ids:
-            parts.append("mitigation=" + ",".join(node.mitigation_ids))
-        nodes.append(" ".join(parts))
-    edges = []
-    for edge in model.edges:
-        parts = [f"edge {edge.from_id} -> {edge.to_id}"]
-        if edge.guard is not None:
-            parts.append(_quote(edge.guard))
-        if edge.name is not None:
-            parts.append(f"name={_quote(edge.name)}")
-        if edge.mitigation_ids:
-            parts.append("mitigation=" + ",".join(edge.mitigation_ids))
-        edges.append(" ".join(parts))
-    return _join_groups([[f"model {_quote(model.name)}"], lanes, nodes, edges])
+    return _join_groups([
+        [_write(_MODEL, "model", model)],
+        [_write(_MODEL, "lane", lane) for lane in model.lanes],
+        [_write(_MODEL, "node", node) for node in model.nodes],
+        [_write(_MODEL, "edge", edge) for edge in model.edges],
+    ])
 
 
 def serialize_lens_catalog(catalog: LensCatalog) -> str:
     """Canonical ``.lens`` text; one statement group per lens."""
-    groups = []
-    for lens in catalog.lenses:
-        group = [f"lens {lens.id} {_quote(lens.name)}"]
-        for mode in lens.modes:
-            parts = [f"mode {mode.id} lens={mode.lens_id} "
-                     f"direction={mode.applicability.value} category={mode.category}"]
-            if mode.benign:
-                parts.append("benign=true")
-            parts.append(_quote(mode.title))
-            parts.append(f"question={_quote(mode.question)}")
-            group.append(" ".join(parts))
-        groups.append(group)
-    return _join_groups(groups)
+    return _join_groups([
+        [_write(_LENS, "lens", lens)] + [_write(_LENS, "mode", mode) for mode in lens.modes]
+        for lens in catalog.lenses
+    ])
 
 
 def serialize_sfm_bindings(sfms: list[SpecialisedFailureMode]) -> str:
     """Canonical ``.sfm`` text."""
-    lines = [
-        f"sfm {sfm.sfm_id} interaction={sfm.interaction_id} mode={sfm.generic_mode_id} "
-        f"{_quote(sfm.text)}"
-        for sfm in sfms
-    ]
-    return _join_groups([lines])
+    return _join_groups([[_write(_SFM, "sfm", sfm) for sfm in sfms]])
 
 
 def serialize_mitigation_catalog(mitigations: list[Mitigation]) -> str:
     """Canonical ``.mit`` text; damping always written explicitly."""
-    lines = [
-        f"mitigation {mit.id} category={','.join(mit.categories)} "
-        f"placement={mit.placement.value} damping={mit.damping!r} "
-        f"{_quote(mit.name)} detail={_quote(mit.detail)}"
-        for mit in mitigations
-    ]
-    return _join_groups([lines])
+    return _join_groups([[_write(_MITIGATION, "mitigation", mit) for mit in mitigations]])

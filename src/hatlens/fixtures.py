@@ -19,9 +19,9 @@ from .dsl import (
     parse_sfm_bindings,
 )
 from .interactions import extract_interactions, interaction_by_id
-from .lenses import LensCatalog, builtin_catalog, merge_catalogs
+from .lenses import LensCatalog
 from .mapping import apply_specialisations, map_failure_modes
-from .mitigations import Mitigation, builtin_mitigations
+from .mitigations import Mitigation
 from .model import Ooda2Model
 from .report import emit_csv, emit_dot, emit_second_order_json
 from .tracing import TraceDirection, derive_second_order, trace
@@ -83,18 +83,17 @@ def load_fixture(name: str) -> GoldenFixture:
 
 
 def _load_inputs(fixture: GoldenFixture):
+    # Imported here: were the package to import hatlens.cli, running it as
+    # ``python -m hatlens.cli`` would warn that the module is already loaded.
+    from .cli import load_catalogs
+
     model = parse_model(fixture.model_path.read_text(encoding="utf-8"))
-    catalog = builtin_catalog()
-    if fixture.lens_path is not None:
-        catalog = merge_catalogs(
-            catalog, parse_lens_catalog(fixture.lens_path.read_text(encoding="utf-8")))
+    catalog, mitigations = load_catalogs(
+        [fixture.lens_path] if fixture.lens_path is not None else [],
+        [fixture.mitigation_path] if fixture.mitigation_path is not None else [])
     sfms = []
     if fixture.sfm_path is not None:
         sfms = parse_sfm_bindings(fixture.sfm_path.read_text(encoding="utf-8"))
-    mitigations = list(builtin_mitigations())
-    if fixture.mitigation_path is not None:
-        mitigations += parse_mitigation_catalog(
-            fixture.mitigation_path.read_text(encoding="utf-8"))
     return model, catalog, sfms, mitigations
 
 

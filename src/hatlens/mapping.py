@@ -70,17 +70,26 @@ def map_failure_modes(interactions: list[Interaction], catalog: LensCatalog) -> 
     return FailureModeTable(rows=rows)
 
 
+def sfm_id_problem(sfm_id: int, previous: int | None) -> str | None:
+    """Why ``sfm_id`` may not follow ``previous`` in one list of sfms, or None.
+
+    Ids ascend without gaps or duplicates; the first id may be any value, so
+    a list can continue an existing numbering.
+    """
+    if previous is None or sfm_id == previous + 1:
+        return None
+    if sfm_id == previous:
+        return f"duplicate sfm id {sfm_id}"
+    return f"sfm ids must ascend without gaps: {sfm_id} follows {previous}"
+
+
 def _check_sfms(table: FailureModeTable, sfms: list[SpecialisedFailureMode]) -> None:
     applied = {row.sfm_id for row in table.rows if row.sfm_id is not None}
     previous: int | None = None
     for sfm in sfms:
-        if previous is not None:
-            if sfm.sfm_id == previous:
-                raise SpecialisationError(f"duplicate sfm id {sfm.sfm_id}")
-            if sfm.sfm_id != previous + 1:
-                raise SpecialisationError(
-                    f"sfm ids must ascend without gaps: {sfm.sfm_id} follows {previous}"
-                )
+        problem = sfm_id_problem(sfm.sfm_id, previous)
+        if problem:
+            raise SpecialisationError(problem)
         previous = sfm.sfm_id
         if sfm.sfm_id in applied:
             raise SpecialisationError(f"sfm id {sfm.sfm_id} is already applied to this table")

@@ -17,6 +17,7 @@ are the raw material every later analysis step works on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -73,6 +74,8 @@ class GainBehaviour:
     coefficient: float
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.coefficient):
+            raise ValueError(f"gain coefficient must be finite, got {self.coefficient}")
         if self.coefficient <= 0:
             raise ValueError(f"gain coefficient must be positive, got {self.coefficient}")
         if self.kind is GainKind.AMPLIFY and self.coefficient <= 1:

@@ -12,7 +12,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .mapping import FailureModeRow, FailureModeTable
 from .mitigations import Mitigation
@@ -50,22 +50,27 @@ def _row_cells(row: FailureModeRow) -> list[str]:
     ]
 
 
-def emit_csv(table: FailureModeTable) -> str:
-    """Failure-mode table as CSV: exact fixed header, LF endings, one
-    trailing LF; fields holding commas or quotes are double-quoted."""
+def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """A header and rows as CSV: LF endings, one trailing LF; fields holding
+    commas or quotes are double-quoted."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(CSV_HEADER.split(","))
-    for row in table.rows:
-        writer.writerow(_row_cells(row))
+    writer.writerow(header)
+    writer.writerows(rows)
     return buffer.getvalue()
+
+
+def emit_csv(table: FailureModeTable) -> str:
+    """Failure-mode table as CSV under the exact fixed header."""
+    return csv_text(CSV_HEADER.split(","), map(_row_cells, table.rows))
 
 
 def _md_cell(text: str) -> str:
     return text.replace("\\", "\\\\").replace("|", "\\|")
 
 
-def _pathway_label(pathway: TracePathway) -> str:
+def pathway_label(pathway: TracePathway) -> str:
+    """One line naming a pathway: origin, category, direction, chain, gain."""
     chain = " -> ".join(pathway.node_ids())
     return (f"interaction {pathway.origin.i_id} [{pathway.mode_category}, "
             f"{pathway.direction.value}]: {chain} "
@@ -89,7 +94,7 @@ def emit_markdown(bundle: ReportBundle) -> str:
         lines.append("| " + " | ".join(_md_cell(cell) for cell in _row_cells(row)) + " |")
     lines += ["", "## Pathways", ""]
     if bundle.pathways:
-        lines += [f"- {_pathway_label(pathway)}" for pathway in bundle.pathways]
+        lines += [f"- {pathway_label(pathway)}" for pathway in bundle.pathways]
     else:
         lines.append("(none)")
     lines += ["", "## Second-order Effects", ""]

@@ -358,6 +358,16 @@ class TestFilesAndUsage:
         assert out == ""
         assert err.startswith(f"error: cannot read {path}:")
 
+    def test_file_that_is_not_utf8_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "latin1.hat"
+        path.write_bytes(b'model "Caf\xe9"\n\xff\n')
+        code, out, err = invoke(capsys, "validate", str(path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith(f"error: cannot read {path}:")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
     def test_output_flag_writes_the_stdout_payload(self, capsys, tmp_path):
         _, expected, _ = invoke(
             capsys, "report", MODEL, "--lens", LENS, "--sfm", SFM,

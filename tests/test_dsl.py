@@ -1,9 +1,10 @@
 """Tests for the line-oriented parsers and serializers.
 
 Round-trip identity is the backbone: every fixture file re-serializes
-byte-identically, and randomly generated models survive parse(serialize(m))
-unchanged.  The rest pins down diagnostics: exact messages, line and column
-positions, all-or-nothing semantics, and the sorted multi-error report.
+byte-identically, and randomly generated models, lens catalogs, sfm lists
+and mitigation catalogs survive parse(serialize(v)) unchanged.  The rest
+pins down diagnostics: exact messages, line and column positions,
+all-or-nothing semantics, and the sorted multi-error report.
 """
 
 from __future__ import annotations
@@ -109,6 +110,69 @@ def test_any_single_line_label_survives_quoting(label):
         edges=[ActivityEdge("e1", "a", "b", guard=label, name=label)],
     )
     assert parse_model(serialize_model(model)) == model
+
+
+_IDENTS = st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True)
+_TEXTS = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters="\n\r"))
+_LABELS = _TEXTS.filter(bool)
+
+
+@st.composite
+def lens_catalogs(draw):
+    lenses = []
+    for lens_id in draw(st.lists(_IDENTS, unique=True, max_size=3)):
+        # Mode ids are unique across the catalog: the lens id plus a counter.
+        modes = tuple(
+            GenericFailureMode(
+                id=f"{lens_id}_m{index}", lens_id=lens_id, category=draw(_IDENTS),
+                title=draw(_LABELS), question=draw(_LABELS),
+                applicability=draw(st.sampled_from(Applicability)),
+                benign=draw(st.booleans()))
+            for index in range(draw(st.integers(0, 3))))
+        lenses.append(Lens(id=lens_id, name=draw(_LABELS), modes=modes))
+    return LensCatalog(lenses=lenses)
+
+
+@st.composite
+def sfm_lists(draw):
+    first = draw(st.integers(1, 10**6))
+    return [
+        SpecialisedFailureMode(sfm_id, draw(st.integers(1, 10**6)), draw(_IDENTS),
+                               draw(_LABELS))
+        for sfm_id in range(first, first + draw(st.integers(0, 5)))
+    ]
+
+
+@st.composite
+def mitigation_catalogs(draw):
+    return [
+        Mitigation(
+            id=mit_id, name=draw(_LABELS),
+            categories=tuple(draw(st.lists(_IDENTS, min_size=1, max_size=3))),
+            placement=draw(st.sampled_from(Placement)), detail=draw(_TEXTS),
+            damping=draw(st.floats(0, 1, exclude_min=True, exclude_max=True)))
+        for mit_id in draw(st.lists(_IDENTS, unique=True, max_size=4))
+    ]
+
+
+@pytest.mark.parametrize(
+    "values, parse, serialize",
+    [
+        (lens_catalogs(), parse_lens_catalog, serialize_lens_catalog),
+        (sfm_lists(), parse_sfm_bindings, serialize_sfm_bindings),
+        (mitigation_catalogs(), parse_mitigation_catalog, serialize_mitigation_catalog),
+    ],
+    ids=["lens", "sfm", "mit"],
+)
+@settings(max_examples=100)
+@given(data=st.data())
+def test_random_catalogs_and_bindings_round_trip(data, values, parse, serialize):
+    value = data.draw(values)
+    text = serialize(value)
+    parsed = parse(text)
+    assert parsed == value
+    assert serialize(parsed) == text
 
 
 def test_escapes_parse_to_plain_characters():
@@ -297,6 +361,9 @@ def test_gain_attribute_parsing():
         ("amplify:0.5", "amplify coefficient must be > 1, got 0.5"),
         ("dampen:1.5", "dampen coefficient must be < 1, got 1.5"),
         ("dampen:-2", "gain coefficient must be positive, got -2.0"),
+        ("amplify:nan", "gain coefficient must be finite, got nan"),
+        ("amplify:inf", "gain coefficient must be finite, got inf"),
+        ("amplify:1e400", "gain coefficient must be finite, got inf"),
     ],
 )
 def test_bad_gain_values(value, message):
@@ -441,6 +508,12 @@ def test_sfm_first_id_is_unconstrained_but_sequence_must_ascend():
          "sfm id must be a positive integer, not '-1'"),
         ('sfm 1 interaction=x mode=m "T"\n',
          "interaction must be a positive integer, not 'x'"),
+        ('sfm \u00b2 interaction=1 mode=m "T"\n',
+         "sfm id must be a positive integer, not '\u00b2'"),
+        ('sfm \u0661 interaction=1 mode=m "T"\n',
+         "sfm id must be a positive integer, not '\u0661'"),
+        ('sfm 1 interaction=\u0661 mode=m "T"\n',
+         "interaction must be a positive integer, not '\u0661'"),
         ("sfm 1 interaction=1 mode=m\n", "sfm statement is missing its quoted text"),
         ('mitigation x category=a placement=node "N" detail=""\n',
          "unknown keyword 'mitigation'"),
