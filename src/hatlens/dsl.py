@@ -27,6 +27,7 @@ coefficients, blank line between statement groups).
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, NamedTuple
@@ -161,8 +162,15 @@ def _nonempty(what: str):
 
 
 def _positive(what: str):
+    def convert(text: str) -> int:
+        digits = text.lstrip("0")
+        try:
+            return int(digits)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise ValueError(f"{what} must be a positive integer of at most "
+                             f"{sys.get_int_max_str_digits()} digits, got {len(digits)}") from None
     # ASCII digits only: str.isdigit() and int() also accept other scripts' digits.
-    return _matching("0*[1-9][0-9]*", f"{what} must be a positive integer, not '{{}}'", int)
+    return _matching("0*[1-9][0-9]*", f"{what} must be a positive integer, not '{{}}'", convert)
 
 
 def _damping(text: str) -> float:

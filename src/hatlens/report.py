@@ -11,8 +11,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from json.encoder import encode_basestring
+from typing import Iterable, Iterator, Sequence
 
 from .mapping import FailureModeRow, FailureModeTable
 from .mitigations import Mitigation
@@ -114,18 +116,6 @@ def emit_markdown(bundle: ReportBundle) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _pathway_json(pathway: TracePathway) -> dict:
-    return {
-        "interaction_id": pathway.origin.i_id,
-        "category": pathway.mode_category,
-        "direction": pathway.direction.value,
-        "nodes": list(pathway.node_ids()),
-        "step_gains": list(pathway.step_gains),
-        "total_gain": pathway.total_gain,
-        "classification": pathway.classification.value,
-    }
-
-
 def _effect_json(effect: SecondOrderEffect) -> dict:
     return {
         "sfm_id": effect.origin_sfm_id,
@@ -134,10 +124,77 @@ def _effect_json(effect: SecondOrderEffect) -> dict:
     }
 
 
+def _json_number(value: float) -> str:
+    """A number spelled as ``json.dumps`` spells it."""
+    if type(value) is not float:
+        return json.dumps(value)
+    if value != value:
+        return "NaN"
+    if math.isinf(value):
+        return "Infinity" if value > 0 else "-Infinity"
+    return float.__repr__(value)
+
+
+class _Spellings(dict):
+    """Each key's JSON text, made by ``spell`` on its first lookup."""
+
+    def __init__(self, spell):
+        super().__init__()
+        self.spell = spell
+
+    def __missing__(self, key):
+        text = self[key] = self.spell(key)
+        return text
+
+
+def _pathways_json(pathways: Sequence[TracePathway]) -> Iterator[str]:
+    """The pathways array, in pieces, exactly as ``json.dumps(..., indent=2)``
+    writes it one level deep.  ``indent`` makes ``json`` fall back to its
+    pure-Python encoder; this writer encodes each node id and each distinct
+    float once, with the C string encoder and ``float.__repr__``."""
+    if not pathways:
+        yield "[]"
+        return
+    strings = _Spellings(encode_basestring)
+    # Keys compare by value, so only non-zero floats are looked up here:
+    # 1 == 1.0 and 0.0 == -0.0, yet each pair is spelled differently.
+    floats = _Spellings(_json_number)
+
+    def array(items: list[str]) -> str:
+        return "[\n        " + ",\n        ".join(items) + "\n      ]" if items else "[]"
+
+    separator = "[\n    "
+    head_of = None
+    for pathway in pathways:
+        # The pathways of one trace share their first three members.
+        of = (pathway.origin, pathway.mode_category, pathway.direction)
+        if of != head_of:
+            head_of = of
+            head = (f'{{\n      "interaction_id": {json.dumps(pathway.origin.i_id)},'
+                    f'\n      "category": {json.dumps(pathway.mode_category, ensure_ascii=False)},'
+                    f'\n      "direction": {json.dumps(pathway.direction.value)},'
+                    '\n      "nodes": ')
+        gains = [floats[gain] if type(gain) is float and gain else _json_number(gain)
+                 for gain in (*pathway.step_gains, pathway.total_gain)]
+        yield (f"{separator}{head}{array([strings[node.id] for node in pathway.nodes])},"
+               f'\n      "step_gains": {array(gains[:-1])},'
+               f'\n      "total_gain": {gains[-1]},'
+               f'\n      "classification": {strings[pathway.classification.value]}\n    }}')
+        separator = ",\n    "
+    yield "\n  ]"
+
+
+def _nested(value) -> str:
+    """``value`` as ``json.dumps(..., indent=2)`` writes it one level deep.
+    JSON strings hold no raw newline, so indenting every line nests it."""
+    return json.dumps(value, indent=2, ensure_ascii=False).replace("\n", "\n  ")
+
+
 def emit_json(bundle: ReportBundle) -> str:
     """Bundle as JSON with a fixed key order (schema shipped in docs/)."""
-    document = {
-        "failure_modes": [
+    return "".join([
+        '{\n  "failure_modes": ',
+        _nested([
             {
                 "i_id": row.i_id,
                 "sfm_id": row.sfm_id,
@@ -150,10 +207,13 @@ def emit_json(bundle: ReportBundle) -> str:
                 "category": row.generic_mode_category,
             }
             for row in bundle.table.rows
-        ],
-        "pathways": [_pathway_json(pathway) for pathway in bundle.pathways],
-        "second_order_effects": [_effect_json(effect) for effect in bundle.second_order],
-        "mitigation_suggestions": [
+        ]),
+        ',\n  "pathways": ',
+        *_pathways_json(bundle.pathways),
+        ',\n  "second_order_effects": ',
+        _nested([_effect_json(effect) for effect in bundle.second_order]),
+        ',\n  "mitigation_suggestions": ',
+        _nested([
             {
                 "i_id": row.i_id,
                 "sfm_id": row.sfm_id,
@@ -162,9 +222,9 @@ def emit_json(bundle: ReportBundle) -> str:
                 "mitigation_name": mitigation.name,
             }
             for row, mitigation in bundle.suggestions
-        ],
-    }
-    return json.dumps(document, indent=2, ensure_ascii=False) + "\n"
+        ]),
+        "\n}\n",
+    ])
 
 
 def emit_second_order_json(effects: Sequence[SecondOrderEffect]) -> str:

@@ -7,7 +7,14 @@ the starting endpoint contributes one step gain: its ``response``
 coefficient for the traced category (1 when unspecified), multiplied by
 the damping of any attached mitigation matching the category, and by the
 damping of matching mitigations on the edge just traversed.  The pathway
-classification compares the product against exactly 1.
+classification compares the product against exactly 1; a product that
+overflows to infinity is an error, not a classification.
+
+Enumeration is one depth-first walk over an explicit stack, so no
+recursion limit bounds the depth.  Each node's children are listed once,
+sorted by id, and the step gain of each edge is computed once per trace;
+the walk emits pathways in lexicographic order of their node ids, with no
+sort.
 
 The loops are cyclic by design; the simple-path restriction is what makes
 enumeration finite.  Consequences of a failure repeating over many loop
@@ -92,9 +99,15 @@ def trace(
     """All maximal simple paths from the interaction endpoint, with gains.
 
     Paths hold at most ``max_depth`` nodes; a dead-end endpoint yields the
-    single one-node pathway with gain 1.  Results are ordered
-    lexicographically by node-id sequence.  ``mitigation_catalog`` supplies
-    damping values and defaults to the builtins.
+    single one-node pathway with gain 1 (the int).  One depth-first walk
+    over an explicit stack enumerates them, so ``max_depth`` alone bounds
+    the depth, not the recursion limit.  Each node's children are listed
+    once, sorted by id, with each edge's step gain computed once; as no
+    maximal path is a prefix of another, the walk emits pathways already
+    ordered lexicographically by node-id sequence, with no sort.
+    ``mitigation_catalog`` supplies damping values and defaults to the
+    builtins.  Raises ``ValueError`` naming the first pathway whose total
+    gain is not finite.
     """
     if max_depth < 1:
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
@@ -104,50 +117,71 @@ def trace(
     nodes = model.nodes_by_id()
 
     downstream = direction is TraceDirection.DOWNSTREAM
-    adjacency: dict[str, list[ActivityEdge]] = {}
+    adjacency: dict[str, dict[str, ActivityEdge]] = {}
     for edge in model.edges:
-        adjacency.setdefault(edge.from_id if downstream else edge.to_id, []).append(edge)
+        tip, next_id = (edge.from_id, edge.to_id) if downstream else (edge.to_id, edge.from_id)
+        # Parallel edges between one node pair would duplicate the node
+        # sequence; only the first-declared edge is followed.
+        adjacency.setdefault(tip, {}).setdefault(next_id, edge)
+
+    children: dict[str, list[tuple[ActionNode, float]]] = {}
+
+    def children_of(node: ActionNode) -> list[tuple[ActionNode, float]]:
+        listed = children.get(node.id)
+        if listed is None:
+            arrivals = adjacency.get(node.id, {})
+            listed = children[node.id] = [
+                (nodes[next_id], _step_gain(nodes[next_id], arrivals[next_id],
+                                            mode_category, mitigations))
+                for next_id in sorted(arrivals)
+            ]
+        return listed
 
     start = interaction.target if downstream else interaction.source
-    paths: list[list[tuple[ActionNode, ActivityEdge | None]]] = []
-
-    def extend(path: list[tuple[ActionNode, ActivityEdge | None]], visited: set[str]) -> None:
-        tip = path[-1][0]
-        steps: list[tuple[ActionNode, ActivityEdge]] = []
-        if len(path) < max_depth:
-            taken: set[str] = set()
-            for edge in adjacency.get(tip.id, ()):
-                next_id = edge.to_id if downstream else edge.from_id
-                # Parallel edges between one node pair would duplicate the
-                # node sequence; only the first-declared edge is followed.
-                if next_id in visited or next_id in taken:
-                    continue
-                taken.add(next_id)
-                steps.append((nodes[next_id], edge))
-        if not steps:
-            paths.append(path)
-            return
-        for node, edge in steps:
-            extend(path + [(node, edge)], visited | {node.id})
-
-    extend([(start, None)], {start.id})
-    paths.sort(key=lambda path: tuple(node.id for node, _ in path))
-
+    path = [start]
+    on_path = {start.id}
+    step_gains: list[float] = []
+    # totals[i] is the product of the first i step gains, taken left to
+    # right from the int 1 exactly as math.prod takes it.
+    totals: list[float] = [1]
+    # One iterator over the remaining children of each path node, and
+    # whether the walk went deeper from that node.
+    pending = [iter(children_of(start) if max_depth > 1 else ())]
+    extended = [False]
     pathways = []
-    for path in paths:
-        step_gains = tuple(
-            _step_gain(node, edge, mode_category, mitigations) for node, edge in path[1:]
-        )
-        total_gain = math.prod(step_gains)
-        pathways.append(TracePathway(
-            origin=interaction,
-            mode_category=mode_category,
-            direction=direction,
-            nodes=tuple(node for node, _ in path),
-            step_gains=step_gains,
-            total_gain=total_gain,
-            classification=classify(total_gain),
-        ))
+    while pending:
+        for node, gain in pending[-1]:
+            if node.id not in on_path:
+                break
+        else:
+            pending.pop()
+            if not extended.pop():
+                total_gain = totals[-1]
+                if not math.isfinite(total_gain):
+                    raise ValueError(
+                        f"interaction {interaction.i_id} [{mode_category}, {direction.value}]: "
+                        f"the total gain of pathway {' -> '.join(n.id for n in path)} "
+                        f"is not finite ({total_gain!r})")
+                pathways.append(TracePathway(
+                    origin=interaction,
+                    mode_category=mode_category,
+                    direction=direction,
+                    nodes=tuple(path),
+                    step_gains=tuple(step_gains),
+                    total_gain=total_gain,
+                    classification=classify(total_gain),
+                ))
+            on_path.discard(path.pop().id)
+            totals.pop()
+            del step_gains[-1:]  # the start node has no step gain to drop
+            continue
+        extended[-1] = True
+        path.append(node)
+        on_path.add(node.id)
+        step_gains.append(gain)
+        totals.append(totals[-1] * gain)
+        pending.append(iter(children_of(node) if len(path) < max_depth else ()))
+        extended.append(False)
     return pathways
 
 

@@ -8,7 +8,7 @@ labels deliberately exercise quoting, escapes, and non-ASCII text.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from hatlens import (
@@ -168,3 +168,18 @@ def random_model(rng: random.Random, max_nodes: int = 30) -> Ooda2Model:
         nodes=nodes,
         edges=edges,
     )
+
+
+def add_parallel_edges(model: Ooda2Model, rng: random.Random) -> Ooda2Model:
+    """``model`` with up to three of its edges declared a second time, each
+    copy carrying a mitigation: tracing follows only the first-declared
+    edge of a node pair, so a copy's mitigation must never damp a step."""
+    edges = list(model.edges)
+    for edge in rng.sample(model.edges, min(len(model.edges), rng.randint(0, 3))):
+        edges.append(ActivityEdge(
+            id=f"e{len(edges) + 1}",
+            from_id=edge.from_id,
+            to_id=edge.to_id,
+            mitigation_ids=rng.sample(BUILTIN_MITIGATION_IDS, 1),
+        ))
+    return replace(model, edges=edges)

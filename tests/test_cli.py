@@ -194,6 +194,48 @@ class TestTrace:
         assert err == "error: max_depth must be >= 1, got 0\n"
 
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_a_gain_product_that_overflows_is_a_usage_error(self, capsys, tmp_path, fmt):
+        path = tmp_path / "loud.hat"
+        path.write_text(
+            'model "Loud"\n'
+            'lane h side=human kind=operator "Human"\n'
+            'lane m side=machine kind=autonomy "Machine"\n'
+            'node src lane=m stage=act "Emit"\n'
+            'node w lane=h stage=observe "Watch"\n'
+            + "".join(f'node {name} lane=h stage=orient "Echo"'
+                      " response.stability=amplify:1e200\n" for name in "xyz")
+            + "edge src -> w\nedge w -> x\nedge x -> y\nedge y -> z\n",
+            encoding="utf-8")
+        code, out, err = invoke(
+            capsys, "trace", str(path), "--interaction", "1",
+            "--category", "stability", "--direction", "down", "--format", fmt)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == ("error: interaction 1 [stability, down]: the total gain of "
+                       "pathway w -> x -> y -> z is not finite (inf)\n")
+
+    def test_depth_is_not_bounded_by_the_recursion_limit(self, capsys, tmp_path):
+        path = tmp_path / "long.hat"
+        path.write_text(
+            'model "Long"\n'
+            'lane h side=human kind=operator "Human"\n'
+            'lane m side=machine kind=autonomy "Machine"\n'
+            'node src lane=m stage=act "Emit"\n'
+            + "".join(f'node c{index} lane=h stage=observe "Step"\n'
+                      for index in range(1500))
+            + "edge src -> c0\n"
+            + "".join(f"edge c{index} -> c{index + 1}\n" for index in range(1499)),
+            encoding="utf-8")
+        code, out, err = invoke(
+            capsys, "trace", str(path), "--interaction", "1", "--category", "stability",
+            "--direction", "down", "--max-depth", "5000", "--format", "json")
+        assert code == EXIT_OK
+        assert err == ""
+        (pathway,) = json.loads(out)["pathways"]
+        assert pathway["nodes"] == [f"c{index}" for index in range(1500)]
+
+
 class TestInteractionsAndMitigations:
     def test_interactions_csv_is_exact(self, capsys):
         code, out, err = invoke(capsys, "interactions", MODEL)

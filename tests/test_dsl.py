@@ -514,6 +514,13 @@ def test_sfm_first_id_is_unconstrained_but_sequence_must_ascend():
          "sfm id must be a positive integer, not '\u0661'"),
         ('sfm 1 interaction=\u0661 mode=m "T"\n',
          "interaction must be a positive integer, not '\u0661'"),
+        pytest.param("sfm " + "1" * 5000 + ' interaction=1 mode=m "T"\n',
+                     "sfm id must be a positive integer of at most 4300 digits, got 5000",
+                     id="sfm-id-of-5000-digits"),
+        pytest.param("sfm 1 interaction=" + "2" * 5000 + ' mode=m "T"\n',
+                     "interaction must be a positive integer of at most 4300 digits, "
+                     "got 5000",
+                     id="interaction-of-5000-digits"),
         ("sfm 1 interaction=1 mode=m\n", "sfm statement is missing its quoted text"),
         ('mitigation x category=a placement=node "N" detail=""\n',
          "unknown keyword 'mitigation'"),

@@ -3,8 +3,10 @@
 Cross-format consistency is the main oracle: the CSV and JSON renderings
 of one table must carry identical cell values, and the Markdown pipe table
 must contain exactly one row per table row.  The JSON document is also
-validated against the schema shipped in docs/, and the DOT rendering of
-the bundled scenario is pinned against its golden file.
+validated against the schema shipped in docs/, and its bytes must equal
+``json.dumps(..., indent=2)`` of a document the tests build themselves;
+the DOT rendering of the bundled scenario is pinned against its golden
+file.
 """
 
 from __future__ import annotations
@@ -12,22 +14,38 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
+import random
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import FIXTURE_ROOT, tower_inputs
+from conftest import (
+    BUILTIN_CATEGORIES,
+    FIXTURE_ROOT,
+    add_parallel_edges,
+    random_model,
+    tower_inputs,
+)
 from hatlens import (
     CSV_HEADER,
+    Classification,
     Direction,
     FailureModeRow,
     FailureModeTable,
+    InducedMode,
     ReportBundle,
     ReportError,
+    SecondOrderEffect,
     Stage,
     TraceDirection,
+    TracePathway,
     apply_specialisations,
+    builtin_catalog,
+    builtin_mitigations,
     derive_second_order,
     emit_csv,
     extract_interactions,
@@ -257,6 +275,110 @@ def test_json_is_not_ascii_escaped():
         specialised_text=None,
     )])
     assert "Résumé view" in emit_json(ReportBundle(table=table))
+
+
+def _reference_document(bundle):
+    """The document ``emit_json`` renders, built here so that ``json.dumps``
+    with ``indent=2`` stays the oracle of its bytes."""
+    return {
+        "failure_modes": [
+            {
+                "i_id": row.i_id,
+                "sfm_id": row.sfm_id,
+                "interaction_name": row.interaction_name,
+                "machine_stage": row.machine_stage.display(),
+                "human_stage": row.human_stage.display(),
+                "direction": row.direction.display(),
+                "generic_failure_mode": row.generic_mode_title,
+                "specialised_failure_mode": row.specialised_text,
+                "category": row.generic_mode_category,
+            }
+            for row in bundle.table.rows
+        ],
+        "pathways": [
+            {
+                "interaction_id": pathway.origin.i_id,
+                "category": pathway.mode_category,
+                "direction": pathway.direction.value,
+                "nodes": [node.id for node in pathway.nodes],
+                "step_gains": list(pathway.step_gains),
+                "total_gain": pathway.total_gain,
+                "classification": pathway.classification.value,
+            }
+            for pathway in bundle.pathways
+        ],
+        "second_order_effects": [
+            {
+                "sfm_id": effect.origin_sfm_id,
+                "induced_mode": effect.induced_mode.value,
+                "rationale": effect.rationale,
+            }
+            for effect in bundle.second_order
+        ],
+        "mitigation_suggestions": [
+            {
+                "i_id": row.i_id,
+                "sfm_id": row.sfm_id,
+                "category": row.generic_mode_category,
+                "mitigation_id": mitigation.id,
+                "mitigation_name": mitigation.name,
+            }
+            for row, mitigation in bundle.suggestions
+        ],
+    }
+
+
+def _json_module_bytes(bundle):
+    return json.dumps(_reference_document(bundle), indent=2, ensure_ascii=False) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    categories=st.lists(st.one_of(st.sampled_from(BUILTIN_CATEGORIES),
+                                  st.text(min_size=1, max_size=8)),
+                        min_size=1, max_size=3),
+    max_depth=st.sampled_from((1, 2, 3, 16)),
+)
+def test_json_matches_the_json_module_byte_for_byte(seed, categories, max_depth):
+    rng = random.Random(seed)
+    model = add_parallel_edges(random_model(rng), rng)
+    interactions = extract_interactions(model)
+    table = map_failure_modes(interactions, builtin_catalog())
+    pathways = [
+        pathway
+        for interaction in interactions[:2]
+        for category in categories
+        for direction in TraceDirection
+        for pathway in trace(model, interaction, category, direction, max_depth=max_depth)
+    ]
+    bundle = ReportBundle(
+        table=table,
+        pathways=pathways,
+        second_order=[SecondOrderEffect(sfm_id, InducedMode.MISUSE, category)
+                      for sfm_id, category in enumerate(categories, 1)],
+        suggestions=suggest_mitigations(table, builtin_mitigations()),
+    )
+    assert emit_json(bundle) == _json_module_bytes(bundle)
+
+
+def test_json_spells_every_number_and_empty_array_as_the_json_module_does():
+    tower, bundle = tower_bundle()
+    origin = bundle.pathways[0].origin
+    gains = (1, 1.0, True, 0.0, -0.0, 0.0, -0.0, 2, 2.0, 1e200, 5e-324,
+             math.nan, math.inf, -math.inf, 0.1 + 0.2)
+    odd = [
+        TracePathway(origin, category, TraceDirection.DOWNSTREAM, nodes, gains[:count],
+                     total, Classification.NEUTRAL)
+        for category, nodes, count, total in (
+            ("timely", (), 0, 1),
+            ('"\\\u00e9\u2028\x00', tower.model.nodes[:2], len(gains), -0.0),
+            ("timely", tower.model.nodes[:1], 3, math.inf),
+        )
+    ]
+    for pathways in (odd, odd + bundle.pathways, bundle.pathways + odd):
+        mixed = ReportBundle(bundle.table, pathways, bundle.second_order, bundle.suggestions)
+        assert emit_json(mixed) == _json_module_bytes(mixed)
 
 
 def test_second_order_json_matches_the_bundled_golden_file():

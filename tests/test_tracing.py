@@ -1,7 +1,10 @@
 """Tests for pathway tracing, gain algebra, and second-order effects.
 
-Two independent oracles carry the load:
+Three independent oracles carry the load:
 
+* enumeration: the pathways, their step gains and total gains must equal
+  those of a plain recursive enumeration of maximal simple paths over the
+  first-declared edge of each node pair, sorted afterwards;
 * node coverage: the union of nodes over all traced pathways must equal
   plain breadth-first reachability within ``max_depth - 1`` edges, because
   shortest paths are simple and every explored prefix extends to a recorded
@@ -20,7 +23,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_model, tower_inputs
+from conftest import add_parallel_edges, random_model, tower_inputs
 from hatlens import (
     Classification,
     DEFAULT_MAX_DEPTH,
@@ -30,6 +33,7 @@ from hatlens import (
     SpecialisedFailureMode,
     TraceDirection,
     UnknownIdError,
+    builtin_mitigations,
     classify,
     derive_second_order,
     extract_interactions,
@@ -244,11 +248,49 @@ def _bfs_within(adjacency, start, edge_limit):
     return set(distance)
 
 
+def _brute_force_pathways(model, start, downstream, category, max_depth):
+    """(node ids, step gains, repr of the total gain) of every maximal simple
+    path, by plain recursion over the first-declared edge of each node pair.
+    The repr tells the int 1 of a one-node path from 1.0."""
+    first_edge = {}
+    for edge in model.edges:
+        pair = (edge.from_id, edge.to_id) if downstream else (edge.to_id, edge.from_id)
+        first_edge.setdefault(pair, edge)
+    nodes = model.nodes_by_id()
+    mitigations = {mit.id: mit for mit in builtin_mitigations()}
+
+    def step_gain(here, there):
+        behaviour = nodes[there].response.get(category)
+        gain = 1.0 if behaviour is None else behaviour.coefficient
+        for mit_id in nodes[there].mitigation_ids + first_edge[here, there].mitigation_ids:
+            if category in mitigations[mit_id].categories:
+                gain *= mitigations[mit_id].damping
+        return gain
+
+    found = []
+
+    def walk(path):
+        successors = [there for here, there in first_edge
+                      if here == path[-1] and there not in path]
+        if len(path) == max_depth or not successors:
+            found.append(tuple(path))
+            return
+        for there in successors:
+            walk(path + [there])
+
+    walk([start])
+    expected = []
+    for path in sorted(found):
+        gains = tuple(step_gain(here, there) for here, there in zip(path, path[1:]))
+        expected.append((path, gains, repr(math.prod(gains))))
+    return expected
+
+
 def test_pathways_are_simple_maximal_sorted_and_cover_bfs_reachability():
     checked = 0
     for seed in range(150):
         rng = random.Random(3000 + seed)
-        model = random_model(rng)
+        model = add_parallel_edges(random_model(rng), rng)
         interactions = extract_interactions(model)
         if not interactions:
             continue
@@ -263,6 +305,11 @@ def test_pathways_are_simple_maximal_sorted_and_cover_bfs_reachability():
                     pathways = trace(model, interaction, "stability", direction,
                                      max_depth=max_depth)
                     assert pathways, "at least the endpoint pathway must exist"
+                    assert [(p.node_ids(), p.step_gains, repr(p.total_gain))
+                            for p in pathways] == _brute_force_pathways(
+                        model, start, downstream, "stability", max_depth), f"seed {seed}"
+                    assert all(p.classification is classify(p.total_gain)
+                               for p in pathways)
                     ids = [p.node_ids() for p in pathways]
                     assert ids == sorted(ids), f"seed {seed}: not sorted"
                     covered = set()
