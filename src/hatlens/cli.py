@@ -108,17 +108,13 @@ def load_catalogs(lens_paths: Sequence[str | Path] = (),
     return catalog, mitigations
 
 
-def _catalogs(args) -> tuple[LensCatalog, list[Mitigation]]:
-    return load_catalogs(args.lens, getattr(args, "mit", ()),
-                         builtin_lenses=not args.no_builtin)
-
-
-def _checked_model(args, catalog: LensCatalog,
-                   mitigations: list[Mitigation]) -> Ooda2Model:
-    """Parse and validate the model; print diagnostics; stop on errors."""
+def _inputs(args) -> tuple[LensCatalog, list[Mitigation], Ooda2Model]:
+    """The catalogs and the model of a model command.  Parse and validate the
+    model against the catalogs; print diagnostics; stop on errors."""
+    catalog, mitigations = load_catalogs(args.lens, args.mit,
+                                         builtin_lenses=not args.no_builtin)
     model = _parse_file(args.model, parse_model)
-    strictness = (Strictness.STRICT if getattr(args, "strict", False)
-                  else Strictness.LENIENT)
+    strictness = Strictness.STRICT if args.strict else Strictness.LENIENT
     diagnostics = validate(model, strictness, lens_catalog=catalog,
                            mitigation_catalog=mitigations)
     for diag in diagnostics:
@@ -127,26 +123,24 @@ def _checked_model(args, catalog: LensCatalog,
               f"{diag.message}", file=sys.stderr)
     if has_errors(diagnostics):
         raise _CliError(EXIT_FINDINGS)
-    return model
+    return catalog, mitigations, model
 
 
 def _write(args, text: str) -> None:
-    output = getattr(args, "output", None)
-    if output:
+    if args.output:
         try:
-            with open(output, "w", encoding="utf-8", newline="") as handle:
+            with open(args.output, "w", encoding="utf-8", newline="") as handle:
                 handle.write(text)
         except OSError as exc:
-            _fail(f"cannot write {output}: {exc.strerror or exc}", EXIT_USAGE)
+            _fail(f"cannot write {args.output}: {exc.strerror or exc}", EXIT_USAGE)
     else:
         sys.stdout.write(text)
 
 
-def _build_table(args, model: Ooda2Model, interactions: list[Interaction],
-                 catalog: LensCatalog):
+def _build_table(args, interactions: list[Interaction], catalog: LensCatalog):
     table = map_failure_modes(interactions, catalog)
     sfms = []
-    if getattr(args, "sfm", None):
+    if args.sfm:
         sfms = _parse_file(args.sfm, parse_sfm_bindings)
         try:
             table = apply_specialisations(table, sfms)
@@ -178,13 +172,12 @@ def _trace_pathways(args, model: Ooda2Model, interactions: list[Interaction],
 
 
 def _cmd_validate(args) -> int:
-    _checked_model(args, *_catalogs(args))
+    _inputs(args)
     return EXIT_OK
 
 
 def _cmd_interactions(args) -> int:
-    catalog, mitigations = _catalogs(args)
-    model = _checked_model(args, catalog, mitigations)
+    _, _, model = _inputs(args)
     rows = [
         [interaction.i_id, interaction.name, interaction.machine_stage.display(),
          interaction.human_stage.display(), interaction.direction.display()]
@@ -197,17 +190,14 @@ def _cmd_interactions(args) -> int:
 
 
 def _cmd_map(args) -> int:
-    catalog, mitigations = _catalogs(args)
-    model = _checked_model(args, catalog, mitigations)
-    interactions = extract_interactions(model)
-    table, _ = _build_table(args, model, interactions, catalog)
+    catalog, _, model = _inputs(args)
+    table, _ = _build_table(args, extract_interactions(model), catalog)
     _write(args, emit_csv(table))
     return EXIT_OK
 
 
 def _cmd_trace(args) -> int:
-    catalog, mitigations = _catalogs(args)
-    model = _checked_model(args, catalog, mitigations)
+    _, mitigations, model = _inputs(args)
     interactions = extract_interactions(model)
     pathways = _trace_pathways(args, model, interactions, mitigations)
     if args.format == "text":
@@ -224,10 +214,8 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_mitigations(args) -> int:
-    catalog, mitigations = _catalogs(args)
-    model = _checked_model(args, catalog, mitigations)
-    interactions = extract_interactions(model)
-    table, _ = _build_table(args, model, interactions, catalog)
+    catalog, mitigations, model = _inputs(args)
+    table, _ = _build_table(args, extract_interactions(model), catalog)
     rows = [
         [row.i_id, "" if row.sfm_id is None else row.sfm_id,
          row.generic_mode_category, mitigation.id, mitigation.name]
@@ -239,19 +227,14 @@ def _cmd_mitigations(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    catalog, mitigations = _catalogs(args)
-    model = _checked_model(args, catalog, mitigations)
+    catalog, mitigations, model = _inputs(args)
     interactions = extract_interactions(model)
-    table, sfms = _build_table(args, model, interactions, catalog)
+    table, sfms = _build_table(args, interactions, catalog)
     pathways: list[TracePathway] = []
     if args.interaction is not None and args.category:
         pathways = _trace_pathways(args, model, interactions, mitigations)
-    second_order = []
-    if sfms:
-        try:
-            second_order = derive_second_order(sfms, interactions, catalog)
-        except UnknownIdError as exc:
-            _fail(str(exc))
+    # The table has every sfm's interaction and mode, so no lookup can fail.
+    second_order = derive_second_order(sfms, interactions, catalog)
     suggestions = suggest_mitigations(table, mitigations)
     bundle = ReportBundle(table=table, pathways=pathways,
                           second_order=second_order, suggestions=suggestions)
@@ -273,7 +256,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_lenses(args) -> int:
-    catalog, _ = _catalogs(args)
+    catalog, _ = load_catalogs(args.lens, builtin_lenses=not args.no_builtin)
     if args.export:
         _write(args, serialize_lens_catalog(catalog))
         return EXIT_OK
@@ -281,6 +264,17 @@ def _cmd_lenses(args) -> int:
              for lens in catalog.lenses]
     _write(args, "".join(f"{line}\n" for line in lines))
     return EXIT_OK
+
+
+def _ascii_int(text: str) -> int:
+    # ASCII digits only, the rule of the .sfm format: argparse's int would
+    # also take other scripts' digits, a sign, spaces and underscores.
+    if text.isascii() and text.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -314,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="specialised failure mode bindings (.sfm)")
 
     def trace_flags(sub, direction_required):
-        sub.add_argument("--interaction", type=int, metavar="I-ID",
+        sub.add_argument("--interaction", type=_ascii_int, metavar="I-ID",
                          required=direction_required,
                          help="interaction id to trace from")
         sub.add_argument("--category", metavar="TOKEN",
@@ -323,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--direction", choices=["up", "down", "both"],
                          required=direction_required, default="both",
                          help="trace direction (default: both)")
-        sub.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH,
+        sub.add_argument("--max-depth", type=_ascii_int, default=DEFAULT_MAX_DEPTH,
                          metavar="N", help="pathway length cap (default: %(default)s)")
 
     def output_flag(sub):

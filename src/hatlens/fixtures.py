@@ -19,10 +19,7 @@ from .dsl import (
     parse_sfm_bindings,
 )
 from .interactions import extract_interactions, interaction_by_id
-from .lenses import LensCatalog
 from .mapping import apply_specialisations, map_failure_modes
-from .mitigations import Mitigation
-from .model import Ooda2Model
 from .report import emit_csv, emit_dot, emit_second_order_json
 from .tracing import TraceDirection, derive_second_order, trace
 
@@ -82,7 +79,8 @@ def load_fixture(name: str) -> GoldenFixture:
     return fixture
 
 
-def _load_inputs(fixture: GoldenFixture):
+def regenerate(fixture: GoldenFixture) -> dict[str, str]:
+    """Recompute every golden output from the fixture's inputs."""
     # Imported here: were the package to import hatlens.cli, running it as
     # ``python -m hatlens.cli`` would warn that the module is already loaded.
     from .cli import load_catalogs
@@ -94,47 +92,20 @@ def _load_inputs(fixture: GoldenFixture):
     sfms = []
     if fixture.sfm_path is not None:
         sfms = parse_sfm_bindings(fixture.sfm_path.read_text(encoding="utf-8"))
-    return model, catalog, sfms, mitigations
-
-
-def _table_csv(model: Ooda2Model, catalog: LensCatalog, sfms,
-               mitigations: list[Mitigation]) -> str:
     interactions = extract_interactions(model)
-    table = map_failure_modes(interactions, catalog)
-    if sfms:
-        table = apply_specialisations(table, sfms)
-    return emit_csv(table)
+    table = apply_specialisations(map_failure_modes(interactions, catalog), sfms)
 
+    def pathway_sfm4_dot() -> str:
+        origin = next(row for row in table.rows if row.sfm_id == 4)
+        pathways = trace(model, interaction_by_id(interactions, origin.i_id),
+                         origin.generic_mode_category, TraceDirection.DOWNSTREAM,
+                         mitigation_catalog=mitigations)
+        return emit_dot(model, pathways)
 
-def _pathway_sfm4_dot(model: Ooda2Model, catalog: LensCatalog, sfms,
-                      mitigations: list[Mitigation]) -> str:
-    origin = next(sfm for sfm in sfms if sfm.sfm_id == 4)
-    interactions = extract_interactions(model)
-    interaction = interaction_by_id(interactions, origin.interaction_id)
-    category = catalog.mode_by_id(origin.generic_mode_id).category
-    pathways = trace(model, interaction, category, TraceDirection.DOWNSTREAM,
-                     mitigation_catalog=mitigations)
-    return emit_dot(model, pathways)
-
-
-def _second_order_json(model: Ooda2Model, catalog: LensCatalog, sfms,
-                       mitigations: list[Mitigation]) -> str:
-    interactions = extract_interactions(model)
-    return emit_second_order_json(derive_second_order(sfms, interactions, catalog))
-
-
-_RECIPES = {
-    "table.csv": _table_csv,
-    "pathway_sfm4.dot": _pathway_sfm4_dot,
-    "second_order.json": _second_order_json,
-}
-
-
-def regenerate(fixture: GoldenFixture) -> dict[str, str]:
-    """Recompute every golden output from the fixture's inputs."""
-    model, catalog, sfms, mitigations = _load_inputs(fixture)
-    return {
-        name: _RECIPES[name](model, catalog, sfms, mitigations)
-        for name in fixture.expected
-        if name in _RECIPES
+    recipes = {
+        "table.csv": lambda: emit_csv(table),
+        "pathway_sfm4.dot": pathway_sfm4_dot,
+        "second_order.json": lambda: emit_second_order_json(
+            derive_second_order(sfms, interactions, catalog)),
     }
+    return {name: recipes[name]() for name in fixture.expected if name in recipes}

@@ -83,8 +83,28 @@ def sfm_id_problem(sfm_id: int, previous: int | None) -> str | None:
     return f"sfm ids must ascend without gaps: {sfm_id} follows {previous}"
 
 
-def _check_sfms(table: FailureModeTable, sfms: list[SpecialisedFailureMode]) -> None:
+def apply_specialisations(
+    table: FailureModeTable, sfms: list[SpecialisedFailureMode]
+) -> FailureModeTable:
+    """Merge specialisations into the table, returning a new table.
+
+    One pass groups the rows by interaction and indexes each group's first
+    row per generic mode; each sfm is checked against these indexes in list
+    order and copies the row it refines.  Each interaction, in the order of
+    its first row, then lists its specialised rows (ascending sfm id), then
+    its generic rows whose mode no sfm refines, in table order.  Without
+    sfms the rows keep their order.
+    """
+    if not sfms:
+        return FailureModeTable(rows=list(table.rows))
+    groups: dict[int, list[FailureModeRow]] = {}
+    first: dict[int, dict[str, FailureModeRow]] = {}
+    for row in table.rows:
+        groups.setdefault(row.i_id, []).append(row)
+        first.setdefault(row.i_id, {}).setdefault(row.generic_mode_id, row)
     applied = {row.sfm_id for row in table.rows if row.sfm_id is not None}
+    modes = {row.generic_mode_id for row in table.rows}
+
     previous: int | None = None
     for sfm in sfms:
         problem = sfm_id_problem(sfm.sfm_id, previous)
@@ -93,13 +113,13 @@ def _check_sfms(table: FailureModeTable, sfms: list[SpecialisedFailureMode]) -> 
         previous = sfm.sfm_id
         if sfm.sfm_id in applied:
             raise SpecialisationError(f"sfm id {sfm.sfm_id} is already applied to this table")
-        interaction_rows = [row for row in table.rows if row.i_id == sfm.interaction_id]
-        if not interaction_rows:
+        if sfm.interaction_id not in first:
             raise SpecialisationError(
                 f"sfm {sfm.sfm_id} references unknown interaction {sfm.interaction_id}"
             )
-        if not any(row.generic_mode_id == sfm.generic_mode_id for row in interaction_rows):
-            if any(row.generic_mode_id == sfm.generic_mode_id for row in table.rows):
+        base = first[sfm.interaction_id].get(sfm.generic_mode_id)
+        if base is None:
+            if sfm.generic_mode_id in modes:
                 raise SpecialisationError(
                     f"sfm {sfm.sfm_id}: mode '{sfm.generic_mode_id}' is not applicable "
                     f"to interaction {sfm.interaction_id}"
@@ -107,53 +127,14 @@ def _check_sfms(table: FailureModeTable, sfms: list[SpecialisedFailureMode]) -> 
             raise SpecialisationError(
                 f"sfm {sfm.sfm_id}: unknown generic mode '{sfm.generic_mode_id}'"
             )
-
-
-def apply_specialisations(
-    table: FailureModeTable, sfms: list[SpecialisedFailureMode]
-) -> FailureModeTable:
-    """Merge specialisations into the table, returning a new table.
-
-    Within each interaction the result lists specialised rows first
-    (ascending sfm id), then the remaining generic rows in catalog order.
-    """
-    if not sfms:
-        return FailureModeTable(rows=list(table.rows))
-    _check_sfms(table, sfms)
-
-    pending: dict[tuple[int, str], list[SpecialisedFailureMode]] = {}
-    for sfm in sfms:
-        pending.setdefault((sfm.interaction_id, sfm.generic_mode_id), []).append(sfm)
-
-    groups: dict[int, list[FailureModeRow]] = {}
-    for row in table.rows:
-        groups.setdefault(row.i_id, []).append(row)
+        groups[sfm.interaction_id].append(
+            replace(base, sfm_id=sfm.sfm_id, specialised_text=sfm.text))
 
     new_rows: list[FailureModeRow] = []
-    for i_id, rows in groups.items():
-        mode_order: list[str] = []
-        base: dict[str, FailureModeRow] = {}
-        generic: dict[str, FailureModeRow] = {}
-        specialised: dict[str, list[FailureModeRow]] = {}
-        for row in rows:
-            if row.generic_mode_id not in base:
-                mode_order.append(row.generic_mode_id)
-                base[row.generic_mode_id] = row
-            if row.sfm_id is None:
-                generic[row.generic_mode_id] = row
-            else:
-                specialised.setdefault(row.generic_mode_id, []).append(row)
-        for mode_id in mode_order:
-            for sfm in pending.get((i_id, mode_id), ()):
-                specialised.setdefault(mode_id, []).append(replace(
-                    base[mode_id], sfm_id=sfm.sfm_id, specialised_text=sfm.text,
-                ))
-        new_rows.extend(sorted(
-            (row for rows_ in specialised.values() for row in rows_),
-            key=lambda row: row.sfm_id,
-        ))
-        new_rows.extend(
-            generic[mode_id] for mode_id in mode_order
-            if mode_id in generic and mode_id not in specialised
-        )
+    for rows in groups.values():
+        specialised = [row for row in rows if row.sfm_id is not None]
+        refined = {row.generic_mode_id for row in specialised}
+        new_rows.extend(sorted(specialised, key=lambda row: row.sfm_id))
+        new_rows.extend(row for row in rows
+                        if row.sfm_id is None and row.generic_mode_id not in refined)
     return FailureModeTable(rows=new_rows)

@@ -194,10 +194,6 @@ class Diagnostic:
     line: int | None = None
 
 
-def _diag(sev: Severity, code: str, message: str, line: int | None) -> Diagnostic:
-    return Diagnostic(sev, code, message, line)
-
-
 def validate(
     model: Ooda2Model,
     strictness: Strictness = Strictness.LENIENT,
@@ -233,12 +229,12 @@ def validate(
     lanes: dict[str, Lane] = {}
     for lane in model.lanes:
         if lane.id in lanes:
-            diags.append(_diag(err, "DUPLICATE_ID", f"duplicate lane id '{lane.id}'", lane.line))
+            diags.append(Diagnostic(err, "DUPLICATE_ID", f"duplicate lane id '{lane.id}'", lane.line))
             continue
         lanes[lane.id] = lane
         required = KIND_SIDES.get(lane.kind)
         if required is not None and lane.side is not required:
-            diags.append(_diag(
+            diags.append(Diagnostic(
                 err, "LANE_KIND",
                 f"lane '{lane.id}' kind {lane.kind.value} requires side {required.value}",
                 lane.line,
@@ -247,25 +243,25 @@ def validate(
     nodes: dict[str, ActionNode] = {}
     for node in model.nodes:
         if node.id in nodes:
-            diags.append(_diag(err, "DUPLICATE_ID", f"duplicate node id '{node.id}'", node.line))
+            diags.append(Diagnostic(err, "DUPLICATE_ID", f"duplicate node id '{node.id}'", node.line))
             continue
         nodes[node.id] = node
         if node.lane_id not in lanes:
-            diags.append(_diag(
+            diags.append(Diagnostic(
                 err, "UNRESOLVED_REF",
                 f"node '{node.id}' references undeclared lane '{node.lane_id}'",
                 node.line,
             ))
         for category in node.response:
             if category not in known_categories:
-                diags.append(_diag(
+                diags.append(Diagnostic(
                     err, "UNKNOWN_CATEGORY",
                     f"node '{node.id}' response category '{category}' is not in the loaded lens catalog",
                     node.line,
                 ))
         for mit_id in node.mitigation_ids:
             if mit_id not in known_mitigations:
-                diags.append(_diag(
+                diags.append(Diagnostic(
                     err, "UNKNOWN_MITIGATION",
                     f"node '{node.id}' references unknown mitigation '{mit_id}'",
                     node.line,
@@ -275,27 +271,27 @@ def validate(
     resolved_edges: list[tuple[ActivityEdge, ActionNode, ActionNode]] = []
     for edge in model.edges:
         if edge.id in edge_ids:
-            diags.append(_diag(err, "DUPLICATE_ID", f"duplicate edge id '{edge.id}'", edge.line))
+            diags.append(Diagnostic(err, "DUPLICATE_ID", f"duplicate edge id '{edge.id}'", edge.line))
             continue
         edge_ids.add(edge.id)
         ok = True
         for endpoint in (edge.from_id, edge.to_id):
             if endpoint not in nodes:
-                diags.append(_diag(
+                diags.append(Diagnostic(
                     err, "UNRESOLVED_REF",
                     f"edge '{edge.id}' references undeclared node '{endpoint}'",
                     edge.line,
                 ))
                 ok = False
         if ok and edge.from_id == edge.to_id:
-            diags.append(_diag(
+            diags.append(Diagnostic(
                 err, "SELF_LOOP", f"edge '{edge.id}' loops node '{edge.from_id}' onto itself",
                 edge.line,
             ))
             ok = False
         for mit_id in edge.mitigation_ids:
             if mit_id not in known_mitigations:
-                diags.append(_diag(
+                diags.append(Diagnostic(
                     err, "UNKNOWN_MITIGATION",
                     f"edge '{edge.id}' references unknown mitigation '{mit_id}'",
                     edge.line,
@@ -311,12 +307,12 @@ def validate(
         if lanes[src.lane_id].side is not lanes[tgt.lane_id].side
     ]
     if not crossings:
-        diags.append(_diag(warn, "NO_INTERACTIONS", "no interactions possible", model.line))
+        diags.append(Diagnostic(warn, "NO_INTERACTIONS", "no interactions possible", model.line))
 
     observe_severity = err if strictness is Strictness.STRICT else warn
     for edge, _src, tgt in crossings:
         if tgt.stage is not Stage.OBSERVE:
-            diags.append(_diag(
+            diags.append(Diagnostic(
                 observe_severity, "OBSERVE_TARGET",
                 f"cross-side edge '{edge.id}' targets {tgt.stage.display()}-stage node "
                 f"'{tgt.id}' instead of an Observe-stage node",
@@ -330,7 +326,7 @@ def validate(
             continue
         if src.stage is Stage.DECIDE and edge.guard:
             continue  # decision branch
-        diags.append(_diag(
+        diags.append(Diagnostic(
             warn, "STAGE_ORDER",
             f"edge '{edge.id}' jumps the stage cycle "
             f"({src.stage.display()} -> {tgt.stage.display()})",

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring
 from typing import Iterable, Iterator, Sequence
 
+from .dsl import _quote  # a DOT id is quoted and escaped as a DSL string is
 from .mapping import FailureModeRow, FailureModeTable
 from .mitigations import Mitigation
 from .model import Ooda2Model
@@ -233,10 +234,6 @@ def emit_second_order_json(effects: Sequence[SecondOrderEffect]) -> str:
                       indent=2, ensure_ascii=False) + "\n"
 
 
-def _dot_quote(text: str) -> str:
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
 def emit_dot(model: Ooda2Model, pathway: TracePathway | Sequence[TracePathway]) -> str:
     """Model as a DOT digraph, lanes as subgraph clusters, with the given
     pathway's nodes and edges highlighted (penwidth) and each pathway's
@@ -270,29 +267,29 @@ def emit_dot(model: Ooda2Model, pathway: TracePathway | Sequence[TracePathway]) 
         highlight_nodes.update(ids)
         dashed_edges.add(trail.origin.edge.id)
 
-    lines = [f"digraph {_dot_quote(model.name)} {{", "  rankdir=LR;", "  node [shape=box];"]
+    lines = [f"digraph {_quote(model.name)} {{", "  rankdir=LR;", "  node [shape=box];"]
     for lane in model.lanes:
-        lines.append(f"  subgraph {_dot_quote('cluster_' + lane.id)} {{")
-        lines.append(f"    label={_dot_quote(lane.display_name)};")
+        lines.append(f"  subgraph {_quote('cluster_' + lane.id)} {{")
+        lines.append(f"    label={_quote(lane.display_name)};")
         for node in model.nodes:
             if node.lane_id != lane.id:
                 continue
-            attrs = [f"label={_dot_quote(node.label)}"]
+            attrs = [f"label={_quote(node.label)}"]
             if node.id in highlight_nodes:
                 attrs.append("penwidth=3")
-            lines.append(f"    {_dot_quote(node.id)} [{', '.join(attrs)}];")
+            lines.append(f"    {_quote(node.id)} [{', '.join(attrs)}];")
         lines.append("  }")
     for edge in model.edges:
         attrs = []
         caption = edge.name if edge.name is not None else (
             f"[{edge.guard}]" if edge.guard is not None else None)
         if caption is not None:
-            attrs.append(f"label={_dot_quote(caption)}")
+            attrs.append(f"label={_quote(caption)}")
         if edge.id in dashed_edges:
             attrs.append("style=dashed")
         if (edge.from_id, edge.to_id) in highlight_pairs:
             attrs.append("penwidth=3")
         suffix = f" [{', '.join(attrs)}]" if attrs else ""
-        lines.append(f"  {_dot_quote(edge.from_id)} -> {_dot_quote(edge.to_id)}{suffix};")
+        lines.append(f"  {_quote(edge.from_id)} -> {_quote(edge.to_id)}{suffix};")
     lines.append("}")
     return "\n".join(lines) + "\n"

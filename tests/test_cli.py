@@ -10,7 +10,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -193,6 +196,19 @@ class TestTrace:
         assert out == ""
         assert err == "error: max_depth must be >= 1, got 0\n"
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--interaction", "٣"), ("--interaction", "0_3"), ("--max-depth", "٢"),
+    ])
+    def test_numbers_take_ascii_digits_only(self, capsys, flag, value):
+        numbers = {"--interaction": "3", "--max-depth": "2", flag: value}
+        code, out, err = invoke(
+            capsys, "trace", MODEL, "--category", "timely", "--direction", "down",
+            *(word for pair in numbers.items() for word in pair))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("usage: hatlens trace")
+        assert err.endswith(
+            f"hatlens trace: error: argument {flag}: invalid int value: '{value}'\n")
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_a_gain_product_that_overflows_is_a_usage_error(self, capsys, tmp_path, fmt):
@@ -450,3 +466,13 @@ class TestFilesAndUsage:
     def test_main_is_an_alias_for_run(self, capsys):
         assert main(["lenses"]) == EXIT_OK
         capsys.readouterr()
+
+    def test_the_module_runs_as_a_script_without_warnings(self):
+        # Were the package to import hatlens.cli, runpy would warn that the
+        # module is loaded before it runs; -W error makes that a failure.
+        src = str(FIXTURE_ROOT.parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "hatlens.cli", "validate", MODEL],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert (result.returncode, result.stderr) == (EXIT_OK, "")

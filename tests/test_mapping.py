@@ -4,18 +4,24 @@ The generic row count has a closed form (non-benign applicable modes per
 interaction direction), which serves as the oracle over random models.
 Merging semantics are pinned against the bundled tower scenario: the
 specialised rows land first within their interaction block, ascending by
-id, and only the modes they refine lose their generic rows.
+id, and only the modes they refine lose their generic rows.  Over random
+models and sfm lists, a reference that scans the whole table for each sfm
+is the oracle.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_model, tower_inputs
 from hatlens import (
     Direction,
+    FailureModeTable,
     SpecialisationError,
     SpecialisedFailureMode,
     apply_specialisations,
@@ -162,3 +168,87 @@ def test_reapplying_an_sfm_id_is_rejected():
     with pytest.raises(SpecialisationError) as excinfo:
         apply_specialisations(table, sfms[:1])
     assert str(excinfo.value) == "sfm id 3 is already applied to this table"
+
+
+def reference_specialisations(rows, sfms):
+    """What ``apply_specialisations`` gives for ``rows``, by whole-table scans:
+    each sfm is checked against every row, then the kept rows are sorted by
+    interaction (first appearance), specialised before generic, and sfm id."""
+    if not sfms:
+        return list(rows)
+    added = []
+    for index, sfm in enumerate(sfms):
+        if index and sfm.sfm_id == sfms[index - 1].sfm_id:
+            raise SpecialisationError(f"duplicate sfm id {sfm.sfm_id}")
+        if index and sfm.sfm_id != sfms[index - 1].sfm_id + 1:
+            raise SpecialisationError(f"sfm ids must ascend without gaps: "
+                                      f"{sfm.sfm_id} follows {sfms[index - 1].sfm_id}")
+        if any(row.sfm_id == sfm.sfm_id for row in rows):
+            raise SpecialisationError(
+                f"sfm id {sfm.sfm_id} is already applied to this table")
+        if not any(row.i_id == sfm.interaction_id for row in rows):
+            raise SpecialisationError(
+                f"sfm {sfm.sfm_id} references unknown interaction {sfm.interaction_id}")
+        refined = [row for row in rows if (row.i_id, row.generic_mode_id)
+                   == (sfm.interaction_id, sfm.generic_mode_id)]
+        if not refined:
+            if any(row.generic_mode_id == sfm.generic_mode_id for row in rows):
+                raise SpecialisationError(
+                    f"sfm {sfm.sfm_id}: mode '{sfm.generic_mode_id}' is not "
+                    f"applicable to interaction {sfm.interaction_id}")
+            raise SpecialisationError(
+                f"sfm {sfm.sfm_id}: unknown generic mode '{sfm.generic_mode_id}'")
+        added.append(replace(refined[0], sfm_id=sfm.sfm_id, specialised_text=sfm.text))
+    specialised = [row for row in [*rows, *added] if row.sfm_id is not None]
+    refined_modes = {(row.i_id, row.generic_mode_id) for row in specialised}
+    kept = specialised + [row for row in rows if row.sfm_id is None and (
+        row.i_id, row.generic_mode_id) not in refined_modes]
+    block = list(dict.fromkeys(row.i_id for row in rows))
+    return sorted(kept, key=lambda row: (block.index(row.i_id), row.sfm_id is None,
+                                         row.sfm_id or 0))
+
+
+def _outcome(apply, rows, *steps):
+    try:
+        for sfms in steps:
+            rows = apply(rows, sfms)
+    except SpecialisationError as exc:
+        return str(exc)
+    return rows
+
+
+# Every builtin mode: benign ``use`` never has a row, and the machine modes
+# do not apply to human-to-machine interactions.
+_MODE_IDS = [mode.id for mode in builtin_catalog().modes()] + ["explodes"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_specialisation_matches_a_whole_table_scan(seed, data):
+    table = map_failure_modes(extract_interactions(random_model(random.Random(seed))),
+                              builtin_catalog())
+    pairs = [(row.i_id, row.generic_mode_id) for row in table.rows]
+    last = max((i_id for i_id, _ in pairs), default=0)
+
+    def draw_pair():
+        # Mostly the pair of a row; else any builtin mode or an unknown one,
+        # at any interaction up to one past the last.
+        if pairs and data.draw(st.integers(0, 4)):
+            return data.draw(st.sampled_from(pairs))
+        return data.draw(st.integers(1, last + 1)), data.draw(st.sampled_from(_MODE_IDS))
+
+    sfm_id = data.draw(st.integers(1, 50))
+    sfms = []
+    for _ in range(data.draw(st.integers(0, 8))):
+        sfms.append(SpecialisedFailureMode(sfm_id, *draw_pair(), f"text {sfm_id}"))
+        # Mostly the next id; sometimes the same id again or a gap.
+        sfm_id += data.draw(st.sampled_from([1, 1, 1, 1, 1, 1, 0, 2]))
+    split = data.draw(st.integers(0, len(sfms)))
+
+    def apply(rows, sfms):
+        return apply_specialisations(FailureModeTable(rows=list(rows)), sfms).rows
+
+    # At once, and in two steps, in order and with the later ids first.
+    for steps in [(sfms,), (sfms[:split], sfms[split:]), (sfms[split:], sfms[:split])]:
+        assert (_outcome(apply, table.rows, *steps)
+                == _outcome(reference_specialisations, table.rows, *steps))
