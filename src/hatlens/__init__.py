@@ -19,7 +19,6 @@ from .dsl import (
     serialize_model,
     serialize_sfm_bindings,
 )
-from .fixtures import GoldenFixture, available_fixtures, load_fixture, regenerate
 from .interactions import (
     Direction,
     Interaction,
@@ -94,6 +93,16 @@ from .tracing import (
 )
 
 __version__ = "0.1.0"
+
+# The fixture helpers are imported on first use: the CLI never needs them.
+_FIXTURE_NAMES = {"GoldenFixture", "available_fixtures", "load_fixture", "regenerate"}
+
+
+def __getattr__(name: str):
+    if name in _FIXTURE_NAMES:
+        from . import fixtures
+        return getattr(fixtures, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "ActionNode",

@@ -289,12 +289,15 @@ def _build_parser() -> argparse.ArgumentParser:
     def model_arg(sub):
         sub.add_argument("model", metavar="model.hat", help="activity model file")
 
-    def catalog_flags(sub):
+    def lens_flags(sub):
         sub.add_argument("--lens", action="append", metavar="FILE", default=[],
                          help="extra lens catalog (.lens); repeatable")
         sub.add_argument("--no-builtin", action="store_true",
                          help="start from an empty lens catalog instead of the "
                               "builtin lenses")
+
+    def catalog_flags(sub):
+        lens_flags(sub)
         sub.add_argument("--mit", action="append", metavar="FILE", default=[],
                          help="extra mitigation catalog (.mit); repeatable")
 
@@ -369,11 +372,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = subparsers.add_parser("lenses", help="list or export lens catalogs")
     sub.add_argument("--export", action="store_true",
                      help="print the catalog in its file format")
-    sub.add_argument("--lens", action="append", metavar="FILE", default=[],
-                     help="extra lens catalog (.lens); repeatable")
-    sub.add_argument("--no-builtin", action="store_true",
-                     help="start from an empty lens catalog")
-    output_flag(sub)
+    lens_flags(sub); output_flag(sub)
     sub.set_defaults(func=_cmd_lenses)
 
     return parser

@@ -12,9 +12,14 @@ attributes in canonical order, which are optional, which are ids or
 references to ids, and the converters that parse and write each one.
 ``_read`` parses any statement from its declaration and ``_write`` writes
 any statement from it, so parse and serialize are mutually inverse on valid
-values by construction.  The ``parse_*`` functions add only the rules no
-declaration states: one model statement per file, no edge self-loops, and
-ascending sfm ids.  ``docs/dsl-reference.md`` describes the formats for
+values by construction.  From each declaration, ``_Line`` derives one
+pattern for the keyword's canonical line (the form ``_write`` emits, in any
+spacing); ``_read`` takes a line that matches it without tokenizing, and
+reads any other line token by token, as it does a matching line that a
+converter or an id check rejects, so values and diagnostics do not depend
+on the way a line was read.  The ``parse_*`` functions add only the rules
+no declaration states: one model statement per file, no edge self-loops,
+and ascending sfm ids.  ``docs/dsl-reference.md`` describes the formats for
 authors.
 
 Parsing is all-or-nothing: a parse either returns the value or raises
@@ -153,8 +158,14 @@ def _idents(what: str, collection=list):
 
 
 def _enum(cls, what: str):
-    values = "|".join(re.escape(member.value) for member in cls)
-    return _matching(values, f"unknown {what} '{{}}'", cls)
+    members = {member.value: member for member in cls}
+
+    def parse(text: str):
+        try:
+            return members[text]
+        except KeyError:
+            raise ValueError(f"unknown {what} '{text}'") from None
+    return parse
 
 
 def _nonempty(what: str):
@@ -419,6 +430,101 @@ class _Statement:
             self.columns[field.attr] = token.column
 
 
+_VALUE = r'(?:"[^"]*"|[^ \t"]*)'  # an attribute value without escapes, quoted or bare
+_ATTRIBUTE = re.compile(rf'[ \t]+([^ \t"=]+)=({_VALUE})')
+_HEAD = re.compile(r"[^ \t]*")
+
+
+class _Line:
+    """The pattern of a keyword's canonical line, derived from its fields.
+
+    The keyword at column 1, then each field in declared order after spaces
+    or tabs: a word, a quoted string or ``key=value``, an optional field as
+    an optional group, and a prefix field as one run of its attributes.
+    Each field's group captures its whole token.  The pattern is compiled
+    on first use, so a process pays only for the keywords its files use.
+    """
+
+    def __init__(self, keyword: str, fields: tuple[_Field, ...]):
+        self.keyword = _Token(_WORD, 1, keyword)
+        self.fields = fields
+        self.regex: re.Pattern | None = None
+        # What ``read`` needs of each field, unpacked once: its group, where
+        # its value starts in the token (after "key="), whether it is a
+        # prefix run, and its attr, converter and id checks.
+        self.steps = [(group, len(field.key) + 1 if field.kind == _ATTR else 0,
+                       field.key.endswith("."), field.attr, field.parse, field.unique,
+                       field.refers)
+                      for group, field in enumerate(fields, start=1)]
+        self.ids = [field.attr for field in fields if field.unique]
+
+    def _compile(self) -> re.Pattern:
+        parts = [re.escape(self.keyword.text)]
+        for field in self.fields:
+            key = re.escape(field.key)
+            if field.key.endswith("."):
+                parts.append(rf'((?:[ \t]+{key}{_IDENT}={_VALUE})*)')
+                continue
+            if field.kind == _WORD:
+                part = r'[ \t]+([^ \t"=]+)'
+            elif field.kind == _STRING:
+                part = r'[ \t]+("[^"]*")'
+            else:
+                part = rf'[ \t]+({key}={_VALUE})'
+            parts.append(part if field.omit is _REQUIRED else f"(?:{part})?")
+        parts.append(r"[ \t]*")
+        return re.compile("".join(parts))
+
+    def read(self, line: str, line_no: int, ids: dict[str, set],
+             diags: list[ParseDiagnostic]) -> _Statement | None:
+        """The statement on ``line``, with the values and columns the general
+        reader would give, if the line has no backslash, matches, and every
+        converter and id check accepts it; otherwise None, having changed
+        nothing, so that the general reader reports the line's problems."""
+        if "\\" in line:
+            return None
+        if self.regex is None:
+            self.regex = self._compile()
+        match = self.regex.fullmatch(line)
+        if match is None:
+            return None
+        keyword = self.keyword.text
+        statement = _Statement(line_no, self.keyword, diags)
+        values, columns = statement.values, statement.columns
+        try:
+            for group, skip, prefix, attr, parse, unique, refers in self.steps:
+                token = match[group]
+                if token is None:  # an optional field left out
+                    continue
+                if prefix:
+                    found = {}
+                    for key, text in _ATTRIBUTE.findall(token):
+                        name = key[skip - 1:]  # what follows the prefix
+                        if name in found:
+                            return None
+                        found[name] = parse(text[1:-1] if text[:1] == '"' else text)
+                    values[attr] = found
+                    continue
+                text = token[skip:]
+                value = parse(text[1:-1] if text[:1] == '"' else text)
+                if unique and value in ids[keyword] or refers and value not in ids[refers]:
+                    return None
+                if attr:
+                    values[attr] = value
+                    columns[attr] = match.start(group) + 1
+        except ValueError:
+            return None
+        for attr in self.ids:
+            ids[keyword].add(values[attr])
+        return statement
+
+
+# Statement keywords are unique across the four formats.
+_LINES = {keyword: _Line(keyword, fields)
+          for statements in (_MODEL, _LENS, _SFM, _MITIGATION)
+          for keyword, fields in statements.items()}
+
+
 def _read(text: str, statements: dict[str, tuple[_Field, ...]], words_only: bool,
           diags: list[ParseDiagnostic]) -> dict[str, list[_Statement]]:
     """Every statement of ``text`` read by its declaration in ``statements``,
@@ -434,6 +540,13 @@ def _read(text: str, statements: dict[str, tuple[_Field, ...]], words_only: bool
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
+        head = _HEAD.match(line)[0]
+        pattern = _LINES.get(head) if head in statements else None
+        if pattern is not None:
+            statement = pattern.read(line, line_no, ids, diags)
+            if statement is not None:
+                read[head].append(statement)
+                continue
         tokens = _tokenize(line, line_no, diags)
         if not tokens:
             continue

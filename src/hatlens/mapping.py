@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .interactions import Direction, Interaction
-from .lenses import LensCatalog, applicable_modes
+from .lenses import GenericFailureMode, LensCatalog, applicable_modes
 from .model import Stage
 
 
@@ -51,10 +51,12 @@ class SpecialisationError(ValueError):
 def map_failure_modes(interactions: list[Interaction], catalog: LensCatalog) -> FailureModeTable:
     """One unspecialised row per (interaction, applicable non-benign mode)."""
     rows: list[FailureModeRow] = []
+    modes: dict[Direction, list[GenericFailureMode]] = {}  # they depend on the direction alone
     for interaction in interactions:
-        for mode in applicable_modes(catalog, interaction):
-            if mode.benign:
-                continue
+        if interaction.direction not in modes:
+            modes[interaction.direction] = [
+                mode for mode in applicable_modes(catalog, interaction) if not mode.benign]
+        for mode in modes[interaction.direction]:
             rows.append(FailureModeRow(
                 i_id=interaction.i_id,
                 sfm_id=None,

@@ -9,13 +9,16 @@ all-or-nothing semantics, and the sorted multi-error report.
 
 from __future__ import annotations
 
+import dataclasses
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURE_ROOT, random_model
+from hatlens import dsl
 from hatlens import (
     ActionNode,
     ActivityEdge,
@@ -627,3 +630,167 @@ def test_sfm_serialization_matches_value():
     assert serialize_sfm_bindings(sfms) == (
         'sfm 3 interaction=1 mode=drift "Output drifts a lot"\n'
     )
+
+
+# ---------------------------------------------------------------------------
+# Canonical lines are read by one pattern per keyword; every other line by
+# the general reader.  Values and diagnostics do not depend on which.
+
+FORMATS = {
+    "hat": (st.integers(0, 2**32).map(lambda seed: random_model(random.Random(seed), 8)),
+            parse_model, serialize_model, dsl._MODEL, True),
+    "lens": (lens_catalogs(), parse_lens_catalog, serialize_lens_catalog, dsl._LENS, True),
+    "sfm": (sfm_lists(), parse_sfm_bindings, serialize_sfm_bindings, dsl._SFM, False),
+    "mit": (mitigation_catalogs(), parse_mitigation_catalog, serialize_mitigation_catalog,
+            dsl._MITIGATION, False),
+}
+
+# A token: a run of characters other than spaces and tabs, quoted strings included.
+_TOKEN_TEXT = re.compile(r'(?:[^ \t"]|"(?:[^"\\]|\\.)*")+')
+_EXTRA_TOKENS = [
+    "extra", '"extra"', "foo=bar", "response.stability=amplify:2.0",
+    "response.stability=dampen", "response.Bad=dampen", "response.=neutral",
+    "response.x=", "lane=zz9", "kind=", "name=", "mitigation=hysteresis",
+    "benign=true", "damping=0.5", 'detail=""', "=", '"open', 'x="a\\"b"', "->", "9",
+]
+_NEW_VALUES = ["", '""', "zz9", "n0", "n1", "lane0", "A", "0", "07", "amplify:0.5",
+               "dampen:1e999", "x,y", "a,", "human", "observe", "m2h", "true", '"a\\"b"', "١"]
+
+
+def _with_value(token: str, value: str) -> str:
+    key, sep, _ = token.partition("=")
+    return f"{key}={value}" if sep else value
+
+
+@st.composite
+def mutated(draw, text: str) -> str:
+    """``text`` with some statements repeated, moved or dropped, and, on some
+    lines, tokens reordered, repeated, dropped, added, quoted, escaped or
+    given other values; every line's tokens are joined by spaces and tabs,
+    with or without leading and trailing blanks and a CR."""
+    lines = text.split("\n")
+    for _ in range(draw(st.integers(0, 3))):
+        statements = [index for index, line in enumerate(lines) if line]
+        if not statements:
+            break
+        at = draw(st.sampled_from(statements))
+        op = draw(st.sampled_from(["repeat", "repeat", "move", "drop"]))
+        line = lines[at] if op == "repeat" else lines.pop(at)
+        if op != "drop":
+            lines.insert(draw(st.integers(0, len(lines))), line)
+    rate = draw(st.sampled_from([0, 1, 2, 8]))  # eighths of the lines
+    out = []
+    for line in lines:
+        tokens = _TOKEN_TEXT.findall(line)
+        for _ in range(draw(st.integers(1, 3)) if tokens and draw(st.integers(0, 7)) < rate
+                       else 0):
+            at = draw(st.integers(1, len(tokens)))
+            op = draw(st.sampled_from(
+                ["reorder", "shuffle", "repeat", "drop", "add", "value", "quote", "escape"]))
+            if op == "reorder":  # the attributes only, the rest keep their places
+                places = [index for index, token in enumerate(tokens)
+                          if re.match('[^"=]+=', token)]
+                for place, token in zip(places, draw(st.permutations(
+                        [tokens[place] for place in places]))):
+                    tokens[place] = token
+            elif op == "shuffle":
+                tokens[1:] = draw(st.permutations(tokens[1:]))
+            elif op == "add":
+                tokens.insert(at, draw(st.sampled_from(_EXTRA_TOKENS)))
+            elif at == len(tokens):
+                continue
+            elif op == "repeat":  # next to itself, or anywhere
+                where = at + 1 if draw(st.booleans()) else draw(st.integers(1, len(tokens)))
+                tokens.insert(where, tokens[at])
+            elif op == "drop":
+                del tokens[at]
+            elif op == "value":
+                tokens[at] = _with_value(tokens[at], draw(st.sampled_from(_NEW_VALUES)))
+            elif op == "quote" and '"' not in tokens[at]:
+                key, sep, value = tokens[at].rpartition("=")
+                tokens[at] = f'{key}{sep}"{value}"'
+            elif op == "escape" and '"' in tokens[at]:
+                quote = tokens[at].index('"') + 1
+                escape = draw(st.sampled_from(['\\"', "\\\\", "\\n"]))
+                tokens[at] = tokens[at][:quote] + escape + tokens[at][quote:]
+        seps = draw(st.lists(st.sampled_from([" ", " ", " ", "\t", "  ", " \t "]),
+                             min_size=len(tokens), max_size=len(tokens)))
+        if seps and draw(st.integers(0, 3)):
+            seps[0] = ""
+        line = "".join(sep + token for sep, token in zip(seps, tokens))
+        out.append(line + draw(st.sampled_from(["", "", " ", "\t", "\r"])))
+    return "\n".join(out)
+
+
+def _lines_of(value):
+    """Every ``line`` in a parsed value, which neither ``==`` nor ``repr`` sees."""
+    if isinstance(value, (list, tuple)):
+        return [_lines_of(item) for item in value]
+    if dataclasses.is_dataclass(value):
+        return [getattr(value, "line", None),
+                *(_lines_of(getattr(value, field.name)) for field in dataclasses.fields(value))]
+    return None
+
+
+def _outcome(fmt, text):
+    """What parsing ``text`` gives: the value's ``repr`` and lines, or the
+    diagnostics; and each statement's values and their columns."""
+    _, parse, _, statements, words_only = FORMATS[fmt]
+    read = dsl._read(text, statements, words_only, [])
+    fields = [(s.line, s.keyword, s.values, s.columns) for each in read.values() for s in each]
+    try:
+        value = parse(text)
+    except DslParseError as exc:
+        return [(d.line, d.column, d.message) for d in exc.diagnostics], fields
+    return repr(value), _lines_of(value), fields
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_pattern_and_general_reader_agree(fmt, data):
+    values, _, serialize, _, _ = FORMATS[fmt]
+    text = data.draw(mutated(serialize(data.draw(values))))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dsl, "_LINES", {})
+        general = _outcome(fmt, text)
+    assert _outcome(fmt, text) == general
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_canonical_lines_without_backslashes_skip_the_general_reader(fmt, data):
+    values, parse, serialize, _, _ = FORMATS[fmt]
+    text = serialize(data.draw(values))
+    tokenized = []
+    original = dsl._tokenize
+
+    def tokenize(line, line_no, diags):
+        tokenized.append(line)
+        return original(line, line_no, diags)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dsl, "_tokenize", tokenize)
+        parse(text)
+    assert tokenized == [line for line in text.split("\n") if "\\" in line]
+
+
+@pytest.mark.parametrize("parse", [parse_model, parse_lens_catalog, parse_sfm_bindings,
+                                   parse_mitigation_catalog])
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(
+    st.text(),
+    st.text(alphabet='model lane node edge lens mode sfm mitigation ->=".\\#,:\t\r\n01a'),
+    st.lists(st.sampled_from(
+        ["model", "lane", "node", "edge", "lens", "mode", "sfm", "mitigation", " ", "\t",
+         "\n", "\r\n", '"', "\\", "=", "x", "h", "a", "->", "1", "0", "side=human",
+         "kind=operator", "stage=act", "lane=h", "response.stability=", "amplify:2",
+         "interaction=1", "category=a", "placement=node", "direction=m2h", "lens=l",
+         "damping=", "detail=", "benign=", "question=", "cause=", "mitigation="])
+    ).map("".join),
+))
+def test_any_text_parses_or_raises_a_parse_error(parse, text):
+    try:
+        parse(text)
+    except DslParseError as exc:
+        assert exc.diagnostics

@@ -7,6 +7,10 @@ that would silently alter documented outputs fails here first.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from hatlens import (
@@ -101,3 +105,28 @@ def test_minimal_shape():
     assert len(interactions) == 1
     table = fixture.expected["table.csv"].read_text(encoding="utf-8")
     assert len(table.splitlines()) == 1 + 9
+
+
+def test_the_cli_does_not_import_the_fixture_helpers():
+    # The package resolves them on first use, so a CLI run never pays for them.
+    code = (
+        "import sys, hatlens.cli\n"
+        "assert 'hatlens.fixtures' not in sys.modules, 'imported with the CLI'\n"
+        "from hatlens import GoldenFixture, regenerate\n"
+        "import hatlens, hatlens.fixtures\n"
+        "assert (GoldenFixture, regenerate) == "
+        "(hatlens.fixtures.GoldenFixture, hatlens.fixtures.regenerate)\n"
+        "names = {}\n"
+        "exec('from hatlens import *', names)\n"
+        "assert set(hatlens.__all__) <= set(names)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(FIXTURE_ROOT.parent.parent))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert (result.returncode, result.stderr) == (0, "")
+
+
+def test_unknown_package_attributes_still_raise():
+    import hatlens
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        hatlens.nope

@@ -24,6 +24,7 @@ from hatlens import (
     FailureModeTable,
     SpecialisationError,
     SpecialisedFailureMode,
+    applicable_modes,
     apply_specialisations,
     builtin_catalog,
     extract_interactions,
@@ -63,6 +64,16 @@ def test_rows_follow_interaction_then_catalog_order():
                         (4, HARMFUL_INTENT_MODE_IDS)]:
         expected_ids.extend((i_id, mode) for mode in modes)
     assert [(row.i_id, row.generic_mode_id) for row in table.rows] == expected_ids
+
+
+def test_rows_match_a_per_interaction_scan_of_the_catalog():
+    _, catalog, _ = tower_mapping_inputs()
+    for seed in range(50):
+        interactions = extract_interactions(random_model(random.Random(3000 + seed)))
+        expected = [(interaction.i_id, mode.id) for interaction in interactions
+                    for mode in applicable_modes(catalog, interaction) if not mode.benign]
+        rows = map_failure_modes(interactions, catalog).rows
+        assert [(row.i_id, row.generic_mode_id) for row in rows] == expected, f"seed {seed}"
 
 
 def test_rows_carry_the_interaction_columns():
