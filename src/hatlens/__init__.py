@@ -79,6 +79,7 @@ from .report import (
     emit_json,
     emit_markdown,
     emit_second_order_json,
+    write_json,
 )
 from .tracing import (
     DEFAULT_MAX_DEPTH,
@@ -177,4 +178,5 @@ __all__ = [
     "suggest_mitigations",
     "trace",
     "validate",
+    "write_json",
 ]

@@ -15,6 +15,7 @@ and flags always produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -38,9 +39,9 @@ from .report import (
     csv_text,
     emit_csv,
     emit_dot,
-    emit_json,
     emit_markdown,
     pathway_label,
+    write_json,
 )
 from .tracing import DEFAULT_MAX_DEPTH, TraceDirection, TracePathway, derive_second_order, trace
 
@@ -126,15 +127,21 @@ def _inputs(args) -> tuple[LensCatalog, list[Mitigation], Ooda2Model]:
     return catalog, mitigations, model
 
 
+def _output(args, write) -> None:
+    """Call ``write`` with the data's destination: the ``-o`` file, or
+    standard output."""
+    if not args.output:
+        write(sys.stdout)
+        return
+    try:
+        with open(args.output, "w", encoding="utf-8", newline="") as handle:
+            write(handle)
+    except OSError as exc:
+        _fail(f"cannot write {args.output}: {exc.strerror or exc}", EXIT_USAGE)
+
+
 def _write(args, text: str) -> None:
-    if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
-        except OSError as exc:
-            _fail(f"cannot write {args.output}: {exc.strerror or exc}", EXIT_USAGE)
-    else:
-        sys.stdout.write(text)
+    _output(args, lambda out: out.write(text))
 
 
 def _build_table(args, interactions: list[Interaction], catalog: LensCatalog):
@@ -171,6 +178,13 @@ def _trace_pathways(args, model: Ooda2Model, interactions: list[Interaction],
     return pathways
 
 
+def _dot(model: Ooda2Model, pathways: list[TracePathway]) -> str:
+    try:
+        return emit_dot(model, pathways)
+    except ReportError as exc:
+        _fail(str(exc))
+
+
 def _cmd_validate(args) -> int:
     _inputs(args)
     return EXIT_OK
@@ -200,16 +214,13 @@ def _cmd_trace(args) -> int:
     _, mitigations, model = _inputs(args)
     interactions = extract_interactions(model)
     pathways = _trace_pathways(args, model, interactions, mitigations)
-    if args.format == "text":
-        text = "".join(f"{pathway_label(pathway)}\n" for pathway in pathways)
-    elif args.format == "json":
-        text = emit_json(ReportBundle(pathways=pathways))
+    if args.format == "json":
+        bundle = ReportBundle(pathways=pathways)
+        _output(args, lambda out: write_json(bundle, out))
+    elif args.format == "text":
+        _write(args, "".join(f"{pathway_label(pathway)}\n" for pathway in pathways))
     else:
-        try:
-            text = emit_dot(model, pathways)
-        except ReportError as exc:
-            _fail(str(exc))
-    _write(args, text)
+        _write(args, _dot(model, pathways))
     return EXIT_OK
 
 
@@ -239,19 +250,15 @@ def _cmd_report(args) -> int:
     bundle = ReportBundle(table=table, pathways=pathways,
                           second_order=second_order, suggestions=suggestions)
     if args.format == "csv":
-        text = emit_csv(table)
+        _write(args, emit_csv(table))
     elif args.format == "md":
-        text = emit_markdown(bundle)
+        _write(args, emit_markdown(bundle))
     elif args.format == "json":
-        text = emit_json(bundle)
+        _output(args, lambda out: write_json(bundle, out))
     else:
         if not pathways:
             _fail("--format dot needs --interaction and --category", EXIT_USAGE)
-        try:
-            text = emit_dot(model, pathways)
-        except ReportError as exc:
-            _fail(str(exc))
-    _write(args, text)
+        _write(args, _dot(model, pathways))
     return EXIT_OK
 
 
@@ -385,10 +392,18 @@ def run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    # A command's data is acyclic and lives until the command ends, so the
+    # cyclic collector would only walk it again and again: it is paused
+    # while the command runs.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except _CliError as exc:
         return exc.code
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def main(argv: list[str] | None = None) -> int:

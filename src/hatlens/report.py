@@ -4,6 +4,10 @@ Every emitter is a pure function of its arguments; identical input produces
 byte-identical output.  CSV carries the failure-mode table alone, Markdown
 and JSON carry a full ``ReportBundle``, DOT renders a model with one or
 more trace pathways highlighted.
+
+JSON is produced as a stream of pieces, one per pathway: ``emit_json``
+joins them into a string, and ``write_json`` writes the same bytes to a
+text file object in batches, so a large trace never exists as one string.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .dsl import _quote  # a DOT id is quoted and escaped as a DSL string is
 from .mapping import FailureModeRow, FailureModeTable
@@ -177,10 +181,12 @@ def _pathways_json(pathways: Sequence[TracePathway]) -> Iterator[str]:
                     '\n      "nodes": ')
         gains = [floats[gain] if type(gain) is float and gain else _json_number(gain)
                  for gain in (*pathway.step_gains, pathway.total_gain)]
+        # ``_value_`` is the member's plain attribute; ``.value`` is a
+        # property that Python code serves.
         yield (f"{separator}{head}{array([strings[node.id] for node in pathway.nodes])},"
                f'\n      "step_gains": {array(gains[:-1])},'
                f'\n      "total_gain": {gains[-1]},'
-               f'\n      "classification": {strings[pathway.classification.value]}\n    }}')
+               f'\n      "classification": {strings[pathway.classification._value_]}\n    }}')
         separator = ",\n    "
     yield "\n  ]"
 
@@ -191,41 +197,61 @@ def _nested(value) -> str:
     return json.dumps(value, indent=2, ensure_ascii=False).replace("\n", "\n  ")
 
 
+def _json_pieces(bundle: ReportBundle) -> Iterator[str]:
+    """The bundle's JSON document, in pieces, with a fixed key order (schema
+    shipped in docs/).  The pathways come one piece each, so no caller needs
+    the whole document in memory."""
+    yield '{\n  "failure_modes": '
+    yield _nested([
+        {
+            "i_id": row.i_id,
+            "sfm_id": row.sfm_id,
+            "interaction_name": row.interaction_name,
+            "machine_stage": row.machine_stage.display(),
+            "human_stage": row.human_stage.display(),
+            "direction": row.direction.display(),
+            "generic_failure_mode": row.generic_mode_title,
+            "specialised_failure_mode": row.specialised_text,
+            "category": row.generic_mode_category,
+        }
+        for row in bundle.table.rows
+    ])
+    yield ',\n  "pathways": '
+    yield from _pathways_json(bundle.pathways)
+    yield ',\n  "second_order_effects": '
+    yield _nested([_effect_json(effect) for effect in bundle.second_order])
+    yield ',\n  "mitigation_suggestions": '
+    yield _nested([
+        {
+            "i_id": row.i_id,
+            "sfm_id": row.sfm_id,
+            "category": row.generic_mode_category,
+            "mitigation_id": mitigation.id,
+            "mitigation_name": mitigation.name,
+        }
+        for row, mitigation in bundle.suggestions
+    ])
+    yield "\n}\n"
+
+
 def emit_json(bundle: ReportBundle) -> str:
     """Bundle as JSON with a fixed key order (schema shipped in docs/)."""
-    return "".join([
-        '{\n  "failure_modes": ',
-        _nested([
-            {
-                "i_id": row.i_id,
-                "sfm_id": row.sfm_id,
-                "interaction_name": row.interaction_name,
-                "machine_stage": row.machine_stage.display(),
-                "human_stage": row.human_stage.display(),
-                "direction": row.direction.display(),
-                "generic_failure_mode": row.generic_mode_title,
-                "specialised_failure_mode": row.specialised_text,
-                "category": row.generic_mode_category,
-            }
-            for row in bundle.table.rows
-        ]),
-        ',\n  "pathways": ',
-        *_pathways_json(bundle.pathways),
-        ',\n  "second_order_effects": ',
-        _nested([_effect_json(effect) for effect in bundle.second_order]),
-        ',\n  "mitigation_suggestions": ',
-        _nested([
-            {
-                "i_id": row.i_id,
-                "sfm_id": row.sfm_id,
-                "category": row.generic_mode_category,
-                "mitigation_id": mitigation.id,
-                "mitigation_name": mitigation.name,
-            }
-            for row, mitigation in bundle.suggestions
-        ]),
-        "\n}\n",
-    ])
+    return "".join(_json_pieces(bundle))
+
+
+def write_json(bundle: ReportBundle, out: TextIO) -> None:
+    """Write ``emit_json(bundle)`` to the text file ``out``, in writes of
+    about 64 KiB, without holding the whole document in memory."""
+    batch: list[str] = []
+    size = 0
+    for piece in _json_pieces(bundle):
+        batch.append(piece)
+        size += len(piece)
+        if size >= 65536:
+            out.write("".join(batch))
+            batch.clear()
+            size = 0
+    out.write("".join(batch))
 
 
 def emit_second_order_json(effects: Sequence[SecondOrderEffect]) -> str:
@@ -267,17 +293,18 @@ def emit_dot(model: Ooda2Model, pathway: TracePathway | Sequence[TracePathway]) 
         highlight_nodes.update(ids)
         dashed_edges.add(trail.origin.edge.id)
 
+    # Each lane's node lines, in model order; a node of no lane is not drawn.
+    lane_nodes: dict[str, list[str]] = {lane.id: [] for lane in model.lanes}
+    for node in model.nodes:
+        if node.lane_id in lane_nodes:
+            highlight = ", penwidth=3" if node.id in highlight_nodes else ""
+            lane_nodes[node.lane_id].append(
+                f"    {_quote(node.id)} [label={_quote(node.label)}{highlight}];")
     lines = [f"digraph {_quote(model.name)} {{", "  rankdir=LR;", "  node [shape=box];"]
     for lane in model.lanes:
         lines.append(f"  subgraph {_quote('cluster_' + lane.id)} {{")
         lines.append(f"    label={_quote(lane.display_name)};")
-        for node in model.nodes:
-            if node.lane_id != lane.id:
-                continue
-            attrs = [f"label={_quote(node.label)}"]
-            if node.id in highlight_nodes:
-                attrs.append("penwidth=3")
-            lines.append(f"    {_quote(node.id)} [{', '.join(attrs)}];")
+        lines += lane_nodes[lane.id]
         lines.append("  }")
     for edge in model.edges:
         attrs = []

@@ -14,7 +14,10 @@ Enumeration is one depth-first walk over an explicit stack, so no
 recursion limit bounds the depth.  Each node's children are listed once,
 sorted by id, and the step gain of each edge is computed once per trace;
 the walk emits pathways in lexicographic order of their node ids, with no
-sort.
+sort.  A ``TracePathway`` stays a frozen dataclass, but ``trace`` builds
+each one by copying a template attribute dict that holds the fields the
+trace's pathways share, not through the generated ``__init__`` and its
+seven ``object.__setattr__`` calls.
 
 The loops are cyclic by design; the simple-path restriction is what makes
 enumeration finite.  Consequences of a failure repeating over many loop
@@ -148,6 +151,12 @@ def trace(
     # whether the walk went deeper from that node.
     pending = [iter(children_of(start) if max_depth > 1 else ())]
     extended = [False]
+    # Each pathway's attribute dict is a copy of this instance's, which holds
+    # the three fields every pathway of the trace shares (a copy also keeps
+    # the class's shared keys); the other four are stored into the copy.
+    shared = vars(TracePathway(interaction, mode_category, direction, (), (), 1,
+                               Classification.NEUTRAL))
+    new, set_attribute = object.__new__, object.__setattr__
     pathways = []
     while pending:
         for node, gain in pending[-1]:
@@ -162,15 +171,14 @@ def trace(
                         f"interaction {interaction.i_id} [{mode_category}, {direction.value}]: "
                         f"the total gain of pathway {' -> '.join(n.id for n in path)} "
                         f"is not finite ({total_gain!r})")
-                pathways.append(TracePathway(
-                    origin=interaction,
-                    mode_category=mode_category,
-                    direction=direction,
-                    nodes=tuple(path),
-                    step_gains=tuple(step_gains),
-                    total_gain=total_gain,
-                    classification=classify(total_gain),
-                ))
+                fields = shared.copy()
+                fields["nodes"] = tuple(path)
+                fields["step_gains"] = tuple(step_gains)
+                fields["total_gain"] = total_gain
+                fields["classification"] = classify(total_gain)
+                pathway = new(TracePathway)
+                set_attribute(pathway, "__dict__", fields)
+                pathways.append(pathway)
             on_path.discard(path.pop().id)
             totals.pop()
             del step_gains[-1:]  # the start node has no step gain to drop

@@ -8,6 +8,7 @@ against the bundled golden files where one exists.
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 import os
@@ -18,6 +19,7 @@ import sys
 import pytest
 
 from hatlens import builtin_catalog, parse_lens_catalog
+from hatlens import cli
 from hatlens.cli import EXIT_FINDINGS, EXIT_OK, EXIT_USAGE, main, run
 
 from conftest import FIXTURE_ROOT
@@ -250,6 +252,96 @@ class TestTrace:
         assert err == ""
         (pathway,) = json.loads(out)["pathways"]
         assert pathway["nodes"] == [f"c{index}" for index in range(1500)]
+
+
+TRACE_BOTH = ("--interaction", "3", "--category", "stability", "--direction", "both")
+
+
+def _counting(monkeypatch, calls: list[str], *names: str) -> None:
+    """Wrap each named function of ``hatlens.cli`` so every call is counted."""
+    for name in names:
+        original = getattr(cli, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+
+
+class TestCallsAndCollector:
+    """The CLI reaches each pipeline step through the name it imports, so a
+    wrapper set on that name sees the call (the benchmark's traced run is
+    built on this), and it pauses the cyclic collector for the command only."""
+
+    @pytest.mark.parametrize("argv", [
+        ("trace", MODEL, *TRACE_BOTH, "--format", "text"),
+        ("trace", MODEL, *TRACE_BOTH, "--format", "json"),
+        ("trace", MODEL, *TRACE_BOTH, "--format", "dot"),
+        ("report", MODEL, "--lens", LENS, "--sfm", SFM, "--mit", MIT, *TRACE_BOTH,
+         "--format", "json"),
+    ], ids=["trace-text", "trace-json", "trace-dot", "report-json"])
+    def test_trace_runs_through_the_imported_names(self, capsys, monkeypatch, argv):
+        expected = invoke(capsys, *argv)
+        assert expected[0] == EXIT_OK
+        calls: list[str] = []
+        _counting(monkeypatch, calls, "parse_model", "validate", "trace", "write_json")
+        assert invoke(capsys, *argv) == expected
+        json_out = argv[-1] == "json"
+        assert sorted(calls) == sorted(
+            ["parse_model", "validate", "trace", "trace"] + ["write_json"] * json_out)
+
+    @pytest.mark.parametrize("argv", [
+        ("trace", MODEL, *TRACE_BOTH, "--format", "json"),
+        ("report", MODEL, "--lens", LENS, "--sfm", SFM, "--mit", MIT, *TRACE_BOTH,
+         "--format", "json"),
+    ], ids=["trace", "report"])
+    def test_streamed_json_is_the_same_on_stdout_and_in_a_file(self, capsys, tmp_path,
+                                                               argv):
+        code, expected, _ = invoke(capsys, *argv)
+        assert code == EXIT_OK
+        assert json.loads(expected)["pathways"]
+        target = tmp_path / "out.json"
+        assert invoke(capsys, *argv, "-o", str(target)) == (EXIT_OK, "", "")
+        assert target.read_bytes() == expected.encode("utf-8")
+        code, out, err = invoke(capsys, *argv, "-o", str(tmp_path))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith(f"error: cannot write {tmp_path}:")
+
+    @pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
+    @pytest.mark.parametrize("argv, code, runs", [
+        (("trace", MODEL, *TRACE_BOTH, "--format", "json"), EXIT_OK, True),
+        (("trace", MODEL, "--interaction", "99", "--category", "timely",
+          "--direction", "up"), EXIT_FINDINGS, True),
+        (("validate", MODEL, "-o", "out"), EXIT_USAGE, False),
+        (("validate", str(ATC / "no-such.hat")), EXIT_USAGE, True),
+    ], ids=["ok", "findings", "bad-flag", "missing-file"])
+    def test_the_collector_is_paused_for_the_command_only(self, capsys, monkeypatch,
+                                                          collecting, argv, code, runs):
+        during: list[bool] = []
+        original = cli.load_catalogs
+        monkeypatch.setattr(cli, "load_catalogs", lambda *args, **kwargs: (
+            during.append(gc.isenabled()) or original(*args, **kwargs)))
+        (gc.enable if collecting else gc.disable)()
+        try:
+            assert run(list(argv)) == code
+            assert gc.isenabled() is collecting
+        finally:
+            gc.enable()
+        capsys.readouterr()
+        assert during == ([False] if runs else [])
+
+    def test_the_collector_is_restored_when_a_command_raises(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("broken step")
+
+        monkeypatch.setattr(cli, "trace", broken)
+        try:
+            with pytest.raises(RuntimeError, match="broken step"):
+                run(["trace", MODEL, *TRACE_BOTH])
+            assert gc.isenabled()
+        finally:
+            gc.enable()
 
 
 class TestInteractionsAndMitigations:

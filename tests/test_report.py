@@ -12,10 +12,12 @@ file.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
 import random
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -58,7 +60,9 @@ from hatlens import (
     parse_model,
     suggest_mitigations,
     trace,
+    write_json,
 )
+from hatlens.dsl import _quote
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "report-schema.json"
 
@@ -360,6 +364,43 @@ def test_json_matches_the_json_module_byte_for_byte(seed, categories, max_depth)
         suggestions=suggest_mitigations(table, builtin_mitigations()),
     )
     assert emit_json(bundle) == _json_module_bytes(bundle)
+    out = io.StringIO()
+    write_json(bundle, out)
+    assert out.getvalue() == emit_json(bundle)
+
+
+def test_write_json_never_holds_the_document():
+    tower, bundle = tower_bundle()
+    rng = random.Random(11)
+    origin = bundle.pathways[0].origin
+    pathways = []
+    for _ in range(2000):
+        nodes = tuple(rng.sample(tower.model.nodes, 10))
+        gains = tuple(rng.choice((0.5, 1.0, 1.5, 2.25)) for _ in nodes[1:])
+        total = math.prod(gains)
+        pathways.append(TracePathway(origin, "timely", TraceDirection.DOWNSTREAM, nodes,
+                                     gains, total, Classification.NEUTRAL))
+    big = ReportBundle(bundle.table, pathways, bundle.second_order, bundle.suggestions)
+
+    class Discard:
+        written = 0
+
+        def write(self, text):
+            self.written += len(text)
+
+    sink = Discard()
+    tracemalloc.start()
+    try:
+        write_json(big, sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    expected = _json_module_bytes(big)
+    assert sink.written == len(expected) > 1_000_000
+    assert peak < sink.written / 4
+    out = io.StringIO()
+    write_json(big, out)
+    assert out.getvalue() == expected
 
 
 def test_json_spells_every_number_and_empty_array_as_the_json_module_does():
@@ -427,6 +468,52 @@ def test_dot_with_a_single_pathway_argument_and_no_highlight():
     assert "dashed" not in bare
     assert bare.startswith('digraph "Determine Landing Sequence" {\n')
     assert bare.endswith("}\n")
+
+
+def _dot_clusters_by_lanes_times_nodes(model, highlight):
+    """The lane clusters of a DOT rendering, one scan of the nodes per lane."""
+    lines = [f"digraph {_quote(model.name)} {{", "  rankdir=LR;", "  node [shape=box];"]
+    for lane in model.lanes:
+        lines.append(f"  subgraph {_quote('cluster_' + lane.id)} {{")
+        lines.append(f"    label={_quote(lane.display_name)};")
+        for node in model.nodes:
+            if node.lane_id != lane.id:
+                continue
+            attrs = [f"label={_quote(node.label)}"]
+            if node.id in highlight:
+                attrs.append("penwidth=3")
+            lines.append(f"    {_quote(node.id)} [{', '.join(attrs)}];")
+        lines.append("  }")
+    return "".join(f"{line}\n" for line in lines)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       extra_lanes=st.lists(st.sampled_from(("empty", "lane0", "nowhere")), max_size=3))
+def test_dot_lane_clusters_match_a_scan_per_lane(seed, extra_lanes):
+    rng = random.Random(seed)
+    model = random_model(rng)
+    # Lanes with no node, a repeated lane id, and nodes of an undeclared lane.
+    lanes = list(model.lanes)
+    nodes = list(model.nodes)
+    for index, name in enumerate(extra_lanes):
+        if name == "nowhere":
+            nodes.insert(rng.randint(0, len(nodes)),
+                         dataclasses.replace(nodes[0], id=f"stray{index}", lane_id=name))
+        else:
+            lanes.insert(rng.randint(0, len(lanes)),
+                         dataclasses.replace(lanes[0], id=name, display_name=f"L{index}"))
+    model = dataclasses.replace(model, lanes=lanes, nodes=nodes)
+    pathways = [pathway for interaction in extract_interactions(model)[:1]
+                for direction in TraceDirection
+                for pathway in trace(model, interaction, "timely", direction)]
+    text = emit_dot(model, pathways)
+    clusters = _dot_clusters_by_lanes_times_nodes(
+        model, {node_id for pathway in pathways for node_id in pathway.node_ids()})
+    assert text.startswith(clusters)
+    rest = text[len(clusters):].splitlines()
+    assert len(rest) == len(model.edges) + 1
+    assert all(" -> " in line for line in rest[:-1]) and rest[-1] == "}"
 
 
 def test_dot_rejects_pathways_from_another_model():

@@ -15,6 +15,7 @@ Three independent oracles carry the load:
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from collections import deque
@@ -32,6 +33,7 @@ from hatlens import (
     Placement,
     SpecialisedFailureMode,
     TraceDirection,
+    TracePathway,
     UnknownIdError,
     builtin_mitigations,
     classify,
@@ -328,6 +330,45 @@ def test_pathways_are_simple_maximal_sorted_and_cover_bfs_reachability():
                         f"seed {seed}: coverage mismatch at depth {max_depth}"
                     )
     assert checked >= 100
+
+
+FIELDS = [field.name for field in dataclasses.fields(TracePathway)]
+
+
+def test_traced_pathways_equal_ones_built_through_the_dataclass():
+    checked = 0
+    for seed in range(40):
+        rng = random.Random(5000 + seed)
+        model = add_parallel_edges(random_model(rng), rng)
+        for interaction in extract_interactions(model)[:2]:
+            for direction in TraceDirection:
+                for pathway in trace(model, interaction, "stability", direction):
+                    built = TracePathway(**{name: getattr(pathway, name) for name in FIELDS})
+                    assert type(pathway) is TracePathway
+                    assert vars(pathway) == vars(built)
+                    assert list(vars(pathway)) == FIELDS
+                    assert repr(pathway) == repr(built)
+                    checked += 1
+    assert checked >= 100
+
+
+def test_traced_pathways_stay_frozen_and_replaceable():
+    model, interactions, _, _ = tower_trace_inputs()
+    pathway, *others = trace(model, interaction_by_id(interactions, 3), "stability",
+                             TraceDirection.UPSTREAM)
+    for name in FIELDS:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(pathway, name, getattr(others[0], name))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pathway.extra = 1
+    # The pathways of one trace share their first three fields, never the rest.
+    assert pathway.origin is others[0].origin
+    assert pathway.nodes != others[0].nodes
+    changed = dataclasses.replace(pathway, mode_category="timely", total_gain=2.0)
+    assert (changed.mode_category, changed.total_gain) == ("timely", 2.0)
+    assert (pathway.mode_category, pathway.total_gain) == ("stability", 1.0)
+    assert changed.nodes is pathway.nodes
+    assert vars(dataclasses.replace(pathway)) == vars(pathway)
 
 
 # ---------------------------------------------------------------------------
