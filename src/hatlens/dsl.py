@@ -12,14 +12,12 @@ attributes in canonical order, which are optional, which are ids or
 references to ids, and the converters that parse and write each one.
 ``_read`` parses any statement from its declaration and ``_write`` writes
 any statement from it, so parse and serialize are mutually inverse on valid
-values by construction.  From each declaration, ``_Line`` derives one
-pattern for the keyword's canonical line (the form ``_write`` emits, in any
-spacing); ``_read`` takes a line that matches it without tokenizing, and
-reads any other line token by token, as it does a matching line that a
-converter or an id check rejects, so values and diagnostics do not depend
-on the way a line was read.  The ``parse_*`` functions add only the rules
-no declaration states: one model statement per file, no edge self-loops,
-and ascending sfm ids.  ``docs/dsl-reference.md`` describes the formats for
+values by construction.  ``_read`` has one path for every line: it lexes
+the line with one pattern, sorts the tokens into words, strings and
+attributes by name, and takes each field from them by steps worked out
+once per keyword.  The ``parse_*`` functions add only the rules no
+declaration states: one model statement per file, no edge self-loops, and
+ascending sfm ids.  ``docs/dsl-reference.md`` describes the formats for
 authors.
 
 Parsing is all-or-nothing: a parse either returns the value or raises
@@ -52,7 +50,7 @@ from .model import (
     Stage,
 )
 
-_IDENT = "[a-z][a-z0-9_]*"
+_IDENT = re.compile("[a-z][a-z0-9_]*")
 
 
 @dataclass(frozen=True)
@@ -79,19 +77,18 @@ class DslParseError(ValueError):
 
 _WORD, _STRING, _ATTR = "word", "string", "attr"
 
-
-class _Token(NamedTuple):
-    kind: str  # _WORD, _STRING or _ATTR
-    column: int
-    text: str  # word text, unescaped string, or attribute value (unescaped when quoted)
-    key: str = ""  # attribute name
-
-
 _BODY = r'[^"\\]*(?:\\["\\][^"\\]*)*'  # a string's contents: only \" and \\ escapes
+# One token and the blanks before it, as the groups (blanks, name, value,
+# string, broken): a word (its name), a name=value attribute (its value
+# after the "=", quoted with its quotes or bare) or a quoted string's
+# contents.  Where no token starts, ``broken`` takes the rest of the line,
+# so it is the last token.  Words and names share a group; a word must end
+# where a name would, so a name whose value is broken is not read as a
+# shorter word.
 _TOKEN = re.compile(
-    rf'[ \t]*(?:"(?P<string>{_BODY})"'
-    rf'|(?P<key>[^ \t"=]+)=(?:"(?P<quoted>{_BODY})"|(?!")(?P<bare>[^ \t"]*))'
-    r'|(?P<word>[^ \t"=]+)(?=[ \t"]|\Z))'
+    rf'([ \t]*)(?:([^ \t"=]+)(?:(=(?:"{_BODY}"|(?!")[^ \t"]*))|(?=[ \t"]|\Z))'
+    rf'|"({_BODY})"'
+    r'|([^ \t].*))'
 )
 # The longest well-formed start of a string; where it stops, the string is broken.
 _STRING_START = re.compile(f'"{_BODY}')
@@ -102,49 +99,20 @@ def _unescape(text: str) -> str:
     return _ESCAPE.sub(r"\1", text) if "\\" in text else text
 
 
-def _tokenize(line: str, line_no: int, diags: list[ParseDiagnostic]) -> list[_Token] | None:
-    """The line's tokens, or None after recording its first lexical error."""
-    tokens: list[_Token] = []
-    pos = 0
-    while match := _TOKEN.match(line, pos):
-        kind = match.lastgroup
-        if kind == "word":
-            tokens.append(_Token(_WORD, match.start(kind) + 1, match[kind]))
-        elif kind == "string":
-            tokens.append(_Token(_STRING, match.start(kind), _unescape(match[kind])))
-        else:
-            value = _unescape(match[kind]) if kind == "quoted" else match[kind]
-            tokens.append(_Token(_ATTR, match.start("key") + 1, value, match["key"]))
-        pos = match.end()
-    rest = line[pos:].lstrip(" \t")
-    if not rest:
-        return tokens
-    start = len(line) - len(rest)
-    if rest[0] == "=":
-        diags.append(ParseDiagnostic(line_no, start + 1, "attribute name missing before '='"))
-        return None
-    # Nothing else stops the lexer but a broken string: a token or an attribute value.
-    quote = line.index('"', start)
-    stop = _STRING_START.match(line, quote).end()
-    if stop < len(line):
-        diags.append(ParseDiagnostic(line_no, stop + 1, "unsupported escape sequence"))
-    else:
-        diags.append(ParseDiagnostic(line_no, quote + 1, "unterminated string"))
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Field converters.  A parser raises ValueError with the diagnostic's message.
 
-def _matching(pattern: str, message: str, convert: Callable[[str], object] = str):
+def _matching(pattern: str | re.Pattern, message: str,
+              convert: Callable[[str], object] | None = None):
     """A parser for text that matches ``pattern`` whole, converted by
-    ``convert``; other text fails with ``message`` formatted with the text."""
+    ``convert`` if given; other text fails with ``message`` formatted with
+    the text."""
     regex = re.compile(pattern)
 
     def parse(text: str):
         if regex.fullmatch(text) is None:
             raise ValueError(message.format(text))
-        return convert(text)
+        return text if convert is None else convert(text)
     return parse
 
 
@@ -343,22 +311,47 @@ _MITIGATION = {
 # The generic statement reader and writer.
 
 _BAD = object()  # the value of a required field that is missing, or of any malformed field
-_LEFTOVER = {
-    _WORD: "unexpected token '{0.text}'",
-    _STRING: "unexpected quoted string",
-    _ATTR: "unknown attribute '{0.key}'",
-}
+
+
+def _steps(keyword: str, fields: tuple[_Field, ...]) -> tuple:
+    """What ``_read`` needs of a ``keyword`` statement declared by ``fields``.
+
+    For each field in declared order, (kind, key, attr, parse, missing,
+    unique, refers), where kind is "prefix" for a field that takes every
+    attribute with its prefix, and ``missing`` is the diagnostic for a
+    required field left out (None for an optional one).  Then the attrs of
+    the statement's ids, and of the fields that block declaring them.
+    """
+    steps = []
+    for field in fields:
+        kind = "prefix" if field.key.endswith(".") else field.kind
+        what = f"the {field.key}= attribute" if field.kind == _ATTR else field.key
+        missing = f"{keyword} statement is missing {what}" if field.omit is _REQUIRED else None
+        steps.append((kind, field.key, field.attr, field.parse, missing, field.unique,
+                      field.refers))
+    return (tuple(steps), tuple(field.attr for field in fields if field.unique),
+            tuple(field.attr for field in fields if field.blocking and field.attr))
+
+
+# The steps of each format's statements, worked out once: by file
+# extension, then by keyword.
+_STEPS = {extension: {keyword: _steps(keyword, fields) for keyword, fields in statements.items()}
+          for extension, statements in (("hat", _MODEL), ("lens", _LENS), ("sfm", _SFM),
+                                        ("mit", _MITIGATION))}
 
 
 class _Statement:
     """One statement read by its declaration: each field's value and column."""
 
-    def __init__(self, line: int, keyword: _Token, diags: list[ParseDiagnostic]):
+    __slots__ = ("line", "column", "values", "columns", "diags")
+
+    def __init__(self, line: int, column: int, values: dict[str, object],
+                 columns: dict[str, int], diags: list[ParseDiagnostic]):
         self.line = line
-        self.keyword = keyword
+        self.column = column  # the keyword's
+        self.values = values
+        self.columns = columns
         self.diags = diags
-        self.values: dict[str, object] = {}
-        self.columns: dict[str, int] = {}
 
     def error(self, column: int, message: str) -> None:
         self.diags.append(ParseDiagnostic(self.line, column, message))
@@ -374,204 +367,122 @@ class _Statement:
         """``cls`` from the values given; the others keep their defaults."""
         return cls(**self.values, **extra, line=self.line)
 
-    def split(self, tokens: list[_Token]) -> dict:
-        """The tokens after the keyword by kind, attributes by name; reports
-        repeated attributes."""
-        taken: dict = {_WORD: [], _STRING: [], _ATTR: {}}
-        for token in tokens[1:]:
-            if token.kind != _ATTR:
-                taken[token.kind].append(token)
-            elif token.key in taken[_ATTR]:
-                self.error(token.column, f"duplicate attribute '{token.key}'")
-            else:
-                taken[_ATTR][token.key] = token
-        return taken
 
-    def take(self, field: _Field, taken: dict, ids: dict[str, set]) -> None:
-        """Parse ``field`` from the ``taken`` tokens, checking ids against
-        those declared so far."""
-        attrs = taken[_ATTR]
-        if field.key.endswith("."):
-            found = {}
-            for key in [key for key in attrs if key.startswith(field.key)]:
-                token = attrs.pop(key)
-                try:
-                    if not re.fullmatch(_IDENT, name := key[len(field.key):]):
-                        raise ValueError(f"invalid {field.key[:-1]} category '{name}'")
-                    found[name] = field.parse(token.text)
-                except ValueError as exc:
-                    self.error(token.column, str(exc))
-            self.values[field.attr] = found
-            return
-        if field.kind == _ATTR:
-            token = attrs.pop(field.key, None)
-        else:
-            token = taken[field.kind].pop(0) if taken[field.kind] else None
-        if token is None:
-            if field.omit is _REQUIRED:
-                what = f"the {field.key}= attribute" if field.kind == _ATTR else field.key
-                self.error(self.keyword.column,
-                           f"{self.keyword.text} statement is missing {what}")
-                if field.attr:
-                    self.values[field.attr] = _BAD
-            return
-        keyword = self.keyword.text
-        try:
-            value = field.parse(token.text)
-            if field.unique and value in ids[keyword]:
-                raise ValueError(f"duplicate {keyword} id '{value}'")
-            if field.refers and value not in ids[field.refers]:
-                raise ValueError(f"{keyword} references undeclared {field.refers} '{value}'")
-        except ValueError as exc:
-            self.error(token.column, str(exc))
-            value = _BAD
-        if field.attr:
-            self.values[field.attr] = value
-            self.columns[field.attr] = token.column
-
-
-_VALUE = r'(?:"[^"]*"|[^ \t"]*)'  # an attribute value without escapes, quoted or bare
-_ATTRIBUTE = re.compile(rf'[ \t]+([^ \t"=]+)=({_VALUE})')
-_HEAD = re.compile(r"[^ \t]*")
-
-
-class _Line:
-    """The pattern of a keyword's canonical line, derived from its fields.
-
-    The keyword at column 1, then each field in declared order after spaces
-    or tabs: a word, a quoted string or ``key=value``, an optional field as
-    an optional group, and a prefix field as one run of its attributes.
-    Each field's group captures its whole token.  The pattern is compiled
-    on first use, so a process pays only for the keywords its files use.
-    """
-
-    def __init__(self, keyword: str, fields: tuple[_Field, ...]):
-        self.keyword = _Token(_WORD, 1, keyword)
-        self.fields = fields
-        self.regex: re.Pattern | None = None
-        # What ``read`` needs of each field, unpacked once: its group, where
-        # its value starts in the token (after "key="), whether it is a
-        # prefix run, and its attr, converter and id checks.
-        self.steps = [(group, len(field.key) + 1 if field.kind == _ATTR else 0,
-                       field.key.endswith("."), field.attr, field.parse, field.unique,
-                       field.refers)
-                      for group, field in enumerate(fields, start=1)]
-        self.ids = [field.attr for field in fields if field.unique]
-
-    def _compile(self) -> re.Pattern:
-        parts = [re.escape(self.keyword.text)]
-        for field in self.fields:
-            key = re.escape(field.key)
-            if field.key.endswith("."):
-                parts.append(rf'((?:[ \t]+{key}{_IDENT}={_VALUE})*)')
-                continue
-            if field.kind == _WORD:
-                part = r'[ \t]+([^ \t"=]+)'
-            elif field.kind == _STRING:
-                part = r'[ \t]+("[^"]*")'
-            else:
-                part = rf'[ \t]+({key}={_VALUE})'
-            parts.append(part if field.omit is _REQUIRED else f"(?:{part})?")
-        parts.append(r"[ \t]*")
-        return re.compile("".join(parts))
-
-    def read(self, line: str, line_no: int, ids: dict[str, set],
-             diags: list[ParseDiagnostic]) -> _Statement | None:
-        """The statement on ``line``, with the values and columns the general
-        reader would give, if the line has no backslash, matches, and every
-        converter and id check accepts it; otherwise None, having changed
-        nothing, so that the general reader reports the line's problems."""
-        if "\\" in line:
-            return None
-        if self.regex is None:
-            self.regex = self._compile()
-        match = self.regex.fullmatch(line)
-        if match is None:
-            return None
-        keyword = self.keyword.text
-        statement = _Statement(line_no, self.keyword, diags)
-        values, columns = statement.values, statement.columns
-        try:
-            for group, skip, prefix, attr, parse, unique, refers in self.steps:
-                token = match[group]
-                if token is None:  # an optional field left out
-                    continue
-                if prefix:
-                    found = {}
-                    for key, text in _ATTRIBUTE.findall(token):
-                        name = key[skip - 1:]  # what follows the prefix
-                        if name in found:
-                            return None
-                        found[name] = parse(text[1:-1] if text[:1] == '"' else text)
-                    values[attr] = found
-                    continue
-                text = token[skip:]
-                value = parse(text[1:-1] if text[:1] == '"' else text)
-                if unique and value in ids[keyword] or refers and value not in ids[refers]:
-                    return None
-                if attr:
-                    values[attr] = value
-                    columns[attr] = match.start(group) + 1
-        except ValueError:
-            return None
-        for attr in self.ids:
-            ids[keyword].add(values[attr])
-        return statement
-
-
-# Statement keywords are unique across the four formats.
-_LINES = {keyword: _Line(keyword, fields)
-          for statements in (_MODEL, _LENS, _SFM, _MITIGATION)
-          for keyword, fields in statements.items()}
-
-
-def _read(text: str, statements: dict[str, tuple[_Field, ...]], words_only: bool,
+def _read(text: str, steps: dict[str, tuple], unknown_repeats: bool,
           diags: list[ParseDiagnostic]) -> dict[str, list[_Statement]]:
-    """Every statement of ``text`` read by its declaration in ``statements``,
-    by keyword in file order, recording every lexical, keyword, attribute,
-    field and id problem in ``diags``.  With ``words_only`` (``.hat`` and
-    ``.lens``), a line must start with a word, and a line whose word is not
-    a keyword still has its attributes checked for repeats; otherwise
-    (``.sfm`` and ``.mit``) any other first token is an unknown keyword."""
-    read: dict[str, list[_Statement]] = {keyword: [] for keyword in statements}
-    ids: dict[str, set] = {keyword: set() for keyword in statements}
+    """Every statement of ``text`` read by its keyword's steps in
+    ``steps`` (one format's table in ``_STEPS``), by keyword in file order,
+    recording every lexical, keyword, attribute, field and id problem in
+    ``diags``.  A line must lex and start with a word; with
+    ``unknown_repeats`` (``.hat`` and ``.lens``), a line whose word is not
+    a keyword still has its attributes checked for repeats."""
+    read: dict[str, list[_Statement]] = {keyword: [] for keyword in steps}
+    ids: dict[str, set] = {keyword: set() for keyword in steps}
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.rstrip("\r")
         stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        if not stripped or stripped[0] == "#":
             continue
-        head = _HEAD.match(line)[0]
-        pattern = _LINES.get(head) if head in statements else None
-        if pattern is not None:
-            statement = pattern.read(line, line_no, ids, diags)
-            if statement is not None:
-                read[head].append(statement)
+        tokens = _TOKEN.findall(line)
+        broken = tokens[-1][4]
+        if broken:
+            start = len(line) - len(broken)
+            if broken[0] == "=":
+                diags.append(ParseDiagnostic(line_no, start + 1,
+                                             "attribute name missing before '='"))
                 continue
-        tokens = _tokenize(line, line_no, diags)
-        if not tokens:
+            # Nothing else stops the lexer but a broken string: a token or an attribute value.
+            quote = line.index('"', start)
+            stop = _STRING_START.match(line, quote).end()
+            if stop < len(line):
+                diags.append(ParseDiagnostic(line_no, stop + 1, "unsupported escape sequence"))
+            else:
+                diags.append(ParseDiagnostic(line_no, quote + 1, "unterminated string"))
             continue
-        keyword = tokens[0]
-        if words_only and keyword.kind != _WORD:
-            diags.append(ParseDiagnostic(line_no, keyword.column,
-                                         "expected a statement keyword"))
+        blanks, keyword, value = tokens[0][:3]
+        at = len(blanks) + 1  # the keyword's column
+        if not keyword or value:
+            diags.append(ParseDiagnostic(line_no, at, "expected a statement keyword"))
             continue
-        fields = statements.get(keyword.text) if keyword.kind == _WORD else None
-        statement = _Statement(line_no, keyword, diags)
-        if fields is None:
-            if words_only:
-                statement.split(tokens)
-            what = keyword.text if keyword.kind == _WORD else "a quoted string"
-            statement.error(keyword.column, f"unknown keyword '{what}'")
+        known = keyword in steps
+        if not known:
+            diags.append(ParseDiagnostic(line_no, at, f"unknown keyword '{keyword}'"))
+            if not unknown_repeats:
+                continue
+        # The tokens after the keyword, each with its column: words and
+        # strings in order, attributes by name.
+        words, strings, attrs = [], [], {}
+        column = at + len(keyword)
+        for blanks, name, value, string, _ in tokens[1:]:
+            column += len(blanks)
+            if not name:
+                strings.append((column, _unescape(string)))
+                column += len(string) + 2
+            elif not value:
+                words.append((column, name))
+                column += len(name)
+            else:  # an attribute; its value starts with the "="
+                if name in attrs:
+                    diags.append(ParseDiagnostic(line_no, column, f"duplicate attribute '{name}'"))
+                else:
+                    attrs[name] = (column, _unescape(value[2:-1]) if value[1:2] == '"'
+                                   else value[1:])
+                column += len(name) + len(value)
+        if not known:
             continue
-        taken = statement.split(tokens)
-        for field in fields:
-            statement.take(field, taken, ids)
-        for token in [*taken[_WORD], *taken[_STRING], *taken[_ATTR].values()]:
-            statement.error(token.column, _LEFTOVER[token.kind].format(token))
-        for field in fields:
-            if field.unique and statement.good(*(f.attr for f in fields if f.blocking)):
-                ids[keyword.text].add(statement.values[field.attr])
-        read[keyword.text].append(statement)
+        # Each field in declared order, its ids checked against those declared so far.
+        fields, unique_attrs, blocking = steps[keyword]
+        values: dict[str, object] = {}
+        columns: dict[str, int] = {}
+        for kind, key, attr, parse, missing, unique, refers in fields:
+            if kind == _ATTR:
+                token = attrs.pop(key, None)
+            elif kind == _WORD:
+                token = words.pop(0) if words else None
+            elif kind == _STRING:
+                token = strings.pop(0) if strings else None
+            else:  # a prefix field: every attribute whose name starts with ``key``
+                found = {}
+                for name in [name for name in attrs if name.startswith(key)]:
+                    column, text = attrs.pop(name)
+                    name = name[len(key):]
+                    try:
+                        if _IDENT.fullmatch(name) is None:
+                            raise ValueError(f"invalid {key[:-1]} category '{name}'")
+                        found[name] = parse(text)
+                    except ValueError as exc:
+                        diags.append(ParseDiagnostic(line_no, column, str(exc)))
+                values[attr] = found
+                continue
+            if token is None:
+                if missing:
+                    diags.append(ParseDiagnostic(line_no, at, missing))
+                    if attr:
+                        values[attr] = _BAD
+                continue
+            column, text = token
+            try:
+                value = parse(text)
+                if unique and value in ids[keyword]:
+                    raise ValueError(f"duplicate {keyword} id '{value}'")
+                if refers and value not in ids[refers]:
+                    raise ValueError(f"{keyword} references undeclared {refers} '{value}'")
+            except ValueError as exc:
+                diags.append(ParseDiagnostic(line_no, column, str(exc)))
+                value = _BAD
+            if attr:
+                values[attr] = value
+                columns[attr] = column
+        for column, text in words:
+            diags.append(ParseDiagnostic(line_no, column, f"unexpected token '{text}'"))
+        for column, _ in strings:
+            diags.append(ParseDiagnostic(line_no, column, "unexpected quoted string"))
+        for key, (column, _) in attrs.items():
+            diags.append(ParseDiagnostic(line_no, column, f"unknown attribute '{key}'"))
+        # The ids count as declared once every field that blocks them is well-formed.
+        if unique_attrs and _BAD not in map(values.get, blocking):
+            ids[keyword].update(values[attr] for attr in unique_attrs)
+        read[keyword].append(_Statement(line_no, at, values, columns, diags))
     return read
 
 
@@ -610,7 +521,7 @@ def _join_groups(groups: list[list[str]]) -> str:
 def parse_model(text: str) -> Ooda2Model:
     """Parse a ``.hat`` document; raises DslParseError on any problem."""
     diags: list[ParseDiagnostic] = []
-    read = _read(text, _MODEL, True, diags)
+    read = _read(text, _STEPS["hat"], True, diags)
     model: _Statement | None = None
     for statement in read["model"]:
         # The name is checked here, not by its field: a repeated model
@@ -618,7 +529,7 @@ def parse_model(text: str) -> Ooda2Model:
         if not statement.good("name"):
             continue
         if model is not None:
-            statement.error(statement.keyword.column, "duplicate model statement")
+            statement.error(statement.column, "duplicate model statement")
         elif not statement.values["name"]:
             statement.reject("name", "model name must be non-empty")
         else:
@@ -641,7 +552,7 @@ def parse_model(text: str) -> Ooda2Model:
 def parse_lens_catalog(text: str) -> LensCatalog:
     """Parse a ``.lens`` document; raises DslParseError on any problem."""
     diags: list[ParseDiagnostic] = []
-    read = _read(text, _LENS, True, diags)
+    read = _read(text, _STEPS["lens"], True, diags)
     _finish(diags)
     modes = [mode.build(GenericFailureMode) for mode in read["mode"]]
     return LensCatalog(lenses=[
@@ -653,7 +564,7 @@ def parse_lens_catalog(text: str) -> LensCatalog:
 def parse_sfm_bindings(text: str) -> list[SpecialisedFailureMode]:
     """Parse a ``.sfm`` document; raises DslParseError on any problem."""
     diags: list[ParseDiagnostic] = []
-    read = _read(text, _SFM, False, diags)
+    read = _read(text, _STEPS["sfm"], False, diags)
     previous: int | None = None
     for sfm in read["sfm"]:
         if sfm.good("sfm_id"):
@@ -669,7 +580,7 @@ def parse_sfm_bindings(text: str) -> list[SpecialisedFailureMode]:
 def parse_mitigation_catalog(text: str) -> list[Mitigation]:
     """Parse a ``.mit`` document; raises DslParseError on any problem."""
     diags: list[ParseDiagnostic] = []
-    read = _read(text, _MITIGATION, False, diags)
+    read = _read(text, _STEPS["mit"], False, diags)
     _finish(diags)
     return [mit.build(Mitigation) for mit in read["mitigation"]]
 

@@ -204,12 +204,12 @@ def validate(
     """Check a model and return every diagnostic, deterministically ordered.
 
     Referential problems (duplicate ids, dangling references, self-loops,
-    lane kind on the wrong side, response categories or mitigation ids the
-    loaded catalogs do not know) are always errors.  OBSERVE_TARGET is an
-    error under Strict and a warning under Lenient; STAGE_ORDER is always a
-    warning.  A model with no boundary-crossing edge gets a NO_INTERACTIONS
-    warning.  ``lens_catalog`` / ``mitigation_catalog`` default to the
-    builtins.
+    lane kind on the wrong side, cause or response categories or mitigation
+    ids the loaded catalogs do not know) are always errors.  OBSERVE_TARGET
+    is an error under Strict and a warning under Lenient; STAGE_ORDER is
+    always a warning.  A model with no boundary-crossing edge gets a
+    NO_INTERACTIONS warning.  ``lens_catalog`` / ``mitigation_catalog``
+    default to the builtins.
     """
     # Imported here: the catalog modules sit above this one in the package.
     from .lenses import builtin_catalog
@@ -252,13 +252,15 @@ def validate(
                 f"node '{node.id}' references undeclared lane '{node.lane_id}'",
                 node.line,
             ))
-        for category in node.response:
-            if category not in known_categories:
-                diags.append(Diagnostic(
-                    err, "UNKNOWN_CATEGORY",
-                    f"node '{node.id}' response category '{category}' is not in the loaded lens catalog",
-                    node.line,
-                ))
+        for what, categories in (("cause", node.causes), ("response", node.response)):
+            for category in categories:
+                if category not in known_categories:
+                    diags.append(Diagnostic(
+                        err, "UNKNOWN_CATEGORY",
+                        f"node '{node.id}' {what} category '{category}' is not in the loaded "
+                        "lens catalog",
+                        node.line,
+                    ))
         for mit_id in node.mitigation_ids:
             if mit_id not in known_mitigations:
                 diags.append(Diagnostic(

@@ -7,6 +7,7 @@ against the bundled golden files where one exists.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import gc
 import io
@@ -17,6 +18,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hatlens import builtin_catalog, parse_lens_catalog
 from hatlens import cli
@@ -482,10 +485,21 @@ class TestValidate:
         assert out == ""
         assert "error: UNKNOWN_MITIGATION" in err
 
-    def test_no_builtin_rejects_builtin_categories(self, capsys):
+    def test_no_builtin_rejects_builtin_categories(self, capsys, tmp_path):
+        # The ATC lens has the categories of the model's responses but not
+        # the robustness of its cause= tags.
+        robustness = tmp_path / "robustness.lens"
+        robustness.write_text(
+            'lens extra "Extra"\n'
+            'mode extra_rob lens=extra direction=m2h category=robustness "Rob" question="?"\n',
+            encoding="utf-8")
         code, out, err = invoke(capsys, "map", MODEL, "--no-builtin",
-                                "--lens", LENS)
+                                "--lens", LENS, "--lens", str(robustness))
         assert code == EXIT_OK
+        code, out, err = invoke(capsys, "map", MODEL, "--no-builtin", "--lens", LENS)
+        assert code == EXIT_FINDINGS
+        assert out == ""
+        assert "error: UNKNOWN_CATEGORY: node 'm_ingest' cause category 'robustness'" in err
         code, out, err = invoke(capsys, "map", MODEL, "--no-builtin")
         assert code == EXIT_FINDINGS
         assert out == ""
@@ -568,3 +582,29 @@ class TestFilesAndUsage:
             [sys.executable, "-W", "error", "-m", "hatlens.cli", "validate", MODEL],
             env=env, capture_output=True, text=True, timeout=120)
         assert (result.returncode, result.stderr) == (EXIT_OK, "")
+
+
+# ---------------------------------------------------------------------------
+# Any argument list ends in an exit code, never in an exception.
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_any_argv_ends_in_an_exit_code(tmp_path_factory, data):
+    out = tmp_path_factory.getbasetemp() / "argv"
+    out.mkdir(exist_ok=True)
+    words = st.sampled_from([
+        *SUBCOMMANDS, MODEL, LENS, SFM, MIT, MINIMAL, str(out / "missing.hat"),
+        "--lens", "--mit", "--sfm", "--no-builtin", "--strict", "--export", "--help",
+        "--interaction", "--category", "--direction", "--max-depth", "--format",
+        "-o", "--output", str(out / "out.txt"), str(out), str(out / "no" / "out.txt"),
+        "1", "4", "0", "99", "-1", "x", "\u0661", "stability", "timely", "nope",
+        "up", "down", "both", "text", "json", "dot", "csv", "md", "",
+    ])
+    argv = data.draw(st.one_of(
+        st.tuples(st.sampled_from(SUBCOMMANDS), st.lists(words, max_size=12))
+        .map(lambda parts: [parts[0], *parts[1]]),
+        st.lists(words, max_size=12),
+    ))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = run(argv)
+    assert code in (EXIT_OK, EXIT_FINDINGS, EXIT_USAGE), argv

@@ -9,7 +9,6 @@ all-or-nothing semantics, and the sorted multi-error report.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 import re
 
@@ -18,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURE_ROOT, random_model
-from hatlens import dsl
 from hatlens import (
     ActionNode,
     ActivityEdge,
@@ -217,9 +215,12 @@ def test_attribute_name_missing_before_equals():
     assert (diag.line, diag.message) == (6, "attribute name missing before '='")
 
 
-def test_statement_starting_with_a_string_is_rejected():
-    diag = sole_diagnostic(parse_model, '"Demo"\nmodel "Demo"\n')
-    assert (diag.line, diag.column, diag.message) == (1, 1, "expected a statement keyword")
+@pytest.mark.parametrize("parse", [parse_model, parse_lens_catalog, parse_sfm_bindings,
+                                   parse_mitigation_catalog])
+@pytest.mark.parametrize("line, column", [("x=1 foo", 1), ('\t "Demo" foo', 3)])
+def test_statement_starting_with_a_string_or_attribute_is_rejected(parse, line, column):
+    diag = sole_diagnostic(parse, line + "\n")
+    assert (diag.line, diag.column, diag.message) == (1, column, "expected a statement keyword")
 
 
 # ---------------------------------------------------------------------------
@@ -633,16 +634,16 @@ def test_sfm_serialization_matches_value():
 
 
 # ---------------------------------------------------------------------------
-# Canonical lines are read by one pattern per keyword; every other line by
-# the general reader.  Values and diagnostics do not depend on which.
+# Fuzzing: any text either parses or gives diagnostics that lie in the text,
+# as do serialized random values with their lines mutated.
 
+# Each parser's random values and serializer.
 FORMATS = {
-    "hat": (st.integers(0, 2**32).map(lambda seed: random_model(random.Random(seed), 8)),
-            parse_model, serialize_model, dsl._MODEL, True),
-    "lens": (lens_catalogs(), parse_lens_catalog, serialize_lens_catalog, dsl._LENS, True),
-    "sfm": (sfm_lists(), parse_sfm_bindings, serialize_sfm_bindings, dsl._SFM, False),
-    "mit": (mitigation_catalogs(), parse_mitigation_catalog, serialize_mitigation_catalog,
-            dsl._MITIGATION, False),
+    parse_model: (st.integers(0, 2**32).map(lambda seed: random_model(random.Random(seed), 8)),
+                  serialize_model),
+    parse_lens_catalog: (lens_catalogs(), serialize_lens_catalog),
+    parse_sfm_bindings: (sfm_lists(), serialize_sfm_bindings),
+    parse_mitigation_catalog: (mitigation_catalogs(), serialize_mitigation_catalog),
 }
 
 # A token: a run of characters other than spaces and tabs, quoted strings included.
@@ -722,63 +723,7 @@ def mutated(draw, text: str) -> str:
     return "\n".join(out)
 
 
-def _lines_of(value):
-    """Every ``line`` in a parsed value, which neither ``==`` nor ``repr`` sees."""
-    if isinstance(value, (list, tuple)):
-        return [_lines_of(item) for item in value]
-    if dataclasses.is_dataclass(value):
-        return [getattr(value, "line", None),
-                *(_lines_of(getattr(value, field.name)) for field in dataclasses.fields(value))]
-    return None
-
-
-def _outcome(fmt, text):
-    """What parsing ``text`` gives: the value's ``repr`` and lines, or the
-    diagnostics; and each statement's values and their columns."""
-    _, parse, _, statements, words_only = FORMATS[fmt]
-    read = dsl._read(text, statements, words_only, [])
-    fields = [(s.line, s.keyword, s.values, s.columns) for each in read.values() for s in each]
-    try:
-        value = parse(text)
-    except DslParseError as exc:
-        return [(d.line, d.column, d.message) for d in exc.diagnostics], fields
-    return repr(value), _lines_of(value), fields
-
-
-@pytest.mark.parametrize("fmt", FORMATS)
-@settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_pattern_and_general_reader_agree(fmt, data):
-    values, _, serialize, _, _ = FORMATS[fmt]
-    text = data.draw(mutated(serialize(data.draw(values))))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dsl, "_LINES", {})
-        general = _outcome(fmt, text)
-    assert _outcome(fmt, text) == general
-
-
-@pytest.mark.parametrize("fmt", FORMATS)
-@settings(max_examples=50, deadline=None)
-@given(data=st.data())
-def test_canonical_lines_without_backslashes_skip_the_general_reader(fmt, data):
-    values, parse, serialize, _, _ = FORMATS[fmt]
-    text = serialize(data.draw(values))
-    tokenized = []
-    original = dsl._tokenize
-
-    def tokenize(line, line_no, diags):
-        tokenized.append(line)
-        return original(line, line_no, diags)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dsl, "_tokenize", tokenize)
-        parse(text)
-    assert tokenized == [line for line in text.split("\n") if "\\" in line]
-
-
-@pytest.mark.parametrize("parse", [parse_model, parse_lens_catalog, parse_sfm_bindings,
-                                   parse_mitigation_catalog])
-@settings(max_examples=300, deadline=None)
-@given(text=st.one_of(
+_ANY_TEXT = st.one_of(
     st.text(),
     st.text(alphabet='model lane node edge lens mode sfm mitigation ->=".\\#,:\t\r\n01a'),
     st.lists(st.sampled_from(
@@ -788,9 +733,20 @@ def test_canonical_lines_without_backslashes_skip_the_general_reader(fmt, data):
          "interaction=1", "category=a", "placement=node", "direction=m2h", "lens=l",
          "damping=", "detail=", "benign=", "question=", "cause=", "mitigation="])
     ).map("".join),
-))
-def test_any_text_parses_or_raises_a_parse_error(parse, text):
+)
+
+
+@pytest.mark.parametrize("parse", FORMATS)
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_any_text_parses_or_raises_a_parse_error(parse, data):
+    values, serialize = FORMATS[parse]
+    text = data.draw(st.one_of(_ANY_TEXT, values.map(serialize).flatmap(mutated)))
     try:
         parse(text)
     except DslParseError as exc:
         assert exc.diagnostics
+        lines = [line.rstrip("\r") for line in text.split("\n")]
+        for diag in exc.diagnostics:
+            assert 1 <= diag.line <= len(lines), diag
+            assert 1 <= diag.column <= len(lines[diag.line - 1]) + 1, diag

@@ -124,6 +124,18 @@ def test_unknown_response_category_is_error():
     assert "'warp'" in diags[0].message
 
 
+def test_unknown_cause_category_is_error():
+    model = _two_lane_model()
+    model.nodes[0].causes.extend(["stability", "no_such_category"])
+    diags = [d for d in validate(model) if d.code == "UNKNOWN_CATEGORY"]
+    assert [(d.severity, d.message) for d in diags] == [(
+        Severity.ERROR,
+        f"node '{model.nodes[0].id}' cause category 'no_such_category' is not in the loaded "
+        "lens catalog",
+    )]
+    assert has_errors(diags)
+
+
 def test_unknown_mitigation_on_node_and_edge_is_error():
     model = _two_lane_model()
     model.nodes[0].mitigation_ids.append("magic")
