@@ -15,9 +15,15 @@ and flags always produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import codecs
+import contextlib
+import errno
 import gc
+import os
+import stat
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Sequence
 
 from .dsl import (
@@ -129,15 +135,40 @@ def _inputs(args) -> tuple[LensCatalog, list[Mitigation], Ooda2Model]:
 
 def _output(args, write) -> None:
     """Call ``write`` with the data's destination: the ``-o`` file, or
-    standard output."""
-    if not args.output:
-        write(sys.stdout)
-        return
+    standard output.  The data is UTF-8 either way.  A failed write is a
+    usage error, and it leaves no partial ``-o`` file behind."""
+    opened = None
     try:
+        if not args.output:
+            _to_stdout(write)
+            return
         with open(args.output, "w", encoding="utf-8", newline="") as handle:
+            opened = os.fstat(handle.fileno())
             write(handle)
     except OSError as exc:
-        _fail(f"cannot write {args.output}: {exc.strerror or exc}", EXIT_USAGE)
+        # Remove only the regular file opened above, and only while the path
+        # still names it: never a device, a FIFO or a symlink's target.
+        with contextlib.suppress(OSError):
+            if opened is not None and stat.S_ISREG(opened.st_mode) and os.path.samestat(
+                    opened, os.lstat(args.output)):
+                os.remove(args.output)
+        _fail(f"cannot write {args.output or 'standard output'}: "
+              f"{exc.strerror or exc}", EXIT_USAGE)
+
+
+def _to_stdout(write) -> None:
+    # A stdout in another encoding gets the bytes of ``-o`` through its
+    # binary buffer; one that is UTF-8 already, or has no buffer, as is.
+    out = sys.stdout
+    if out is None:  # the process started with standard output closed
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    if hasattr(out, "buffer") and codecs.lookup(out.encoding).name != "utf-8":
+        out.flush()
+        binary = out.buffer
+        out = SimpleNamespace(write=lambda text: binary.write(text.encode("utf-8")),
+                              flush=binary.flush)
+    write(out)
+    out.flush()
 
 
 def _write(args, text: str) -> None:
@@ -407,7 +438,20 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    return run(argv)
+    code = run(argv)
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        # What is left in the buffer goes to the null device, so that the
+        # flush at exit stays quiet.  ``run`` has reported a failed data
+        # write; only the help text can get here unreported.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if code == EXIT_OK:
+            print(f"error: cannot write standard output: {exc.strerror or exc}",
+                  file=sys.stderr)
+            code = EXIT_USAGE
+    return code
 
 
 if __name__ == "__main__":

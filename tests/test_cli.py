@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import errno
 import gc
 import io
 import json
@@ -270,6 +271,23 @@ def _counting(monkeypatch, calls: list[str], *names: str) -> None:
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(cli, name, counted)
+
+
+class _PipeClosedAfter(io.RawIOBase):
+    """A pipe whose reader goes away after ``room`` bytes."""
+
+    def __init__(self, room: int):
+        self.room = room
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, data) -> int:
+        if not self.room:
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+        taken = min(len(data), self.room)
+        self.room -= taken
+        return taken
 
 
 class TestCallsAndCollector:
@@ -552,6 +570,91 @@ class TestFilesAndUsage:
         assert out == ""
         assert err.startswith(f"error: cannot write {tmp_path}:")
 
+    def test_stdout_closed_partway_is_a_usage_error(self, capsys, monkeypatch):
+        pipe = _PipeClosedAfter(100)
+        stdout = io.TextIOWrapper(io.BufferedWriter(pipe, buffer_size=64), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = run(["trace", MODEL, *TRACE_BOTH, "--format", "json"])
+        assert (code, pipe.room) == (EXIT_USAGE, 0)
+        assert capsys.readouterr().err == "error: cannot write standard output: Broken pipe\n"
+        pipe.room = sys.maxsize  # let the wrapper's flush on close succeed
+        stdout.close()
+
+    @pytest.mark.parametrize("command, stdout, reason", [
+        ("lenses", "closed-pipe", "Broken pipe"), ("--help", "closed-pipe", "Broken pipe"),
+        ("lenses", "closed", "Bad file descriptor"),
+    ])
+    def test_an_unwritable_stdout_gives_one_line_and_exit_2(self, command, stdout, reason):
+        # Run as a process with a buffered stdout: the interpreter's own
+        # flush at exit must not add an "Exception ignored" line.
+        env = dict(os.environ, PYTHONPATH=str(FIXTURE_ROOT.parent.parent))
+        env.pop("PYTHONUNBUFFERED", None)
+        reader, writer = os.pipe()
+        os.close(reader)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "hatlens.cli", command], stdout=writer,
+                stderr=subprocess.PIPE, text=True, timeout=120, env=env,
+                preexec_fn=(lambda: os.close(1)) if stdout == "closed" else None)
+        finally:
+            os.close(writer)
+        assert (result.returncode, result.stderr) == (
+            EXIT_USAGE, f"error: cannot write standard output: {reason}\n")
+
+    def test_stdout_in_another_encoding_gets_the_bytes_of_the_output_file(
+            self, capsys, monkeypatch, tmp_path):
+        target = tmp_path / "out.lens"
+        assert invoke(capsys, "lenses", "--export", "-o", str(target)) == (EXIT_OK, "", "")
+        assert "\u2019" in target.read_text(encoding="utf-8")
+        binary = io.BytesIO()
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(binary, encoding="ascii"))
+        assert run(["lenses", "--export"]) == EXIT_OK
+        assert binary.getvalue() == target.read_bytes()
+        # A stdout with no binary buffer gets the text.
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        assert run(["lenses", "--export"]) == EXIT_OK
+        assert sys.stdout.getvalue() == target.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("kind", ["existing", "fifo"])
+    def test_a_failed_output_write_leaves_no_partial_file(self, capsys, monkeypatch,
+                                                          tmp_path, kind):
+        def fail_partway(bundle, out):
+            out.write('{"pathways": [')
+            raise OSError(errno.EFBIG, "File too large")
+
+        monkeypatch.setattr(cli, "write_json", fail_partway)
+        target = tmp_path / "out.json"
+        if kind == "existing":
+            target.write_text("earlier output\n", encoding="utf-8")
+        else:
+            os.mkfifo(target)
+            reader = os.open(target, os.O_RDONLY | os.O_NONBLOCK)
+        code, out, err = invoke(capsys, "trace", MODEL, *TRACE_BOTH, "--format", "json",
+                                "-o", str(target))
+        if kind == "fifo":
+            os.close(reader)
+        assert (code, out, err) == (EXIT_USAGE, "",
+                                    f"error: cannot write {target}: File too large\n")
+        # A regular file the command opened is removed; a FIFO is not its to remove.
+        assert target.exists() == (kind == "fifo")
+
+    def test_an_output_file_over_the_size_limit_is_removed(self, tmp_path):
+        # A real write error, partway through a new file.
+        resource = pytest.importorskip("resource")
+        target = tmp_path / "out.json"
+
+        def limit_file_size():
+            resource.setrlimit(resource.RLIMIT_FSIZE, (1024, 1024))
+
+        result = subprocess.run(
+            [sys.executable, "-m", "hatlens.cli", "report", MODEL, "--format", "json",
+             *TRACE_BOTH, "-o", str(target)],
+            capture_output=True, text=True, timeout=120, preexec_fn=limit_file_size,
+            env=dict(os.environ, PYTHONPATH=str(FIXTURE_ROOT.parent.parent)))
+        assert (result.returncode, result.stderr) == (
+            EXIT_USAGE, f"error: cannot write {target}: File too large\n")
+        assert not target.exists()
+
     def test_unknown_subcommand_and_missing_subcommand(self, capsys):
         code, out, err = invoke(capsys, "frobnicate")
         assert code == EXIT_USAGE
@@ -605,6 +708,12 @@ def test_any_argv_ends_in_an_exit_code(tmp_path_factory, data):
         .map(lambda parts: [parts[0], *parts[1]]),
         st.lists(words, max_size=12),
     ))
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = run(argv)
+    # In a scratch directory: a drawn "-o <word>" writes a file named <word>.
+    cwd = os.getcwd()
+    os.chdir(out)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = run(argv)
+    finally:
+        os.chdir(cwd)
     assert code in (EXIT_OK, EXIT_FINDINGS, EXIT_USAGE), argv

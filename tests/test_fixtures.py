@@ -108,14 +108,29 @@ def test_minimal_shape():
 
 
 def test_the_cli_does_not_import_the_fixture_helpers():
-    # The package resolves them on first use, so a CLI run never pays for them.
+    # The package resolves every public name on first use, so a bare import
+    # loads no submodule and a CLI run never pays for the fixture helpers.
     code = (
-        "import sys, hatlens.cli\n"
+        "import importlib, inspect, sys, hatlens\n"
+        "loaded = [name for name in sys.modules if name.startswith('hatlens.')]\n"
+        "assert loaded == [], loaded\n"
+        "assert set(hatlens.__all__) <= set(dir(hatlens))\n"
+        "assert hatlens.report.emit_json is hatlens.emit_json\n"
+        "import hatlens.cli\n"
         "assert 'hatlens.fixtures' not in sys.modules, 'imported with the CLI'\n"
         "from hatlens import GoldenFixture, regenerate\n"
-        "import hatlens, hatlens.fixtures\n"
+        "import hatlens.fixtures\n"
         "assert (GoldenFixture, regenerate) == "
         "(hatlens.fixtures.GoldenFixture, hatlens.fixtures.regenerate)\n"
+        "homes = {name: module for module, names in hatlens._EXPORTS.items() "
+        "for name in names}\n"
+        "assert sorted(homes) == hatlens.__all__\n"
+        "for name, module in homes.items():\n"
+        "    home = importlib.import_module('hatlens.' + module)\n"
+        "    value = getattr(hatlens, name)\n"
+        "    assert value is getattr(home, name), name\n"
+        "    if inspect.isclass(value) or inspect.isfunction(value):\n"
+        "        assert value.__module__ == home.__name__, name\n"
         "names = {}\n"
         "exec('from hatlens import *', names)\n"
         "assert set(hatlens.__all__) <= set(names)\n"
