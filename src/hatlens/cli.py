@@ -64,9 +64,10 @@ class _CliError(Exception):
         self.code = code
 
 
-def _fail(message: str, code: int = EXIT_FINDINGS) -> None:
+def _fail(message: str) -> None:
+    """Stop the command as a usage error, with ``message``."""
     print(f"error: {message}", file=sys.stderr)
-    raise _CliError(code)
+    raise _CliError(EXIT_USAGE)
 
 
 def _read(path: str) -> str:
@@ -74,9 +75,9 @@ def _read(path: str) -> str:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
-        _fail(f"cannot read {path}: {exc.strerror or exc}", EXIT_USAGE)
+        _fail(f"cannot read {path}: {exc.strerror or exc}")
     except UnicodeDecodeError as exc:
-        _fail(f"cannot read {path}: {exc}", EXIT_USAGE)
+        _fail(f"cannot read {path}: {exc}")
 
 
 def _parse_file(path: str, parser):
@@ -95,21 +96,17 @@ def load_catalogs(lens_paths: Sequence[str | Path] = (),
                   builtin_lenses: bool = True) -> tuple[LensCatalog, list[Mitigation]]:
     """The lens and mitigation catalogs of a run: the builtins (the builtin
     lenses only if ``builtin_lenses``) followed by each file in order.  A file
-    that does not parse, or that repeats a lens, mode or mitigation id,
-    stops the run."""
+    that does not parse stops the run; one that repeats a lens, mode or
+    mitigation id raises ``CatalogError``."""
     catalog = builtin_catalog() if builtin_lenses else LensCatalog(lenses=[])
     for path in lens_paths:
-        extra = _parse_file(path, parse_lens_catalog)
-        try:
-            catalog = merge_catalogs(catalog, extra)
-        except CatalogError as exc:
-            _fail(str(exc))
+        catalog = merge_catalogs(catalog, _parse_file(path, parse_lens_catalog))
     mitigations = list(builtin_mitigations())
     seen = {mit.id for mit in mitigations}
     for path in mit_paths:
         for mit in _parse_file(path, parse_mitigation_catalog):
             if mit.id in seen:
-                _fail(f"duplicate mitigation id '{mit.id}' from {path}")
+                raise CatalogError(f"duplicate mitigation id '{mit.id}' from {path}")
             seen.add(mit.id)
             mitigations.append(mit)
     return catalog, mitigations
@@ -146,14 +143,18 @@ def _output(args, write) -> None:
             opened = os.fstat(handle.fileno())
             write(handle)
     except OSError as exc:
-        # Remove only the regular file opened above, and only while the path
-        # still names it: never a device, a FIFO or a symlink's target.
+        # The regular file opened above is emptied while the path, followed
+        # through links, still leads to it, so that no other name of it keeps
+        # partial data, and removed only while the path itself names it: a
+        # device, a FIFO and a symlink's target are never removed.
         with contextlib.suppress(OSError):
             if opened is not None and stat.S_ISREG(opened.st_mode) and os.path.samestat(
-                    opened, os.lstat(args.output)):
-                os.remove(args.output)
+                    opened, os.stat(args.output)):
+                os.truncate(args.output, 0)
+                if os.path.samestat(opened, os.lstat(args.output)):
+                    os.remove(args.output)
         _fail(f"cannot write {args.output or 'standard output'}: "
-              f"{exc.strerror or exc}", EXIT_USAGE)
+              f"{exc.strerror or exc}")
 
 
 def _to_stdout(write) -> None:
@@ -177,51 +178,28 @@ def _write(args, text: str) -> None:
 
 def _build_table(args, interactions: list[Interaction], catalog: LensCatalog):
     table = map_failure_modes(interactions, catalog)
-    sfms = []
-    if args.sfm:
-        sfms = _parse_file(args.sfm, parse_sfm_bindings)
-        try:
-            table = apply_specialisations(table, sfms)
-        except SpecialisationError as exc:
-            _fail(str(exc))
-    return table, sfms
+    if not args.sfm:
+        return table, []
+    sfms = _parse_file(args.sfm, parse_sfm_bindings)
+    return apply_specialisations(table, sfms), sfms
 
 
 def _trace_pathways(args, model: Ooda2Model, interactions: list[Interaction],
                     mitigations: list[Mitigation]) -> list[TracePathway]:
-    try:
-        interaction = interaction_by_id(interactions, args.interaction)
-    except UnknownIdError as exc:
-        _fail(str(exc))
-    directions = {
-        "up": [TraceDirection.UPSTREAM],
-        "down": [TraceDirection.DOWNSTREAM],
-        "both": [TraceDirection.UPSTREAM, TraceDirection.DOWNSTREAM],
-    }[args.direction]
+    interaction = interaction_by_id(interactions, args.interaction)
     pathways: list[TracePathway] = []
-    for direction in directions:
-        try:
-            pathways.extend(trace(model, interaction, args.category, direction,
-                                  max_depth=args.max_depth,
-                                  mitigation_catalog=mitigations))
-        except ValueError as exc:
-            _fail(str(exc), EXIT_USAGE)
+    for direction in TraceDirection:  # upstream first
+        if args.direction in (direction.value, "both"):
+            try:
+                pathways.extend(trace(model, interaction, args.category, direction,
+                                      max_depth=args.max_depth,
+                                      mitigation_catalog=mitigations))
+            except ValueError as exc:
+                _fail(str(exc))
     return pathways
 
 
-def _dot(model: Ooda2Model, pathways: list[TracePathway]) -> str:
-    try:
-        return emit_dot(model, pathways)
-    except ReportError as exc:
-        _fail(str(exc))
-
-
-def _cmd_validate(args) -> int:
-    _inputs(args)
-    return EXIT_OK
-
-
-def _cmd_interactions(args) -> int:
+def _cmd_interactions(args) -> None:
     _, _, model = _inputs(args)
     rows = [
         [interaction.i_id, interaction.name, interaction.machine_stage.display(),
@@ -231,17 +209,15 @@ def _cmd_interactions(args) -> int:
     _write(args, csv_text(
         ["I ID", "Interaction Name", "Machine Stage", "Human Stage", "Direction"],
         rows))
-    return EXIT_OK
 
 
-def _cmd_map(args) -> int:
+def _cmd_map(args) -> None:
     catalog, _, model = _inputs(args)
     table, _ = _build_table(args, extract_interactions(model), catalog)
     _write(args, emit_csv(table))
-    return EXIT_OK
 
 
-def _cmd_trace(args) -> int:
+def _cmd_trace(args) -> None:
     _, mitigations, model = _inputs(args)
     interactions = extract_interactions(model)
     pathways = _trace_pathways(args, model, interactions, mitigations)
@@ -251,11 +227,10 @@ def _cmd_trace(args) -> int:
     elif args.format == "text":
         _write(args, "".join(f"{pathway_label(pathway)}\n" for pathway in pathways))
     else:
-        _write(args, _dot(model, pathways))
-    return EXIT_OK
+        _write(args, emit_dot(model, pathways))
 
 
-def _cmd_mitigations(args) -> int:
+def _cmd_mitigations(args) -> None:
     catalog, mitigations, model = _inputs(args)
     table, _ = _build_table(args, extract_interactions(model), catalog)
     rows = [
@@ -265,10 +240,9 @@ def _cmd_mitigations(args) -> int:
     ]
     _write(args, csv_text(
         ["I ID", "SFM ID", "Category", "Mitigation ID", "Mitigation Name"], rows))
-    return EXIT_OK
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args) -> None:
     catalog, mitigations, model = _inputs(args)
     interactions = extract_interactions(model)
     table, sfms = _build_table(args, interactions, catalog)
@@ -288,20 +262,17 @@ def _cmd_report(args) -> int:
         _output(args, lambda out: write_json(bundle, out))
     else:
         if not pathways:
-            _fail("--format dot needs --interaction and --category", EXIT_USAGE)
-        _write(args, _dot(model, pathways))
-    return EXIT_OK
+            _fail("--format dot needs --interaction and --category")
+        _write(args, emit_dot(model, pathways))
 
 
-def _cmd_lenses(args) -> int:
+def _cmd_lenses(args) -> None:
     catalog, _ = load_catalogs(args.lens, builtin_lenses=not args.no_builtin)
     if args.export:
         _write(args, serialize_lens_catalog(catalog))
-        return EXIT_OK
-    lines = [f"{lens.id}: {lens.name} ({len(lens.modes)} modes)"
-             for lens in catalog.lenses]
-    _write(args, "".join(f"{line}\n" for line in lines))
-    return EXIT_OK
+    else:
+        _write(args, "".join(f"{lens.id}: {lens.name} ({len(lens.modes)} modes)\n"
+                             for lens in catalog.lenses))
 
 
 def _ascii_int(text: str) -> int:
@@ -324,100 +295,79 @@ def _build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True,
                                        metavar="command")
 
-    def model_arg(sub):
-        sub.add_argument("model", metavar="model.hat", help="activity model file")
+    def arg(*names: str, **options):
+        return names, options
 
-    def lens_flags(sub):
-        sub.add_argument("--lens", action="append", metavar="FILE", default=[],
-                         help="extra lens catalog (.lens); repeatable")
-        sub.add_argument("--no-builtin", action="store_true",
-                         help="start from an empty lens catalog instead of the "
-                              "builtin lenses")
+    # Argument groups, each a list of add_argument calls in help order.
+    lens = [
+        arg("--lens", action="append", metavar="FILE", default=[],
+            help="extra lens catalog (.lens); repeatable"),
+        arg("--no-builtin", action="store_true",
+            help="start from an empty lens catalog instead of the builtin lenses"),
+    ]
+    model = [
+        arg("model", metavar="model.hat", help="activity model file"),
+        *lens,
+        arg("--mit", action="append", metavar="FILE", default=[],
+            help="extra mitigation catalog (.mit); repeatable"),
+        arg("--strict", action="store_true",
+            help="treat boundary-crossing edges that do not target an Observe "
+                 "action as errors"),
+    ]
 
-    def catalog_flags(sub):
-        lens_flags(sub)
-        sub.add_argument("--mit", action="append", metavar="FILE", default=[],
-                         help="extra mitigation catalog (.mit); repeatable")
+    def sfm(required: bool):
+        return [arg("--sfm", metavar="FILE", required=required,
+                    help="specialised failure mode bindings (.sfm)")]
 
-    def strict_flag(sub):
-        sub.add_argument("--strict", action="store_true",
-                         help="treat boundary-crossing edges that do not target "
-                              "an Observe action as errors")
+    def trace_flags(required: bool):
+        return [
+            arg("--interaction", type=_ascii_int, metavar="I-ID", required=required,
+                help="interaction id to trace from"),
+            arg("--category", metavar="TOKEN", required=required,
+                help="failure mode category driving gain lookups"),
+            arg("--direction", choices=[*(d.value for d in TraceDirection), "both"],
+                required=required, default="both",
+                help="trace direction (default: both)"),
+            arg("--max-depth", type=_ascii_int, default=DEFAULT_MAX_DEPTH, metavar="N",
+                help="pathway length cap (default: %(default)s)"),
+        ]
 
-    def sfm_flag(sub, required=False):
-        sub.add_argument("--sfm", metavar="FILE", required=required,
-                         help="specialised failure mode bindings (.sfm)")
+    output = [arg("-o", "--output", metavar="PATH",
+                  help="write data here instead of standard output")]
+    trace_format = [arg("--format", choices=["text", "json", "dot"], default="text",
+                        help="output format (default: %(default)s)")]
+    report_format = [arg("--format", choices=["csv", "md", "json", "dot"], required=True,
+                         help="output format")]
+    export = [arg("--export", action="store_true",
+                  help="print the catalog in its file format")]
 
-    def trace_flags(sub, direction_required):
-        sub.add_argument("--interaction", type=_ascii_int, metavar="I-ID",
-                         required=direction_required,
-                         help="interaction id to trace from")
-        sub.add_argument("--category", metavar="TOKEN",
-                         required=direction_required,
-                         help="failure mode category driving gain lookups")
-        sub.add_argument("--direction", choices=["up", "down", "both"],
-                         required=direction_required, default="both",
-                         help="trace direction (default: both)")
-        sub.add_argument("--max-depth", type=_ascii_int, default=DEFAULT_MAX_DEPTH,
-                         metavar="N", help="pathway length cap (default: %(default)s)")
-
-    def output_flag(sub):
-        sub.add_argument("-o", "--output", metavar="PATH",
-                         help="write data here instead of standard output")
-
-    sub = subparsers.add_parser("validate", help="check a model and print diagnostics")
-    model_arg(sub); catalog_flags(sub); strict_flag(sub)
-    sub.set_defaults(func=_cmd_validate)
-
-    sub = subparsers.add_parser("interactions",
-                                help="list boundary-crossing interactions as CSV")
-    model_arg(sub); catalog_flags(sub); strict_flag(sub); output_flag(sub)
-    sub.set_defaults(func=_cmd_interactions)
-
-    sub = subparsers.add_parser("map",
-                                help="map generic failure modes onto interactions")
-    model_arg(sub); catalog_flags(sub); strict_flag(sub); output_flag(sub)
-    sub.set_defaults(func=_cmd_map, sfm=None)
-
-    sub = subparsers.add_parser("specialise",
-                                help="map failure modes and apply a bindings file")
-    model_arg(sub); catalog_flags(sub); strict_flag(sub); sfm_flag(sub, required=True)
-    output_flag(sub)
-    sub.set_defaults(func=_cmd_map)
-
-    sub = subparsers.add_parser("trace", help="enumerate propagation pathways")
-    model_arg(sub); catalog_flags(sub); strict_flag(sub)
-    trace_flags(sub, direction_required=True)
-    sub.add_argument("--format", choices=["text", "json", "dot"], default="text",
-                     help="output format (default: %(default)s)")
-    output_flag(sub)
-    sub.set_defaults(func=_cmd_trace)
-
-    sub = subparsers.add_parser("mitigations",
-                                help="suggest catalog mitigations for table rows")
-    model_arg(sub); catalog_flags(sub); strict_flag(sub); sfm_flag(sub)
-    output_flag(sub)
-    sub.set_defaults(func=_cmd_mitigations)
-
-    sub = subparsers.add_parser("report", help="render the full analysis")
-    model_arg(sub); catalog_flags(sub); strict_flag(sub); sfm_flag(sub)
-    trace_flags(sub, direction_required=False)
-    sub.add_argument("--format", choices=["csv", "md", "json", "dot"],
-                     required=True, help="output format")
-    output_flag(sub)
-    sub.set_defaults(func=_cmd_report)
-
-    sub = subparsers.add_parser("lenses", help="list or export lens catalogs")
-    sub.add_argument("--export", action="store_true",
-                     help="print the catalog in its file format")
-    lens_flags(sub); output_flag(sub)
-    sub.set_defaults(func=_cmd_lenses)
-
+    for name, command, help_text, groups in [
+        ("validate", _inputs, "check a model and print diagnostics", [model]),
+        ("interactions", _cmd_interactions, "list boundary-crossing interactions as CSV",
+         [model, output]),
+        ("map", _cmd_map, "map generic failure modes onto interactions", [model, output]),
+        ("specialise", _cmd_map, "map failure modes and apply a bindings file",
+         [model, sfm(True), output]),
+        ("trace", _cmd_trace, "enumerate propagation pathways",
+         [model, trace_flags(True), trace_format, output]),
+        ("mitigations", _cmd_mitigations, "suggest catalog mitigations for table rows",
+         [model, sfm(False), output]),
+        ("report", _cmd_report, "render the full analysis",
+         [model, sfm(False), trace_flags(False), report_format, output]),
+        ("lenses", _cmd_lenses, "list or export lens catalogs", [export, lens, output]),
+    ]:
+        sub = subparsers.add_parser(name, help=help_text)
+        for names, options in (call for group in groups for call in group):
+            sub.add_argument(*names, **options)
+        sub.set_defaults(func=command, sfm=None)
     return parser
 
 
 def run(argv: list[str] | None = None) -> int:
-    """Execute one CLI invocation; returns the process exit code."""
+    """Execute one CLI invocation; returns the process exit code.  A library
+    finding (conflicting catalogs, a binding that does not apply, an unknown
+    id, pathways that do not fit the model) prints ``error: <message>`` and
+    returns 1."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -429,12 +379,16 @@ def run(argv: list[str] | None = None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return args.func(args)
+        args.func(args)
+    except (CatalogError, SpecialisationError, UnknownIdError, ReportError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FINDINGS
     except _CliError as exc:
         return exc.code
     finally:
         if collecting:
             gc.enable()
+    return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:

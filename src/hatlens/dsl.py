@@ -3,7 +3,7 @@
 All formats share one lexical shape: one statement per line, tokens
 separated by spaces or tabs, ``"``-quoted strings (with ``\\"`` and ``\\\\``
 escapes), ``key=value`` attributes, blank lines and lines starting with
-``#`` ignored.  Input may use LF or CRLF line endings; output is LF.
+``#`` ignored.  Input may use LF, CRLF or CR line endings; output is LF.
 
 Each statement keyword is declared once, as a tuple of ``_Field``s in
 ``_MODEL`` (``.hat``), ``_LENS`` (``.lens``), ``_SFM`` (``.sfm``) and
@@ -378,8 +378,9 @@ def _read(text: str, steps: dict[str, tuple], unknown_repeats: bool,
     a keyword still has its attributes checked for repeats."""
     read: dict[str, list[_Statement]] = {keyword: [] for keyword in steps}
     ids: dict[str, set] = {keyword: set() for keyword in steps}
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        line = raw.rstrip("\r")
+    if "\r" in text:  # a line ends at LF, CRLF or CR, as in universal-newline reading
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for line_no, line in enumerate(text.split("\n"), start=1):
         stripped = line.strip()
         if not stripped or stripped[0] == "#":
             continue

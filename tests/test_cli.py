@@ -22,7 +22,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hatlens import builtin_catalog, parse_lens_catalog
+from hatlens import (
+    CatalogError, DslParseError, builtin_catalog, parse_lens_catalog, parse_model,
+)
 from hatlens import cli
 from hatlens.cli import EXIT_FINDINGS, EXIT_OK, EXIT_USAGE, main, run
 
@@ -35,10 +37,26 @@ SFM = str(ATC / "atc.sfm")
 MIT = str(ATC / "atc.mit")
 MINIMAL = str(FIXTURE_ROOT / "minimal" / "minimal.hat")
 
-SUBCOMMANDS = [
-    "validate", "interactions", "map", "specialise", "trace",
-    "mitigations", "report", "lenses",
-]
+# Each subcommand's usage line on a terminal wide enough for one line: its
+# flags, their order, and which of them are required.
+USAGES = {
+    "validate": "[-h] [--lens FILE] [--no-builtin] [--mit FILE] [--strict] model.hat",
+    "interactions": "[-h] [--lens FILE] [--no-builtin] [--mit FILE] [--strict] [-o PATH] "
+                    "model.hat",
+    "map": "[-h] [--lens FILE] [--no-builtin] [--mit FILE] [--strict] [-o PATH] model.hat",
+    "specialise": "[-h] [--lens FILE] [--no-builtin] [--mit FILE] [--strict] --sfm FILE "
+                  "[-o PATH] model.hat",
+    "trace": "[-h] [--lens FILE] [--no-builtin] [--mit FILE] [--strict] --interaction I-ID "
+             "--category TOKEN --direction {up,down,both} [--max-depth N] "
+             "[--format {text,json,dot}] [-o PATH] model.hat",
+    "mitigations": "[-h] [--lens FILE] [--no-builtin] [--mit FILE] [--strict] [--sfm FILE] "
+                   "[-o PATH] model.hat",
+    "report": "[-h] [--lens FILE] [--no-builtin] [--mit FILE] [--strict] [--sfm FILE] "
+              "[--interaction I-ID] [--category TOKEN] [--direction {up,down,both}] "
+              "[--max-depth N] --format {csv,md,json,dot} [-o PATH] model.hat",
+    "lenses": "[-h] [--export] [--lens FILE] [--no-builtin] [-o PATH]",
+}
+SUBCOMMANDS = list(USAGES)
 
 
 def invoke(capsys, *argv: str) -> tuple[int, str, str]:
@@ -127,10 +145,14 @@ class TestReportAndMap:
 
 
 class TestTrace:
-    def test_dot_matches_bundled_pathways(self, capsys):
+    @pytest.mark.parametrize("argv", [
+        ("trace", MODEL, "--mit", MIT),
+        ("report", MODEL, "--lens", LENS, "--sfm", SFM, "--mit", MIT),
+    ], ids=["trace", "report"])
+    def test_dot_matches_bundled_pathways(self, capsys, argv):
         code, out, err = invoke(
-            capsys, "trace", MODEL, "--mit", MIT, "--interaction", "3",
-            "--category", "timely", "--direction", "down", "--format", "dot")
+            capsys, *argv, "--interaction", "3", "--category", "timely",
+            "--direction", "down", "--format", "dot")
         assert code == EXIT_OK
         assert err == ""
         assert out == golden("pathway_sfm4.dot")
@@ -431,6 +453,9 @@ class TestLenses:
         assert code == EXIT_FINDINGS
         assert out == ""
         assert err == f"error: duplicate mitigation id 'hmi_summary' from {MIT}\n"
+        # The library function raises the catalog error the CLI reports.
+        with pytest.raises(CatalogError, match="duplicate mitigation id 'hmi_summary'"):
+            cli.load_catalogs(mit_paths=[MIT, MIT])
 
 
 class TestValidate:
@@ -615,7 +640,7 @@ class TestFilesAndUsage:
         assert run(["lenses", "--export"]) == EXIT_OK
         assert sys.stdout.getvalue() == target.read_text(encoding="utf-8")
 
-    @pytest.mark.parametrize("kind", ["existing", "fifo"])
+    @pytest.mark.parametrize("kind", ["existing", "fifo", "symlink", "hardlink"])
     def test_a_failed_output_write_leaves_no_partial_file(self, capsys, monkeypatch,
                                                           tmp_path, kind):
         def fail_partway(bundle, out):
@@ -624,19 +649,28 @@ class TestFilesAndUsage:
 
         monkeypatch.setattr(cli, "write_json", fail_partway)
         target = tmp_path / "out.json"
-        if kind == "existing":
-            target.write_text("earlier output\n", encoding="utf-8")
-        else:
+        other = tmp_path / "other.json"  # the symlink's target, or a second hard link
+        if kind == "fifo":
             os.mkfifo(target)
             reader = os.open(target, os.O_RDONLY | os.O_NONBLOCK)
+        elif kind == "symlink":
+            other.write_text("earlier output\n", encoding="utf-8")
+            target.symlink_to(other)
+        else:
+            target.write_text("earlier output\n", encoding="utf-8")
+            if kind == "hardlink":
+                os.link(target, other)
         code, out, err = invoke(capsys, "trace", MODEL, *TRACE_BOTH, "--format", "json",
                                 "-o", str(target))
         if kind == "fifo":
             os.close(reader)
         assert (code, out, err) == (EXIT_USAGE, "",
                                     f"error: cannot write {target}: File too large\n")
-        # A regular file the command opened is removed; a FIFO is not its to remove.
-        assert target.exists() == (kind == "fifo")
+        # The regular file the command opened is emptied, and removed where the
+        # path itself names it; a FIFO and a symlink are not its to remove.
+        assert os.path.lexists(target) == (kind in ("fifo", "symlink"))
+        if kind in ("symlink", "hardlink"):
+            assert other.read_bytes() == b""
 
     def test_an_output_file_over_the_size_limit_is_removed(self, tmp_path):
         # A real write error, partway through a new file.
@@ -655,6 +689,23 @@ class TestFilesAndUsage:
             EXIT_USAGE, f"error: cannot write {target}: File too large\n")
         assert not target.exists()
 
+    def test_the_library_reads_line_ends_as_the_cli_does(self, capsys, tmp_path):
+        lf = (FIXTURE_ROOT / "minimal" / "minimal.hat").read_text(encoding="utf-8")
+        # A lone CR ends a line, inside a quoted label too.
+        cr_label = tmp_path / "cr_label.hat"
+        cr_label.write_bytes(lf.replace("Watch status", "Watch\rstatus").encode())
+        with pytest.raises(DslParseError) as excinfo:
+            parse_model(cr_label.read_bytes().decode())
+        code, out, err = invoke(capsys, "validate", str(cr_label))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "unterminated string" in err
+        assert err == "".join(f"{cr_label}:{diag.line}:{diag.column}: error: {diag.message}\n"
+                              for diag in excinfo.value.diagnostics)
+        cr_only = tmp_path / "cr_only.hat"
+        cr_only.write_bytes(lf.replace("\n", "\r").encode())
+        assert invoke(capsys, "validate", str(cr_only)) == (EXIT_OK, "", "")
+        assert parse_model(cr_only.read_bytes().decode()) == parse_model(lf)
+
     def test_unknown_subcommand_and_missing_subcommand(self, capsys):
         code, out, err = invoke(capsys, "frobnicate")
         assert code == EXIT_USAGE
@@ -663,14 +714,15 @@ class TestFilesAndUsage:
         assert code == EXIT_USAGE
         assert "usage" in err
 
-    def test_help_exits_zero_everywhere(self, capsys):
+    def test_help_exits_zero_everywhere(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "1000")
         code, out, err = invoke(capsys, "--help")
         assert code == EXIT_OK
-        assert out.startswith("usage: hatlens")
-        for command in SUBCOMMANDS:
+        assert out.startswith("usage: hatlens [-h] command ...\n")
+        for command, usage in USAGES.items():
             code, out, err = invoke(capsys, command, "--help")
             assert code == EXIT_OK
-            assert f"hatlens {command}" in out
+            assert out.splitlines()[0] == f"usage: hatlens {command} {usage}"
 
     def test_main_is_an_alias_for_run(self, capsys):
         assert main(["lenses"]) == EXIT_OK

@@ -746,7 +746,7 @@ def test_any_text_parses_or_raises_a_parse_error(parse, data):
         parse(text)
     except DslParseError as exc:
         assert exc.diagnostics
-        lines = [line.rstrip("\r") for line in text.split("\n")]
+        lines = re.split("\r\n|\r|\n", text)
         for diag in exc.diagnostics:
             assert 1 <= diag.line <= len(lines), diag
             assert 1 <= diag.column <= len(lines[diag.line - 1]) + 1, diag
