@@ -7,18 +7,18 @@ escapes), ``key=value`` attributes, blank lines and lines starting with
 
 Each statement keyword is declared once, as a tuple of ``_Field``s in
 ``_MODEL`` (``.hat``), ``_LENS`` (``.lens``), ``_SFM`` (``.sfm``) and
-``_MITIGATION`` (``.mit``): its positional words, quoted strings and
-attributes in canonical order, which are optional, which are ids or
-references to ids, and the converters that parse and write each one.
-``_read`` parses any statement from its declaration and ``_write`` writes
-any statement from it, so parse and serialize are mutually inverse on valid
-values by construction.  ``_read`` has one path for every line: it lexes
-the line with one pattern, sorts the tokens into words, strings and
-attributes by name, and takes each field from them by steps worked out
-once per keyword.  The ``parse_*`` functions add only the rules no
-declaration states: one model statement per file, no edge self-loops, and
-ascending sfm ids.  ``docs/dsl-reference.md`` describes the formats for
-authors.
+``_MITIGATION`` (``.mit``): its positional words, quoted strings,
+attributes and attribute prefixes in canonical order, which are optional,
+which are ids or references to ids, and the converters that parse and
+write each one.  That is the only statement table: ``_read`` parses any
+statement by walking its declaration and ``_write`` writes any statement
+from it, so parse and serialize are mutually inverse on valid values by
+construction.  ``_read`` has one path for every line: it lexes the line
+with one pattern, sorts the tokens into words, strings and attributes by
+name, and takes each declared field from them in turn.  The ``parse_*``
+functions add only the rules no declaration states: one model statement
+per file, no edge self-loops, and ascending sfm ids.
+``docs/dsl-reference.md`` describes the formats for authors.
 
 Parsing is all-or-nothing: a parse either returns the value or raises
 ``DslParseError`` carrying every diagnostic, sorted by (line, column).
@@ -75,7 +75,7 @@ class DslParseError(ValueError):
 # ---------------------------------------------------------------------------
 # Lexer.
 
-_WORD, _STRING, _ATTR = "word", "string", "attr"
+_WORD, _STRING, _ATTR, _PREFIX = "word", "string", "attr", "prefix"
 
 _BODY = r'[^"\\]*(?:\\["\\][^"\\]*)*'  # a string's contents: only \" and \\ escapes
 # One token and the blanks before it, as the groups (blanks, name, value,
@@ -202,8 +202,8 @@ class _Field(NamedTuple):
     order, and its required fields in the order their absence is reported.
 
     ``kind`` says what the field takes: the next positional word, the next
-    quoted string, or the attribute named ``key``.  A ``key`` ending in "."
-    takes every attribute with that prefix, as a dict keyed by the rest of
+    quoted string, the attribute named ``key``, or (``_PREFIX``) every
+    attribute whose name starts with ``key``, as a dict keyed by the rest of
     the name.  For a word or a string, ``key`` is how a "missing" diagnostic
     names it.  ``attr`` names the value on the parsed object; a fixed word
     has none.  ``parse`` converts token text and ``write`` turns a value
@@ -212,10 +212,11 @@ class _Field(NamedTuple):
     ``omit``.
 
     A ``unique`` field is the statement's id, which no earlier statement of
-    the same keyword may have declared; a statement declares it once every
-    field that ``blocks`` (by default, every required one) is well-formed.
-    A field that ``refers`` to a keyword must name an id declared earlier by
-    a statement of that keyword.
+    the same keyword may have declared.  A statement declares its id when
+    every required field is well-formed, except one whose ``blocks`` is
+    False, and so is every field whose ``blocks`` is True.  A field that
+    ``refers`` to a keyword must name an id declared earlier by a statement
+    of that keyword.
     """
 
     kind: str
@@ -227,10 +228,6 @@ class _Field(NamedTuple):
     unique: bool = False
     refers: str = ""
     blocks: bool | None = None
-
-    @property
-    def blocking(self) -> bool:
-        return self.omit is _REQUIRED if self.blocks is None else self.blocks
 
 
 _MODEL = {
@@ -248,7 +245,7 @@ _MODEL = {
         _Field(_ATTR, "stage", "stage", _enum(Stage, "stage"), _value),
         _Field(_STRING, "its quoted label", "label", _nonempty("node label")),
         _Field(_ATTR, "cause", "causes", _idents("cause category"), _join, []),
-        _Field(_ATTR, "response.", "response", _parse_gain, _format_gain, {}),
+        _Field(_PREFIX, "response.", "response", _parse_gain, _format_gain, {}),
         _Field(_ATTR, "mitigation", "mitigation_ids", _idents("mitigation id"), _join, []),
     ),
     "edge": (
@@ -313,33 +310,6 @@ _MITIGATION = {
 _BAD = object()  # the value of a required field that is missing, or of any malformed field
 
 
-def _steps(keyword: str, fields: tuple[_Field, ...]) -> tuple:
-    """What ``_read`` needs of a ``keyword`` statement declared by ``fields``.
-
-    For each field in declared order, (kind, key, attr, parse, missing,
-    unique, refers), where kind is "prefix" for a field that takes every
-    attribute with its prefix, and ``missing`` is the diagnostic for a
-    required field left out (None for an optional one).  Then the attrs of
-    the statement's ids, and of the fields that block declaring them.
-    """
-    steps = []
-    for field in fields:
-        kind = "prefix" if field.key.endswith(".") else field.kind
-        what = f"the {field.key}= attribute" if field.kind == _ATTR else field.key
-        missing = f"{keyword} statement is missing {what}" if field.omit is _REQUIRED else None
-        steps.append((kind, field.key, field.attr, field.parse, missing, field.unique,
-                      field.refers))
-    return (tuple(steps), tuple(field.attr for field in fields if field.unique),
-            tuple(field.attr for field in fields if field.blocking and field.attr))
-
-
-# The steps of each format's statements, worked out once: by file
-# extension, then by keyword.
-_STEPS = {extension: {keyword: _steps(keyword, fields) for keyword, fields in statements.items()}
-          for extension, statements in (("hat", _MODEL), ("lens", _LENS), ("sfm", _SFM),
-                                        ("mit", _MITIGATION))}
-
-
 class _Statement:
     """One statement read by its declaration: each field's value and column."""
 
@@ -368,16 +338,16 @@ class _Statement:
         return cls(**self.values, **extra, line=self.line)
 
 
-def _read(text: str, steps: dict[str, tuple], unknown_repeats: bool,
+def _read(text: str, statements: dict[str, tuple[_Field, ...]], unknown_repeats: bool,
           diags: list[ParseDiagnostic]) -> dict[str, list[_Statement]]:
-    """Every statement of ``text`` read by its keyword's steps in
-    ``steps`` (one format's table in ``_STEPS``), by keyword in file order,
-    recording every lexical, keyword, attribute, field and id problem in
-    ``diags``.  A line must lex and start with a word; with
+    """Every statement of ``text`` read by its keyword's declaration in
+    ``statements`` (one format's table, such as ``_MODEL``), by keyword in
+    file order, recording every lexical, keyword, attribute, field and id
+    problem in ``diags``.  A line must lex and start with a word; with
     ``unknown_repeats`` (``.hat`` and ``.lens``), a line whose word is not
     a keyword still has its attributes checked for repeats."""
-    read: dict[str, list[_Statement]] = {keyword: [] for keyword in steps}
-    ids: dict[str, set] = {keyword: set() for keyword in steps}
+    read: dict[str, list[_Statement]] = {keyword: [] for keyword in statements}
+    ids: dict[str, set] = {keyword: set() for keyword in statements}
     if "\r" in text:  # a line ends at LF, CRLF or CR, as in universal-newline reading
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     for line_no, line in enumerate(text.split("\n"), start=1):
@@ -405,7 +375,7 @@ def _read(text: str, steps: dict[str, tuple], unknown_repeats: bool,
         if not keyword or value:
             diags.append(ParseDiagnostic(line_no, at, "expected a statement keyword"))
             continue
-        known = keyword in steps
+        known = keyword in statements
         if not known:
             diags.append(ParseDiagnostic(line_no, at, f"unknown keyword '{keyword}'"))
             if not unknown_repeats:
@@ -431,11 +401,12 @@ def _read(text: str, steps: dict[str, tuple], unknown_repeats: bool,
                 column += len(name) + len(value)
         if not known:
             continue
-        # Each field in declared order, its ids checked against those declared so far.
-        fields, unique_attrs, blocking = steps[keyword]
+        # Each field in declared order, its id checked against those declared so far.
         values: dict[str, object] = {}
         columns: dict[str, int] = {}
-        for kind, key, attr, parse, missing, unique, refers in fields:
+        new_id = None  # the statement's id, once well-formed and not a duplicate
+        blocked = False  # whether a field that blocks declaring it is missing or malformed
+        for kind, key, attr, parse, _, omit, unique, refers, blocks in statements[keyword]:
             if kind == _ATTR:
                 token = attrs.pop(key, None)
             elif kind == _WORD:
@@ -456,21 +427,27 @@ def _read(text: str, steps: dict[str, tuple], unknown_repeats: bool,
                 values[attr] = found
                 continue
             if token is None:
-                if missing:
-                    diags.append(ParseDiagnostic(line_no, at, missing))
+                if omit is _REQUIRED:
+                    what = f"the {key}= attribute" if kind == _ATTR else key
+                    diags.append(ParseDiagnostic(line_no, at,
+                                                 f"{keyword} statement is missing {what}"))
                     if attr:
                         values[attr] = _BAD
+                    blocked = blocked or blocks is not False
                 continue
             column, text = token
             try:
                 value = parse(text)
-                if unique and value in ids[keyword]:
-                    raise ValueError(f"duplicate {keyword} id '{value}'")
+                if unique:
+                    if value in ids[keyword]:
+                        raise ValueError(f"duplicate {keyword} id '{value}'")
+                    new_id = value
                 if refers and value not in ids[refers]:
                     raise ValueError(f"{keyword} references undeclared {refers} '{value}'")
             except ValueError as exc:
                 diags.append(ParseDiagnostic(line_no, column, str(exc)))
                 value = _BAD
+                blocked = blocked or (omit is _REQUIRED if blocks is None else blocks)
             if attr:
                 values[attr] = value
                 columns[attr] = column
@@ -480,9 +457,8 @@ def _read(text: str, steps: dict[str, tuple], unknown_repeats: bool,
             diags.append(ParseDiagnostic(line_no, column, "unexpected quoted string"))
         for key, (column, _) in attrs.items():
             diags.append(ParseDiagnostic(line_no, column, f"unknown attribute '{key}'"))
-        # The ids count as declared once every field that blocks them is well-formed.
-        if unique_attrs and _BAD not in map(values.get, blocking):
-            ids[keyword].update(values[attr] for attr in unique_attrs)
+        if new_id is not None and not blocked:
+            ids[keyword].add(new_id)
         read[keyword].append(_Statement(line_no, at, values, columns, diags))
     return read
 
@@ -498,7 +474,7 @@ def _write(statements: dict[str, tuple[_Field, ...]], keyword: str, obj) -> str:
             parts.append(field.write(value))
         elif field.kind == _STRING:
             parts.append(_quote(field.write(value)))
-        elif field.key.endswith("."):
+        elif field.kind == _PREFIX:
             parts.extend(f"{field.key}{name}={field.write(value[name])}"
                          for name in sorted(value))
         else:
@@ -522,7 +498,7 @@ def _join_groups(groups: list[list[str]]) -> str:
 def parse_model(text: str) -> Ooda2Model:
     """Parse a ``.hat`` document; raises DslParseError on any problem."""
     diags: list[ParseDiagnostic] = []
-    read = _read(text, _STEPS["hat"], True, diags)
+    read = _read(text, _MODEL, True, diags)
     model: _Statement | None = None
     for statement in read["model"]:
         # The name is checked here, not by its field: a repeated model
@@ -553,7 +529,7 @@ def parse_model(text: str) -> Ooda2Model:
 def parse_lens_catalog(text: str) -> LensCatalog:
     """Parse a ``.lens`` document; raises DslParseError on any problem."""
     diags: list[ParseDiagnostic] = []
-    read = _read(text, _STEPS["lens"], True, diags)
+    read = _read(text, _LENS, True, diags)
     _finish(diags)
     modes = [mode.build(GenericFailureMode) for mode in read["mode"]]
     return LensCatalog(lenses=[
@@ -565,7 +541,7 @@ def parse_lens_catalog(text: str) -> LensCatalog:
 def parse_sfm_bindings(text: str) -> list[SpecialisedFailureMode]:
     """Parse a ``.sfm`` document; raises DslParseError on any problem."""
     diags: list[ParseDiagnostic] = []
-    read = _read(text, _STEPS["sfm"], False, diags)
+    read = _read(text, _SFM, False, diags)
     previous: int | None = None
     for sfm in read["sfm"]:
         if sfm.good("sfm_id"):
@@ -581,7 +557,7 @@ def parse_sfm_bindings(text: str) -> list[SpecialisedFailureMode]:
 def parse_mitigation_catalog(text: str) -> list[Mitigation]:
     """Parse a ``.mit`` document; raises DslParseError on any problem."""
     diags: list[ParseDiagnostic] = []
-    read = _read(text, _STEPS["mit"], False, diags)
+    read = _read(text, _MITIGATION, False, diags)
     _finish(diags)
     return [mit.build(Mitigation) for mit in read["mitigation"]]
 

@@ -19,7 +19,9 @@ from .dsl import (
     parse_sfm_bindings,
 )
 from .interactions import extract_interactions, interaction_by_id
+from .lenses import builtin_catalog, merge_catalogs
 from .mapping import apply_specialisations, map_failure_modes
+from .mitigations import builtin_mitigations
 from .report import emit_csv, emit_dot, emit_second_order_json
 from .tracing import TraceDirection, derive_second_order, trace
 
@@ -80,18 +82,18 @@ def load_fixture(name: str) -> GoldenFixture:
 
 
 def regenerate(fixture: GoldenFixture) -> dict[str, str]:
-    """Recompute every golden output from the fixture's inputs."""
-    # Imported here: were the package to import hatlens.cli, running it as
-    # ``python -m hatlens.cli`` would warn that the module is already loaded.
-    from .cli import load_catalogs
-
+    """Recompute every golden output from the fixture's inputs, with the
+    builtin lenses and mitigations followed by the fixture's own."""
     model = parse_model(fixture.model_path.read_text(encoding="utf-8"))
-    catalog, mitigations = load_catalogs(
-        [fixture.lens_path] if fixture.lens_path is not None else [],
-        [fixture.mitigation_path] if fixture.mitigation_path is not None else [])
-    sfms = []
-    if fixture.sfm_path is not None:
-        sfms = parse_sfm_bindings(fixture.sfm_path.read_text(encoding="utf-8"))
+    catalog, mitigations = builtin_catalog(), builtin_mitigations()
+    if fixture.lens_path is not None:
+        catalog = merge_catalogs(
+            catalog, parse_lens_catalog(fixture.lens_path.read_text(encoding="utf-8")))
+    if fixture.mitigation_path is not None:
+        mitigations += parse_mitigation_catalog(
+            fixture.mitigation_path.read_text(encoding="utf-8"))
+    sfms = ([] if fixture.sfm_path is None
+            else parse_sfm_bindings(fixture.sfm_path.read_text(encoding="utf-8")))
     interactions = extract_interactions(model)
     table = apply_specialisations(map_failure_modes(interactions, catalog), sfms)
 

@@ -13,11 +13,11 @@ text file object in batches, so a large trace never exists as one string.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring
+from types import SimpleNamespace
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from .dsl import _quote  # a DOT id is quoted and escaped as a DSL string is
@@ -59,12 +59,15 @@ def _row_cells(row: FailureModeRow) -> list[str]:
 
 def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     """A header and rows as CSV: LF endings, one trailing LF; fields holding
-    commas or quotes are double-quoted."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+    commas, quotes, LF or CR are double-quoted."""
+    lines: list[str] = []
+    # The writer quotes a field holding a character of its line terminator,
+    # so a CRLF terminator quotes a lone CR on every Python (3.13 quotes it
+    # whatever the terminator); each row's CRLF then becomes an LF.
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
     writer.writerow(header)
     writer.writerows(rows)
-    return buffer.getvalue()
+    return "".join(line[:-2] + "\n" for line in lines)
 
 
 def emit_csv(table: FailureModeTable) -> str:
@@ -99,25 +102,16 @@ def emit_markdown(bundle: ReportBundle) -> str:
     lines.append("| " + " | ".join("---" for _ in header_cells) + " |")
     for row in bundle.table.rows:
         lines.append("| " + " | ".join(_md_cell(cell) for cell in _row_cells(row)) + " |")
-    lines += ["", "## Pathways", ""]
-    if bundle.pathways:
-        lines += [f"- {pathway_label(pathway)}" for pathway in bundle.pathways]
-    else:
-        lines.append("(none)")
-    lines += ["", "## Second-order Effects", ""]
-    if bundle.second_order:
-        lines += [
-            f"- SFM {effect.origin_sfm_id} induces {effect.induced_mode.value}: "
-            f"{effect.rationale}"
-            for effect in bundle.second_order
-        ]
-    else:
-        lines.append("(none)")
-    lines += ["", "## Mitigation Suggestions", ""]
-    if bundle.suggestions:
-        lines += [f"- {_suggestion_label(row, mit)}" for row, mit in bundle.suggestions]
-    else:
-        lines.append("(none)")
+    for title, items in (
+        ("Pathways", map(pathway_label, bundle.pathways)),
+        ("Second-order Effects", (f"SFM {effect.origin_sfm_id} induces "
+                                  f"{effect.induced_mode.value}: {effect.rationale}"
+                                  for effect in bundle.second_order)),
+        ("Mitigation Suggestions", (_suggestion_label(row, mit)
+                                    for row, mit in bundle.suggestions)),
+    ):
+        lines += ["", f"## {title}", ""]
+        lines += [f"- {item}" for item in items] or ["(none)"]
     return "\n".join(lines) + "\n"
 
 

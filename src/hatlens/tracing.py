@@ -147,10 +147,10 @@ def trace(
     # totals[i] is the product of the first i step gains, taken left to
     # right from the int 1 exactly as math.prod takes it.
     totals: list[float] = [1]
-    # One iterator over the remaining children of each path node, and
-    # whether the walk went deeper from that node.
+    # One iterator over the remaining children of each path node; ``leaf``
+    # says no pathway was emitted since the last push, so a pop emits one.
     pending = [iter(children_of(start) if max_depth > 1 else ())]
-    extended = [False]
+    leaf = True
     # Each pathway's attribute dict is a copy of this instance's, which holds
     # the three fields every pathway of the trace shares (a copy also keeps
     # the class's shared keys); the other four are stored into the copy.
@@ -164,7 +164,8 @@ def trace(
                 break
         else:
             pending.pop()
-            if not extended.pop():
+            if leaf:
+                leaf = False
                 total_gain = totals[-1]
                 if not math.isfinite(total_gain):
                     raise ValueError(
@@ -183,13 +184,12 @@ def trace(
             totals.pop()
             del step_gains[-1:]  # the start node has no step gain to drop
             continue
-        extended[-1] = True
         path.append(node)
         on_path.add(node.id)
         step_gains.append(gain)
         totals.append(totals[-1] * gain)
         pending.append(iter(children_of(node) if len(path) < max_depth else ()))
-        extended.append(False)
+        leaf = True
     return pathways
 
 

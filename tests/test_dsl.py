@@ -590,6 +590,54 @@ def test_mitigation_errors(text, message):
 
 
 # ---------------------------------------------------------------------------
+# Which malformed statements still declare their id: a statement declares it
+# when every required field is well-formed (.mit detail= aside) and so is
+# .mit damping=.  A statement repeating a declared id gets a "duplicate".
+
+MIT_AGAIN = 'mitigation x category=a placement=node "N" detail=""\n'
+MODE_AGAIN = 'mode z lens=quality direction=m2h category=x "T" question="Q?"\n'
+
+
+@pytest.mark.parametrize(
+    "parse, text, expected",
+    [
+        pytest.param(
+            parse_mitigation_catalog,
+            'mitigation x category=a placement=node damping=lots "N" detail=""\n' + MIT_AGAIN,
+            [(1, "bad damping 'lots'")],
+            id="malformed-damping-blocks"),
+        pytest.param(
+            parse_mitigation_catalog,
+            'mitigation x category=a placement=node "N"\n' + MIT_AGAIN,
+            [(1, "mitigation statement is missing the detail= attribute"),
+             (2, "duplicate mitigation id 'x'")],
+            id="missing-detail-declares"),
+        pytest.param(
+            parse_lens_catalog,
+            LENS_TEXT + MODE_AGAIN.replace(" category=x", " category=x benign=maybe")
+            + MODE_AGAIN,
+            [(4, "benign must be true or false, not 'maybe'"),
+             (5, "duplicate mode id 'z'")],
+            id="bad-benign-declares"),
+        pytest.param(
+            parse_model,
+            MODEL_PREFIX + 'node c lane=m stage=act "X" cause=1bad\n'
+            + 'node c lane=m stage=act "Y"\n',
+            [(6, "invalid cause category '1bad'"), (7, "duplicate node id 'c'")],
+            id="bad-cause-declares"),
+        pytest.param(
+            parse_model,
+            MODEL_PREFIX + "lane x side=human kind=operator\n"
+            + 'lane x side=human kind=operator "X"\n',
+            [(6, "lane statement is missing its quoted display name")],
+            id="missing-display-name-blocks"),
+    ],
+)
+def test_which_malformed_statements_declare_their_id(parse, text, expected):
+    assert [(diag.line, diag.message) for diag in diagnostics_of(parse, text)] == expected
+
+
+# ---------------------------------------------------------------------------
 # Serializer shape.
 
 def test_groups_are_separated_by_one_blank_line_and_file_ends_with_newline():

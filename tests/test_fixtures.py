@@ -7,6 +7,7 @@ that would silently alter documented outputs fails here first.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -67,6 +68,13 @@ def test_goldens_regenerate_byte_identically(name):
     for golden_name, text in regenerated.items():
         on_disk = fixture.expected[golden_name].read_text(encoding="utf-8")
         assert text == on_disk, f"{name}/{golden_name} drifted"
+
+
+def test_regenerate_raises_library_errors_and_prints_nothing(tmp_path, capsys):
+    fixture = dataclasses.replace(load_fixture("atc"), lens_path=tmp_path / "gone.lens")
+    with pytest.raises(FileNotFoundError, match="gone.lens"):
+        regenerate(fixture)
+    assert capsys.readouterr() == ("", "")
 
 
 @pytest.mark.parametrize("name", available_fixtures())

@@ -58,13 +58,17 @@ def _python_3_10() -> str | None:
     return None
 
 
-# Plain code, for the 3.10 child has no pytest: every module, a CLI run, and a
-# parse of each ATC input.
+# Plain code, for the 3.10 child has no pytest: every module, a CLI run, a
+# parse of each ATC input, and a CSV field holding a lone CR.
 FLOOR_CHECK = """
-import sys
+import csv, io, sys
 from pathlib import Path
 from hatlens import *
+from hatlens.report import csv_text
 import hatlens, hatlens.cli
+text = csv_text(["a", "b"], [["x\\ry", "z"]])
+assert text == 'a,b\\n"x\\ry",z\\n', repr(text)
+assert list(csv.reader(io.StringIO(text, newline=""))) == [["a", "b"], ["x\\ry", "z"]]
 atc = Path(sys.argv[1])
 parsers = {".hat": parse_model, ".lens": parse_lens_catalog,
            ".sfm": parse_sfm_bindings, ".mit": parse_mitigation_catalog}

@@ -63,6 +63,7 @@ from hatlens import (
     write_json,
 )
 from hatlens.dsl import _quote
+from hatlens.report import csv_text
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "report-schema.json"
 
@@ -148,6 +149,21 @@ def test_csv_reparses_to_the_source_cells():
             row.generic_mode_title,
             "" if row.specialised_text is None else row.specialised_text,
         ]
+
+
+@pytest.mark.parametrize(
+    "cells, line",
+    [
+        (["x\ry", "z"], '"x\ry",z'),
+        (["x\ny", "z"], '"x\ny",z'),
+        (["x\r\ny", "z"], '"x\r\ny",z'),
+        (["x\r", "\r"], '"x\r","\r"'),
+    ],
+)
+def test_csv_quotes_line_breaks_so_a_reader_keeps_the_row(cells, line):
+    text = csv_text(["a", "b"], [cells])
+    assert text == f"a,b\n{line}\n"
+    assert list(csv.reader(io.StringIO(text, newline=""))) == [["a", "b"], cells]
 
 
 # ---------------------------------------------------------------------------
