@@ -243,11 +243,13 @@ def _cmd_mitigations(args) -> None:
 
 
 def _cmd_report(args) -> None:
+    if (args.interaction is None) != (args.category is None):
+        _fail("--interaction and --category must be given together")
     catalog, mitigations, model = _inputs(args)
     interactions = extract_interactions(model)
     table, sfms = _build_table(args, interactions, catalog)
     pathways: list[TracePathway] = []
-    if args.interaction is not None and args.category:
+    if args.interaction is not None:
         pathways = _trace_pathways(args, model, interactions, mitigations)
     # The table has every sfm's interaction and mode, so no lookup can fail.
     second_order = derive_second_order(sfms, interactions, catalog)

@@ -338,14 +338,14 @@ class _Statement:
         return cls(**self.values, **extra, line=self.line)
 
 
-def _read(text: str, statements: dict[str, tuple[_Field, ...]], unknown_repeats: bool,
+def _read(text: str, statements: dict[str, tuple[_Field, ...]],
           diags: list[ParseDiagnostic]) -> dict[str, list[_Statement]]:
     """Every statement of ``text`` read by its keyword's declaration in
     ``statements`` (one format's table, such as ``_MODEL``), by keyword in
     file order, recording every lexical, keyword, attribute, field and id
-    problem in ``diags``.  A line must lex and start with a word; with
-    ``unknown_repeats`` (``.hat`` and ``.lens``), a line whose word is not
-    a keyword still has its attributes checked for repeats."""
+    problem in ``diags``.  A line must lex and start with a word; a line
+    whose word is not a keyword still has its attributes checked for
+    repeats."""
     read: dict[str, list[_Statement]] = {keyword: [] for keyword in statements}
     ids: dict[str, set] = {keyword: set() for keyword in statements}
     if "\r" in text:  # a line ends at LF, CRLF or CR, as in universal-newline reading
@@ -378,8 +378,6 @@ def _read(text: str, statements: dict[str, tuple[_Field, ...]], unknown_repeats:
         known = keyword in statements
         if not known:
             diags.append(ParseDiagnostic(line_no, at, f"unknown keyword '{keyword}'"))
-            if not unknown_repeats:
-                continue
         # The tokens after the keyword, each with its column: words and
         # strings in order, attributes by name.
         words, strings, attrs = [], [], {}
@@ -498,7 +496,7 @@ def _join_groups(groups: list[list[str]]) -> str:
 def parse_model(text: str) -> Ooda2Model:
     """Parse a ``.hat`` document; raises DslParseError on any problem."""
     diags: list[ParseDiagnostic] = []
-    read = _read(text, _MODEL, True, diags)
+    read = _read(text, _MODEL, diags)
     model: _Statement | None = None
     for statement in read["model"]:
         # The name is checked here, not by its field: a repeated model
@@ -529,7 +527,7 @@ def parse_model(text: str) -> Ooda2Model:
 def parse_lens_catalog(text: str) -> LensCatalog:
     """Parse a ``.lens`` document; raises DslParseError on any problem."""
     diags: list[ParseDiagnostic] = []
-    read = _read(text, _LENS, True, diags)
+    read = _read(text, _LENS, diags)
     _finish(diags)
     modes = [mode.build(GenericFailureMode) for mode in read["mode"]]
     return LensCatalog(lenses=[
@@ -541,7 +539,7 @@ def parse_lens_catalog(text: str) -> LensCatalog:
 def parse_sfm_bindings(text: str) -> list[SpecialisedFailureMode]:
     """Parse a ``.sfm`` document; raises DslParseError on any problem."""
     diags: list[ParseDiagnostic] = []
-    read = _read(text, _SFM, False, diags)
+    read = _read(text, _SFM, diags)
     previous: int | None = None
     for sfm in read["sfm"]:
         if sfm.good("sfm_id"):
@@ -557,7 +555,7 @@ def parse_sfm_bindings(text: str) -> list[SpecialisedFailureMode]:
 def parse_mitigation_catalog(text: str) -> list[Mitigation]:
     """Parse a ``.mit`` document; raises DslParseError on any problem."""
     diags: list[ParseDiagnostic] = []
-    read = _read(text, _MITIGATION, False, diags)
+    read = _read(text, _MITIGATION, diags)
     _finish(diags)
     return [mit.build(Mitigation) for mit in read["mitigation"]]
 

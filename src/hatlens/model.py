@@ -7,12 +7,9 @@ cycles.  Cycles are expected, and edges crossing the human/machine boundary
 are the raw material every later analysis step works on.
 
 ``validate`` checks referential integrity plus two modelling conventions:
-
-* OBSERVE_TARGET -- a boundary-crossing edge should target an Observe-stage
-  node.  Error under Strict, warning under Lenient.
-* STAGE_ORDER -- an intra-lane edge should stay on the stage cycle (same
-  stage or its cyclic successor).  Guarded edges leaving a Decide node are
-  decision branches and exempt.  Always a warning.
+a boundary-crossing edge targets an Observe-stage node, and an intra-lane
+edge stays on the stage cycle.  The "Validation codes" table of
+``docs/dsl-reference.md`` lists each code, its severity and when it fires.
 """
 
 from __future__ import annotations
@@ -194,13 +191,8 @@ class Diagnostic:
     line: int | None = None
 
 
-def validate(
-    model: Ooda2Model,
-    strictness: Strictness = Strictness.LENIENT,
-    *,
-    lens_catalog=None,
-    mitigation_catalog=None,
-) -> list[Diagnostic]:
+def validate(model: Ooda2Model, strictness: Strictness = Strictness.LENIENT, *,
+             lens_catalog=None, mitigation_catalog=None) -> list[Diagnostic]:
     """Check a model and return every diagnostic, deterministically ordered.
 
     Referential problems (duplicate ids, dangling references, self-loops,
@@ -221,120 +213,83 @@ def validate(
         mitigation_catalog = builtin_mitigations()
     known_categories = {mode.category for mode in lens_catalog.modes()}
     known_mitigations = {mit.id for mit in mitigation_catalog}
-
     diags: list[Diagnostic] = []
-    err = Severity.ERROR
-    warn = Severity.WARNING
+
+    def report(code: str, message: str, element, severity: Severity = Severity.ERROR) -> None:
+        diags.append(Diagnostic(severity, code, message, element.line))
+
+    def first(element, what: str, seen: dict) -> bool:
+        """Whether ``element`` is the first with its id, then kept in ``seen``; else reported."""
+        if element.id in seen:
+            report("DUPLICATE_ID", f"duplicate {what} id '{element.id}'", element)
+            return False
+        seen[element.id] = element
+        return True
+
+    def check_mitigations(element, what: str) -> None:
+        for mit_id in element.mitigation_ids:
+            if mit_id not in known_mitigations:
+                report("UNKNOWN_MITIGATION",
+                       f"{what} '{element.id}' references unknown mitigation '{mit_id}'", element)
 
     lanes: dict[str, Lane] = {}
     for lane in model.lanes:
-        if lane.id in lanes:
-            diags.append(Diagnostic(err, "DUPLICATE_ID", f"duplicate lane id '{lane.id}'", lane.line))
-            continue
-        lanes[lane.id] = lane
-        required = KIND_SIDES.get(lane.kind)
-        if required is not None and lane.side is not required:
-            diags.append(Diagnostic(
-                err, "LANE_KIND",
-                f"lane '{lane.id}' kind {lane.kind.value} requires side {required.value}",
-                lane.line,
-            ))
+        if first(lane, "lane", lanes):
+            required = KIND_SIDES.get(lane.kind)
+            if required is not None and lane.side is not required:
+                report("LANE_KIND", f"lane '{lane.id}' kind {lane.kind.value} requires side "
+                       f"{required.value}", lane)
 
     nodes: dict[str, ActionNode] = {}
     for node in model.nodes:
-        if node.id in nodes:
-            diags.append(Diagnostic(err, "DUPLICATE_ID", f"duplicate node id '{node.id}'", node.line))
+        if not first(node, "node", nodes):
             continue
-        nodes[node.id] = node
         if node.lane_id not in lanes:
-            diags.append(Diagnostic(
-                err, "UNRESOLVED_REF",
-                f"node '{node.id}' references undeclared lane '{node.lane_id}'",
-                node.line,
-            ))
+            report("UNRESOLVED_REF",
+                   f"node '{node.id}' references undeclared lane '{node.lane_id}'", node)
         for what, categories in (("cause", node.causes), ("response", node.response)):
             for category in categories:
                 if category not in known_categories:
-                    diags.append(Diagnostic(
-                        err, "UNKNOWN_CATEGORY",
-                        f"node '{node.id}' {what} category '{category}' is not in the loaded "
-                        "lens catalog",
-                        node.line,
-                    ))
-        for mit_id in node.mitigation_ids:
-            if mit_id not in known_mitigations:
-                diags.append(Diagnostic(
-                    err, "UNKNOWN_MITIGATION",
-                    f"node '{node.id}' references unknown mitigation '{mit_id}'",
-                    node.line,
-                ))
+                    report("UNKNOWN_CATEGORY", f"node '{node.id}' {what} category '{category}' "
+                           "is not in the loaded lens catalog", node)
+        check_mitigations(node, "node")
 
-    edge_ids: set[str] = set()
-    resolved_edges: list[tuple[ActivityEdge, ActionNode, ActionNode]] = []
+    # Each edge between two distinct nodes in declared lanes, with its ends.
+    resolved: list[tuple[ActivityEdge, ActionNode, ActionNode]] = []
+    edges: dict[str, ActivityEdge] = {}
     for edge in model.edges:
-        if edge.id in edge_ids:
-            diags.append(Diagnostic(err, "DUPLICATE_ID", f"duplicate edge id '{edge.id}'", edge.line))
+        if not first(edge, "edge", edges):
             continue
-        edge_ids.add(edge.id)
-        ok = True
-        for endpoint in (edge.from_id, edge.to_id):
-            if endpoint not in nodes:
-                diags.append(Diagnostic(
-                    err, "UNRESOLVED_REF",
-                    f"edge '{edge.id}' references undeclared node '{endpoint}'",
-                    edge.line,
-                ))
-                ok = False
-        if ok and edge.from_id == edge.to_id:
-            diags.append(Diagnostic(
-                err, "SELF_LOOP", f"edge '{edge.id}' loops node '{edge.from_id}' onto itself",
-                edge.line,
-            ))
-            ok = False
-        for mit_id in edge.mitigation_ids:
-            if mit_id not in known_mitigations:
-                diags.append(Diagnostic(
-                    err, "UNKNOWN_MITIGATION",
-                    f"edge '{edge.id}' references unknown mitigation '{mit_id}'",
-                    edge.line,
-                ))
-        if ok:
-            src, tgt = nodes[edge.from_id], nodes[edge.to_id]
-            if src.lane_id in lanes and tgt.lane_id in lanes:
-                resolved_edges.append((edge, src, tgt))
+        src, tgt = nodes.get(edge.from_id), nodes.get(edge.to_id)
+        for end_id, end in ((edge.from_id, src), (edge.to_id, tgt)):
+            if end is None:
+                report("UNRESOLVED_REF",
+                       f"edge '{edge.id}' references undeclared node '{end_id}'", edge)
+        if src is not None and edge.from_id == edge.to_id:
+            report("SELF_LOOP", f"edge '{edge.id}' loops node '{edge.from_id}' onto itself", edge)
+        elif src is not None and tgt is not None and src.lane_id in lanes and tgt.lane_id in lanes:
+            resolved.append((edge, src, tgt))
+        check_mitigations(edge, "edge")
 
-    crossings = [
-        (edge, src, tgt)
-        for edge, src, tgt in resolved_edges
-        if lanes[src.lane_id].side is not lanes[tgt.lane_id].side
-    ]
+    crossings = [(edge, tgt) for edge, src, tgt in resolved
+                 if lanes[src.lane_id].side is not lanes[tgt.lane_id].side]
     if not crossings:
-        diags.append(Diagnostic(warn, "NO_INTERACTIONS", "no interactions possible", model.line))
-
-    observe_severity = err if strictness is Strictness.STRICT else warn
-    for edge, _src, tgt in crossings:
+        report("NO_INTERACTIONS", "no interactions possible", model, Severity.WARNING)
+    observe = Severity.ERROR if strictness is Strictness.STRICT else Severity.WARNING
+    for edge, tgt in crossings:
         if tgt.stage is not Stage.OBSERVE:
-            diags.append(Diagnostic(
-                observe_severity, "OBSERVE_TARGET",
-                f"cross-side edge '{edge.id}' targets {tgt.stage.display()}-stage node "
-                f"'{tgt.id}' instead of an Observe-stage node",
-                edge.line,
-            ))
-
-    for edge, src, tgt in resolved_edges:
+            report("OBSERVE_TARGET", f"cross-side edge '{edge.id}' targets "
+                   f"{tgt.stage.display()}-stage node '{tgt.id}' instead of an Observe-stage "
+                   "node", edge, observe)
+    for edge, src, tgt in resolved:
         if src.lane_id != tgt.lane_id:
             continue
         if tgt.stage in (src.stage, src.stage.successor):
             continue
         if src.stage is Stage.DECIDE and edge.guard:
             continue  # decision branch
-        diags.append(Diagnostic(
-            warn, "STAGE_ORDER",
-            f"edge '{edge.id}' jumps the stage cycle "
-            f"({src.stage.display()} -> {tgt.stage.display()})",
-            edge.line,
-        ))
-
+        report("STAGE_ORDER", f"edge '{edge.id}' jumps the stage cycle "
+               f"({src.stage.display()} -> {tgt.stage.display()})", edge, Severity.WARNING)
     return diags
 
 

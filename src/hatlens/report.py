@@ -76,6 +76,8 @@ def emit_csv(table: FailureModeTable) -> str:
 
 
 def _md_cell(text: str) -> str:
+    # A line break would end the table row: CRLF, CR and LF each become <br>.
+    text = text.replace("\r\n", "<br>").replace("\r", "<br>").replace("\n", "<br>")
     return text.replace("\\", "\\\\").replace("|", "\\|")
 
 

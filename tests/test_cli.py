@@ -143,6 +143,15 @@ class TestReportAndMap:
         assert out == ""
         assert err == "error: --format dot needs --interaction and --category\n"
 
+    @pytest.mark.parametrize("half", [["--interaction", "1"], ["--category", "timely"]])
+    @pytest.mark.parametrize("model", [MODEL, "missing.hat"])
+    def test_report_takes_both_trace_flags_or_neither(self, capsys, half, model):
+        # Checked before any file is read: a missing model is not reported.
+        code, out, err = invoke(capsys, "report", model, "--lens", LENS, "--format", "md",
+                                *half)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: --interaction and --category must be given together\n"
+
 
 class TestTrace:
     @pytest.mark.parametrize("argv", [

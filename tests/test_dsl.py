@@ -244,6 +244,17 @@ def test_missing_model_statement_is_silent_when_other_errors_exist():
     assert diag.message == "unknown keyword 'widget'"
 
 
+@pytest.mark.parametrize("parse", [
+    parse_model, parse_lens_catalog, parse_sfm_bindings, parse_mitigation_catalog,
+])
+def test_a_line_with_an_unknown_keyword_still_reports_a_repeated_attribute(parse):
+    line = 'widget x="1" y=2 x=3\n'
+    assert [(d.line, d.column, d.message) for d in diagnostics_of(parse, line)] == [
+        (1, 1, "unknown keyword 'widget'"),
+        (1, line.rindex("x=") + 1, "duplicate attribute 'x'"),
+    ]
+
+
 def test_duplicate_model_statement():
     diag = sole_diagnostic(parse_model, 'model "One"\nmodel "Two"\n')
     assert (diag.line, diag.message) == (2, "duplicate model statement")

@@ -1,12 +1,17 @@
 """Model construction rules and validation diagnostics."""
 
+import ast
+import inspect
 import random
+import re
+from pathlib import Path
 
 import pytest
 
 from hatlens import (
     ActionNode,
     ActivityEdge,
+    Diagnostic,
     GainBehaviour,
     GainKind,
     Lane,
@@ -26,6 +31,9 @@ from hatlens import (
     validate,
 )
 from conftest import random_model
+from hatlens import model as model_module
+
+DSL_REFERENCE = Path(__file__).resolve().parent.parent / "docs" / "dsl-reference.md"
 
 
 def test_stage_successor_cycles():
@@ -242,6 +250,113 @@ def test_diagnostics_are_deterministic_and_grouped():
     second = validate(model)
     assert first == second
     assert _codes(first) == ["DUPLICATE_ID", "UNKNOWN_MITIGATION", "OBSERVE_TARGET"]
+
+
+def _every_code_model() -> Ooda2Model:
+    """One model that sets off every code but NO_INTERACTIONS; each
+    element's ``line`` is its position in the list of them."""
+    amplify = GainBehaviour.amplify()
+    return Ooda2Model(
+        name="all", line=1,
+        lanes=[
+            Lane("h", Side.HUMAN, LaneKind.OPERATOR, "Human", line=2),
+            Lane("m", Side.MACHINE, LaneKind.AUTONOMY, "Machine", line=3),
+            # A repeat is reported alone: its wrong-side kind is not.
+            Lane("h", Side.MACHINE, LaneKind.OPERATOR, "Again", line=4),
+            Lane("x", Side.HUMAN, LaneKind.HMI, "Display", line=5),
+        ],
+        nodes=[
+            ActionNode("a", "m", Stage.ACT, "publish",
+                       mitigation_ids=["hysteresis", "magic"], line=6),
+            ActionNode("b", "h", Stage.ORIENT, "watch",
+                       response={"accuracy": amplify, "warp": amplify},
+                       causes=["stability", "flaw"], line=7),
+            ActionNode("a", "ghost", Stage.OBSERVE, "again", mitigation_ids=["magic"], line=8),
+            ActionNode("c", "ghost", Stage.OBSERVE, "float", line=9),
+            ActionNode("d", "m", Stage.OBSERVE, "sense", line=10),
+            ActionNode("f", "m", Stage.DECIDE, "choose", line=11),
+            ActionNode("g", "x", Stage.OBSERVE, "display", line=12),
+        ],
+        edges=[
+            ActivityEdge(id="e1", from_id="a", to_id="b", mitigation_ids=["nope"], line=13),
+            ActivityEdge(id="e1", from_id="zz", to_id="zz", line=14),
+            ActivityEdge(id="e2", from_id="a", to_id="zz", mitigation_ids=["nope"], line=15),
+            ActivityEdge(id="e3", from_id="yy", to_id="yy", line=16),
+            ActivityEdge(id="e4", from_id="d", to_id="d", mitigation_ids=["nope"], line=17),
+            ActivityEdge(id="e5", from_id="d", to_id="a", line=18),
+            ActivityEdge(id="e6", from_id="f", to_id="d", guard="retry", line=19),
+            # Node c's lane is undeclared, so this edge crosses nothing.
+            ActivityEdge(id="e7", from_id="c", to_id="b", line=20),
+            ActivityEdge(id="e8", from_id="a", to_id="g", line=21),
+            ActivityEdge(id="e9", from_id="b", to_id="f", line=22),
+            ActivityEdge(id="e10", from_id="f", to_id="d", line=23),
+        ],
+    )
+
+
+@pytest.mark.parametrize("strictness, observe", [
+    (Strictness.STRICT, Severity.ERROR),
+    (Strictness.LENIENT, Severity.WARNING),
+])
+def test_every_diagnostic_is_pinned(strictness, observe):
+    err, warn = Severity.ERROR, Severity.WARNING
+    assert validate(_every_code_model(), strictness) == [
+        Diagnostic(err, "DUPLICATE_ID", "duplicate lane id 'h'", 4),
+        Diagnostic(err, "LANE_KIND", "lane 'x' kind hmi requires side machine", 5),
+        Diagnostic(err, "UNKNOWN_MITIGATION", "node 'a' references unknown mitigation 'magic'",
+                   6),
+        Diagnostic(err, "UNKNOWN_CATEGORY",
+                   "node 'b' cause category 'flaw' is not in the loaded lens catalog", 7),
+        Diagnostic(err, "UNKNOWN_CATEGORY",
+                   "node 'b' response category 'warp' is not in the loaded lens catalog", 7),
+        Diagnostic(err, "DUPLICATE_ID", "duplicate node id 'a'", 8),
+        Diagnostic(err, "UNRESOLVED_REF", "node 'c' references undeclared lane 'ghost'", 9),
+        Diagnostic(err, "UNKNOWN_MITIGATION", "edge 'e1' references unknown mitigation 'nope'",
+                   13),
+        Diagnostic(err, "DUPLICATE_ID", "duplicate edge id 'e1'", 14),
+        Diagnostic(err, "UNRESOLVED_REF", "edge 'e2' references undeclared node 'zz'", 15),
+        Diagnostic(err, "UNKNOWN_MITIGATION", "edge 'e2' references unknown mitigation 'nope'",
+                   15),
+        Diagnostic(err, "UNRESOLVED_REF", "edge 'e3' references undeclared node 'yy'", 16),
+        Diagnostic(err, "UNRESOLVED_REF", "edge 'e3' references undeclared node 'yy'", 16),
+        Diagnostic(err, "SELF_LOOP", "edge 'e4' loops node 'd' onto itself", 17),
+        Diagnostic(err, "UNKNOWN_MITIGATION", "edge 'e4' references unknown mitigation 'nope'",
+                   17),
+        Diagnostic(observe, "OBSERVE_TARGET",
+                   "cross-side edge 'e1' targets Orient-stage node 'b' instead of an "
+                   "Observe-stage node", 13),
+        Diagnostic(observe, "OBSERVE_TARGET",
+                   "cross-side edge 'e9' targets Decide-stage node 'f' instead of an "
+                   "Observe-stage node", 22),
+        Diagnostic(warn, "STAGE_ORDER", "edge 'e5' jumps the stage cycle (Observe -> Act)", 18),
+        Diagnostic(warn, "STAGE_ORDER", "edge 'e10' jumps the stage cycle (Decide -> Observe)",
+                   23),
+    ]
+
+
+@pytest.mark.parametrize("strictness", list(Strictness))
+def test_an_edge_into_an_undeclared_lane_is_no_interaction(strictness):
+    model = _two_lane_model(line=1)
+    model.nodes.append(ActionNode("c", "ghost", Stage.OBSERVE, "float", line=4))
+    model.edges = [ActivityEdge(id="e1", from_id="a", to_id="c", line=5)]
+    assert validate(model, strictness) == [
+        Diagnostic(Severity.ERROR, "UNRESOLVED_REF", "node 'c' references undeclared lane 'ghost'",
+                   4),
+        Diagnostic(Severity.WARNING, "NO_INTERACTIONS", "no interactions possible", 1),
+    ]
+
+
+def test_every_validation_code_is_in_the_docs_table():
+    tree = ast.parse(inspect.getsource(model_module))
+    validate_def = next(node for node in tree.body
+                        if isinstance(node, ast.FunctionDef) and node.name == "validate")
+    emitted = {node.value for node in ast.walk(validate_def)
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)
+               and re.fullmatch("[A-Z][A-Z_]+", node.value)}
+    table = re.findall(r"^\| `([A-Z_]+)` \|", DSL_REFERENCE.read_text(encoding="utf-8"),
+                       re.MULTILINE)
+    assert len(emitted) == 9
+    assert sorted(table) == sorted(emitted)
 
 
 def test_strict_pass_implies_lenient_pass_on_random_models():

@@ -209,6 +209,14 @@ def test_markdown_escapes_pipes_and_backslashes():
     assert "A \\| B \\\\ C" in text
 
 
+def test_markdown_writes_each_line_break_in_a_cell_as_br():
+    row = dataclasses.replace(awkward_table().rows[0],
+                              specialised_text="line one\nline two\r\nthree\rfour")
+    text = emit_markdown(ReportBundle(table=FailureModeTable(rows=[row])))
+    assert text == emit_markdown(ReportBundle(table=awkward_table())).replace(
+        "A \\| B \\\\ C", "line one<br>line two<br>three<br>four")
+
+
 def test_markdown_bullet_shapes():
     _, bundle = tower_bundle()
     text = emit_markdown(bundle)
