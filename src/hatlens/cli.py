@@ -27,6 +27,7 @@ from types import SimpleNamespace
 from typing import Sequence
 
 from .dsl import (
+    _IDENT,
     DslParseError,
     parse_lens_catalog,
     parse_mitigation_catalog,
@@ -288,6 +289,14 @@ def _ascii_int(text: str) -> int:
     raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
+def _category(text: str) -> str:
+    # A token by the rule of the .lens ``category=``: other text names no
+    # category, and would trace every step as Neutral.
+    if _IDENT.fullmatch(text) is None:
+        raise argparse.ArgumentTypeError(f"invalid category token: {text!r}")
+    return text
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hatlens",
@@ -314,7 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
             help="extra mitigation catalog (.mit); repeatable"),
         arg("--strict", action="store_true",
             help="treat boundary-crossing edges that do not target an Observe "
-                 "action as errors"),
+                 "action, and mitigations attached against their placement, as errors"),
     ]
 
     def sfm(required: bool):
@@ -325,7 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
         return [
             arg("--interaction", type=_ascii_int, metavar="I-ID", required=required,
                 help="interaction id to trace from"),
-            arg("--category", metavar="TOKEN", required=required,
+            arg("--category", type=_category, metavar="TOKEN", required=required,
                 help="failure mode category driving gain lookups"),
             arg("--direction", choices=[*(d.value for d in TraceDirection), "both"],
                 required=required, default="both",

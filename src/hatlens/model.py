@@ -198,21 +198,22 @@ def validate(model: Ooda2Model, strictness: Strictness = Strictness.LENIENT, *,
     Referential problems (duplicate ids, dangling references, self-loops,
     lane kind on the wrong side, cause or response categories or mitigation
     ids the loaded catalogs do not know) are always errors.  OBSERVE_TARGET
-    is an error under Strict and a warning under Lenient; STAGE_ORDER is
-    always a warning.  A model with no boundary-crossing edge gets a
-    NO_INTERACTIONS warning.  ``lens_catalog`` / ``mitigation_catalog``
-    default to the builtins.
+    and MITIGATION_PLACEMENT are errors under Strict and warnings under
+    Lenient; STAGE_ORDER is always a warning.  A model with no
+    boundary-crossing edge gets a NO_INTERACTIONS warning.
+    ``lens_catalog`` / ``mitigation_catalog`` default to the builtins.
     """
     # Imported here: the catalog modules sit above this one in the package.
     from .lenses import builtin_catalog
-    from .mitigations import builtin_mitigations
+    from .mitigations import Placement, builtin_mitigations
 
     if lens_catalog is None:
         lens_catalog = builtin_catalog()
     if mitigation_catalog is None:
         mitigation_catalog = builtin_mitigations()
     known_categories = {mode.category for mode in lens_catalog.modes()}
-    known_mitigations = {mit.id for mit in mitigation_catalog}
+    known_mitigations = {mit.id: mit for mit in mitigation_catalog}
+    strict_error = Severity.ERROR if strictness is Strictness.STRICT else Severity.WARNING
     diags: list[Diagnostic] = []
 
     def report(code: str, message: str, element, severity: Severity = Severity.ERROR) -> None:
@@ -228,9 +229,14 @@ def validate(model: Ooda2Model, strictness: Strictness = Strictness.LENIENT, *,
 
     def check_mitigations(element, what: str) -> None:
         for mit_id in element.mitigation_ids:
-            if mit_id not in known_mitigations:
+            mitigation = known_mitigations.get(mit_id)
+            if mitigation is None:
                 report("UNKNOWN_MITIGATION",
                        f"{what} '{element.id}' references unknown mitigation '{mit_id}'", element)
+            elif mitigation.placement is not Placement(what):
+                report("MITIGATION_PLACEMENT", f"{what} '{element.id}' references mitigation "
+                       f"'{mit_id}', whose placement is {mitigation.placement.value}", element,
+                       strict_error)
 
     lanes: dict[str, Lane] = {}
     for lane in model.lanes:
@@ -275,12 +281,11 @@ def validate(model: Ooda2Model, strictness: Strictness = Strictness.LENIENT, *,
                  if lanes[src.lane_id].side is not lanes[tgt.lane_id].side]
     if not crossings:
         report("NO_INTERACTIONS", "no interactions possible", model, Severity.WARNING)
-    observe = Severity.ERROR if strictness is Strictness.STRICT else Severity.WARNING
     for edge, tgt in crossings:
         if tgt.stage is not Stage.OBSERVE:
             report("OBSERVE_TARGET", f"cross-side edge '{edge.id}' targets "
                    f"{tgt.stage.display()}-stage node '{tgt.id}' instead of an Observe-stage "
-                   "node", edge, observe)
+                   "node", edge, strict_error)
     for edge, src, tgt in resolved:
         if src.lane_id != tgt.lane_id:
             continue

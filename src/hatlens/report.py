@@ -75,10 +75,13 @@ def emit_csv(table: FailureModeTable) -> str:
     return csv_text(CSV_HEADER.split(","), map(_row_cells, table.rows))
 
 
+def _md_line(text: str) -> str:
+    # A line break would end a table row or a bullet: CRLF, CR and LF each become <br>.
+    return text.replace("\r\n", "<br>").replace("\r", "<br>").replace("\n", "<br>")
+
+
 def _md_cell(text: str) -> str:
-    # A line break would end the table row: CRLF, CR and LF each become <br>.
-    text = text.replace("\r\n", "<br>").replace("\r", "<br>").replace("\n", "<br>")
-    return text.replace("\\", "\\\\").replace("|", "\\|")
+    return _md_line(text).replace("\\", "\\\\").replace("|", "\\|")
 
 
 def pathway_label(pathway: TracePathway) -> str:
@@ -113,7 +116,7 @@ def emit_markdown(bundle: ReportBundle) -> str:
                                     for row, mit in bundle.suggestions)),
     ):
         lines += ["", f"## {title}", ""]
-        lines += [f"- {item}" for item in items] or ["(none)"]
+        lines += [f"- {_md_line(item)}" for item in items] or ["(none)"]
     return "\n".join(lines) + "\n"
 
 
@@ -123,17 +126,6 @@ def _effect_json(effect: SecondOrderEffect) -> dict:
         "induced_mode": effect.induced_mode.value,
         "rationale": effect.rationale,
     }
-
-
-def _json_number(value: float) -> str:
-    """A number spelled as ``json.dumps`` spells it."""
-    if type(value) is not float:
-        return json.dumps(value)
-    if value != value:
-        return "NaN"
-    if math.isinf(value):
-        return "Infinity" if value > 0 else "-Infinity"
-    return float.__repr__(value)
 
 
 class _Spellings(dict):
@@ -159,7 +151,7 @@ def _pathways_json(pathways: Sequence[TracePathway]) -> Iterator[str]:
     strings = _Spellings(encode_basestring)
     # Keys compare by value, so only non-zero floats are looked up here:
     # 1 == 1.0 and 0.0 == -0.0, yet each pair is spelled differently.
-    floats = _Spellings(_json_number)
+    floats = _Spellings(lambda f: float.__repr__(f) if math.isfinite(f) else json.dumps(f))
 
     def array(items: list[str]) -> str:
         return "[\n        " + ",\n        ".join(items) + "\n      ]" if items else "[]"
@@ -175,7 +167,7 @@ def _pathways_json(pathways: Sequence[TracePathway]) -> Iterator[str]:
                     f'\n      "category": {json.dumps(pathway.mode_category, ensure_ascii=False)},'
                     f'\n      "direction": {json.dumps(pathway.direction.value)},'
                     '\n      "nodes": ')
-        gains = [floats[gain] if type(gain) is float and gain else _json_number(gain)
+        gains = [floats[gain] if type(gain) is float and gain else json.dumps(gain)
                  for gain in (*pathway.step_gains, pathway.total_gain)]
         # ``_value_`` is the member's plain attribute; ``.value`` is a
         # property that Python code serves.

@@ -6,14 +6,17 @@ node, upstream walks reversed edges from the source node.  Each node after
 the starting endpoint contributes one step gain: its ``response``
 coefficient for the traced category (1 when unspecified), multiplied by
 the damping of any attached mitigation matching the category, and by the
-damping of matching mitigations on the edge just traversed.  The pathway
-classification compares the product against exactly 1; a product that
-overflows to infinity is an error, not a classification.
+damping of matching mitigations on the edge just traversed.  A pathway's
+total gain is ``math.prod`` of its step gains, so the int 1 for a pathway
+of one node.  The classification compares the total against exactly 1; a
+product that overflows to infinity is an error, not a classification.
 
-Enumeration is one depth-first walk over an explicit stack, so no
-recursion limit bounds the depth.  Each node's children are listed once,
-sorted by id, and the step gain of each edge is computed once per trace;
-the walk emits pathways in lexicographic order of their node ids, with no
+Enumeration is one depth-first walk over an explicit stack, so
+``max_depth`` alone bounds the depth, not the recursion limit.  A node's
+children are listed on its first visit, since a trace may reach few of a
+model's nodes: sorted by id, each with the step gain of the edge to it,
+computed once per trace.  As no maximal path is a prefix of another, the
+walk emits pathways in lexicographic order of their node ids, with no
 sort.  A ``TracePathway`` stays a frozen dataclass, but ``trace`` builds
 each one by copying a template attribute dict that holds the fields the
 trace's pathways share, not through the generated ``__init__`` and its
@@ -76,14 +79,11 @@ class TracePathway:
         return tuple(node.id for node in self.nodes)
 
 
-def _step_gain(node: ActionNode, arrived_by: ActivityEdge | None, category: str,
+def _step_gain(node: ActionNode, arrived_by: ActivityEdge, category: str,
                mitigations: dict[str, Mitigation]) -> float:
     behaviour = node.response.get(category)
     gain = behaviour.coefficient if behaviour is not None else 1.0
-    attached = list(node.mitigation_ids)
-    if arrived_by is not None:
-        attached += arrived_by.mitigation_ids
-    for mit_id in attached:
+    for mit_id in (*node.mitigation_ids, *arrived_by.mitigation_ids):
         mitigation = mitigations.get(mit_id)
         if mitigation is not None and category in mitigation.categories:
             gain *= mitigation.damping
@@ -99,15 +99,9 @@ def trace(
     *,
     mitigation_catalog: list[Mitigation] | None = None,
 ) -> list[TracePathway]:
-    """All maximal simple paths from the interaction endpoint, with gains.
-
-    Paths hold at most ``max_depth`` nodes; a dead-end endpoint yields the
-    single one-node pathway with gain 1 (the int).  One depth-first walk
-    over an explicit stack enumerates them, so ``max_depth`` alone bounds
-    the depth, not the recursion limit.  Each node's children are listed
-    once, sorted by id, with each edge's step gain computed once; as no
-    maximal path is a prefix of another, the walk emits pathways already
-    ordered lexicographically by node-id sequence, with no sort.
+    """All maximal simple paths of at most ``max_depth`` nodes from the
+    interaction endpoint, with their gains, in lexicographic order of their
+    node ids.  A dead-end endpoint yields the single one-node pathway.
     ``mitigation_catalog`` supplies damping values and defaults to the
     builtins.  Raises ``ValueError`` naming the first pathway whose total
     gain is not finite.
@@ -144,9 +138,6 @@ def trace(
     path = [start]
     on_path = {start.id}
     step_gains: list[float] = []
-    # totals[i] is the product of the first i step gains, taken left to
-    # right from the int 1 exactly as math.prod takes it.
-    totals: list[float] = [1]
     # One iterator over the remaining children of each path node; ``leaf``
     # says no pathway was emitted since the last push, so a pop emits one.
     pending = [iter(children_of(start) if max_depth > 1 else ())]
@@ -166,7 +157,7 @@ def trace(
             pending.pop()
             if leaf:
                 leaf = False
-                total_gain = totals[-1]
+                total_gain = math.prod(step_gains)
                 if not math.isfinite(total_gain):
                     raise ValueError(
                         f"interaction {interaction.i_id} [{mode_category}, {direction.value}]: "
@@ -181,13 +172,11 @@ def trace(
                 set_attribute(pathway, "__dict__", fields)
                 pathways.append(pathway)
             on_path.discard(path.pop().id)
-            totals.pop()
             del step_gains[-1:]  # the start node has no step gain to drop
             continue
         path.append(node)
         on_path.add(node.id)
         step_gains.append(gain)
-        totals.append(totals[-1] * gain)
         pending.append(iter(children_of(node) if len(path) < max_depth else ()))
         leaf = True
     return pathways
@@ -203,6 +192,12 @@ class SecondOrderEffect:
     origin_sfm_id: int
     induced_mode: InducedMode
     rationale: str
+
+
+_INDUCED = (
+    (InducedMode.DISUSE, "operator ignores the autonomy"),
+    (InducedMode.MISUSE, "operator accepts without understanding"),
+)
 
 
 def derive_second_order(
@@ -226,14 +221,6 @@ def derive_second_order(
         mode = catalog.mode_by_id(sfm.generic_mode_id)
         if mode.category not in categories:
             continue
-        effects.append(SecondOrderEffect(
-            origin_sfm_id=sfm.sfm_id,
-            induced_mode=InducedMode.DISUSE,
-            rationale="operator ignores the autonomy",
-        ))
-        effects.append(SecondOrderEffect(
-            origin_sfm_id=sfm.sfm_id,
-            induced_mode=InducedMode.MISUSE,
-            rationale="operator accepts without understanding",
-        ))
+        for induced_mode, rationale in _INDUCED:
+            effects.append(SecondOrderEffect(sfm.sfm_id, induced_mode, rationale))
     return effects

@@ -247,6 +247,17 @@ class TestTrace:
         assert err.endswith(
             f"hatlens trace: error: argument {flag}: invalid int value: '{value}'\n")
 
+    @pytest.mark.parametrize("command", ["trace", "report"])
+    @pytest.mark.parametrize("category", ["", "Stability", "time-ly", "1st", "timely "])
+    def test_a_category_that_is_no_token_is_a_usage_error(self, capsys, command, category):
+        code, out, err = invoke(
+            capsys, command, MODEL, "--interaction", "3", "--category", category,
+            "--direction", "down", "--format", "json")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith(f"usage: hatlens {command}")
+        assert err.endswith(f"hatlens {command}: error: argument --category: "
+                            f"invalid category token: {category!r}\n")
+
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_a_gain_product_that_overflows_is_a_usage_error(self, capsys, tmp_path, fmt):
         path = tmp_path / "loud.hat"
@@ -506,6 +517,29 @@ class TestValidate:
         code, out, err = invoke(capsys, "validate", str(path), "--strict")
         assert code == EXIT_FINDINGS
         assert err == f"{path}:6: error: {diagnostic}"
+
+    def test_strictness_promotes_mitigation_placement(self, capsys, tmp_path):
+        mit = tmp_path / "gate.mit"
+        mit.write_text('mitigation gate category=timely placement=edge "Gate" detail="Hold"\n',
+                       encoding="utf-8")
+        path = tmp_path / "placed.hat"
+        path.write_text(
+            'model "Placed"\n'
+            'lane h side=human kind=operator "Operator"\n'
+            'lane m side=machine kind=autonomy "Bot"\n'
+            'node a lane=m stage=act "Publish" mitigation=gate\n'
+            'node c lane=h stage=observe "Watch"\n'
+            'edge a -> c mitigation=hysteresis,gate\n',
+            encoding="utf-8")
+        diagnostics = [
+            (4, "node 'a' references mitigation 'gate', whose placement is edge"),
+            (6, "edge 'e1' references mitigation 'hysteresis', whose placement is node"),
+        ]
+        for extra, code, severity in (([], EXIT_OK, "warning"),
+                                      (["--strict"], EXIT_FINDINGS, "error")):
+            assert invoke(capsys, "validate", str(path), "--mit", str(mit), *extra) == (
+                code, "", "".join(f"{path}:{line}: {severity}: MITIGATION_PLACEMENT: {message}\n"
+                                  for line, message in diagnostics))
 
     def test_warnings_do_not_block_downstream_commands(self, capsys, tmp_path):
         path = tmp_path / "crossy.hat"

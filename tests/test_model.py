@@ -278,7 +278,8 @@ def _every_code_model() -> Ooda2Model:
             ActionNode("g", "x", Stage.OBSERVE, "display", line=12),
         ],
         edges=[
-            ActivityEdge(id="e1", from_id="a", to_id="b", mitigation_ids=["nope"], line=13),
+            ActivityEdge(id="e1", from_id="a", to_id="b", mitigation_ids=["hysteresis", "nope"],
+                         line=13),
             ActivityEdge(id="e1", from_id="zz", to_id="zz", line=14),
             ActivityEdge(id="e2", from_id="a", to_id="zz", mitigation_ids=["nope"], line=15),
             ActivityEdge(id="e3", from_id="yy", to_id="yy", line=16),
@@ -311,6 +312,8 @@ def test_every_diagnostic_is_pinned(strictness, observe):
                    "node 'b' response category 'warp' is not in the loaded lens catalog", 7),
         Diagnostic(err, "DUPLICATE_ID", "duplicate node id 'a'", 8),
         Diagnostic(err, "UNRESOLVED_REF", "node 'c' references undeclared lane 'ghost'", 9),
+        Diagnostic(observe, "MITIGATION_PLACEMENT",
+                   "edge 'e1' references mitigation 'hysteresis', whose placement is node", 13),
         Diagnostic(err, "UNKNOWN_MITIGATION", "edge 'e1' references unknown mitigation 'nope'",
                    13),
         Diagnostic(err, "DUPLICATE_ID", "duplicate edge id 'e1'", 14),
@@ -355,7 +358,7 @@ def test_every_validation_code_is_in_the_docs_table():
                and re.fullmatch("[A-Z][A-Z_]+", node.value)}
     table = re.findall(r"^\| `([A-Z_]+)` \|", DSL_REFERENCE.read_text(encoding="utf-8"),
                        re.MULTILINE)
-    assert len(emitted) == 9
+    assert len(emitted) == 10
     assert sorted(table) == sorted(emitted)
 
 

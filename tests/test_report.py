@@ -217,6 +217,21 @@ def test_markdown_writes_each_line_break_in_a_cell_as_br():
         "A \\| B \\\\ C", "line one<br>line two<br>three<br>four")
 
 
+def test_markdown_writes_each_line_break_in_a_bullet_as_br():
+    _, bundle = tower_bundle()
+    row, mitigation = bundle.suggestions[0]
+    text = emit_markdown(ReportBundle(
+        pathways=[dataclasses.replace(bundle.pathways[0], mode_category="time\r\nly")],
+        second_order=[dataclasses.replace(bundle.second_order[0], rationale="one\rtwo")],
+        suggestions=[(row, dataclasses.replace(mitigation, name="Input\nhysteresis"))]))
+    assert text.endswith(
+        "## Pathways\n\n"
+        "- interaction 3 [time<br>ly, down]: h_obs_reco -> h_orient -> h_decide -> "
+        "h_act_own -> h_obs_traffic (gain 1.0, Neutral)\n\n"
+        "## Second-order Effects\n\n- SFM 3 induces Disuse: one<br>two\n\n"
+        "## Mitigation Suggestions\n\n- I1 [stability]: hysteresis (Input<br>hysteresis)\n")
+
+
 def test_markdown_bullet_shapes():
     _, bundle = tower_bundle()
     text = emit_markdown(bundle)

@@ -11,6 +11,11 @@ Three independent oracles carry the load:
   pathway;
 * classification: the product of step gains compared against exactly 1,
   checked right up to the adjacent floating-point values.
+
+Two metamorphic relations compare traces of related models, so they check
+the rules themselves rather than a second copy of them: reversing every
+edge turns an upstream trace into a downstream one, and a node mitigation
+lowers exactly the totals of the pathways that pass it.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import add_parallel_edges, random_model, tower_inputs
+from conftest import BUILTIN_CATEGORIES, add_parallel_edges, random_model, tower_inputs
 from hatlens import (
     Classification,
     DEFAULT_MAX_DEPTH,
@@ -369,6 +374,71 @@ def test_traced_pathways_stay_frozen_and_replaceable():
     assert (pathway.mode_category, pathway.total_gain) == ("stability", 1.0)
     assert changed.nodes is pathway.nodes
     assert vars(dataclasses.replace(pathway)) == vars(pathway)
+
+
+# ---------------------------------------------------------------------------
+# Metamorphic relations.
+
+def _outcome(pathway):
+    return (pathway.node_ids(), pathway.step_gains, repr(pathway.total_gain),
+            pathway.classification)
+
+
+def test_reversing_every_edge_turns_the_upstream_trace_into_the_downstream_one():
+    checked = 0
+    for seed in range(300):
+        rng = random.Random(7000 + seed)
+        model = add_parallel_edges(random_model(rng), rng)
+        reversed_model = dataclasses.replace(model, edges=[
+            dataclasses.replace(edge, from_id=edge.to_id, to_id=edge.from_id)
+            for edge in model.edges])
+        reversed_interactions = extract_interactions(reversed_model)
+        for interaction in extract_interactions(model):
+            category = rng.choice(BUILTIN_CATEGORIES)
+            max_depth = rng.choice((1, 3, DEFAULT_MAX_DEPTH))
+            upstream = trace(model, interaction, category, TraceDirection.UPSTREAM,
+                             max_depth)
+            downstream = trace(reversed_model,
+                               interaction_by_id(reversed_interactions, interaction.i_id),
+                               category, TraceDirection.DOWNSTREAM, max_depth)
+            assert list(map(_outcome, downstream)) == list(map(_outcome, upstream)), (
+                f"seed {seed}, interaction {interaction.i_id}")
+            checked += 1
+    assert checked >= 1000
+
+
+def test_a_node_mitigation_lowers_the_totals_of_exactly_the_pathways_past_it():
+    checked = fell = 0
+    for seed in range(300):
+        rng = random.Random(8000 + seed)
+        model = add_parallel_edges(random_model(rng), rng)
+        category = rng.choice(BUILTIN_CATEGORIES)
+        catalog = builtin_mitigations() + [Mitigation(
+            id="probe", name="Probe", categories=(category,), placement=Placement.NODE,
+            detail="")]
+        damped_id = rng.choice(model.nodes).id
+        damped = dataclasses.replace(model, nodes=[
+            dataclasses.replace(node, mitigation_ids=[*node.mitigation_ids, "probe"])
+            if node.id == damped_id else node
+            for node in model.nodes])
+        pairs = zip(extract_interactions(model), extract_interactions(damped))
+        for interaction, damped_interaction in list(pairs)[:3]:
+            for direction in TraceDirection:
+                before = trace(model, interaction, category, direction,
+                               mitigation_catalog=catalog)
+                after = trace(damped, damped_interaction, category, direction,
+                              mitigation_catalog=catalog)
+                assert [p.node_ids() for p in after] == [p.node_ids() for p in before]
+                for old, new in zip(before, after):
+                    assert new.total_gain <= old.total_gain, f"seed {seed}"
+                    if damped_id in old.node_ids()[1:]:
+                        assert new.total_gain < old.total_gain or new.total_gain == 0, (
+                            f"seed {seed}")
+                        fell += 1
+                    else:
+                        assert repr(new.total_gain) == repr(old.total_gain), f"seed {seed}"
+                    checked += 1
+    assert checked >= 1000 and fell >= 100
 
 
 # ---------------------------------------------------------------------------
