@@ -403,6 +403,9 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """``run``, then flush standard output.  With ``argv`` None, the process's
+    own call (the ``hatlens`` script, ``python -m hatlens.cli``), it then
+    freezes the cyclic collector; a list leaves the collector as it was."""
     code = run(argv)
     try:
         if sys.stdout is not None:
@@ -416,6 +419,10 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: cannot write standard output: {exc.strerror or exc}",
                   file=sys.stderr)
             code = EXIT_USAGE
+    if argv is None:
+        # The process ends next: its shutdown collections would re-walk the
+        # ~15k objects the imports made, all live.  They skip frozen ones.
+        gc.freeze()
     return code
 
 

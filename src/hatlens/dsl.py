@@ -55,6 +55,8 @@ _IDENT = re.compile("[a-z][a-z0-9_]*")
 
 @dataclass(frozen=True)
 class ParseDiagnostic:
+    """One problem found while parsing, at a 1-based line and column."""
+
     line: int
     column: int
     message: str

@@ -26,6 +26,8 @@ class Direction(Enum):
 
 @dataclass(frozen=True, eq=False)
 class Interaction:
+    """An edge that crosses the human/machine boundary, numbered ``i_id``."""
+
     i_id: int
     name: str
     source: ActionNode

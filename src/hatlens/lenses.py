@@ -27,6 +27,8 @@ class Applicability(Enum):
 
 @dataclass(frozen=True)
 class GenericFailureMode:
+    """An analyst question of one lens, with its category and directions."""
+
     id: str
     lens_id: str
     category: str
@@ -39,6 +41,8 @@ class GenericFailureMode:
 
 @dataclass(frozen=True)
 class Lens:
+    """A named group of generic failure modes."""
+
     id: str
     name: str
     modes: tuple[GenericFailureMode, ...] = ()
@@ -47,6 +51,8 @@ class Lens:
 
 @dataclass
 class LensCatalog:
+    """An ordered list of lenses, such as the builtins merged with ``.lens`` files."""
+
     lenses: list[Lens] = field(default_factory=list)
 
     def modes(self) -> list[GenericFailureMode]:

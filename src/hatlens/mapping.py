@@ -18,6 +18,8 @@ from .model import Stage
 
 @dataclass(frozen=True)
 class SpecialisedFailureMode:
+    """An analyst's refinement of one generic mode on one interaction."""
+
     sfm_id: int
     interaction_id: int
     generic_mode_id: str
@@ -27,6 +29,8 @@ class SpecialisedFailureMode:
 
 @dataclass(frozen=True)
 class FailureModeRow:
+    """One row of the table: an interaction, a generic mode and any specialisation."""
+
     i_id: int
     sfm_id: int | None
     interaction_name: str
@@ -41,6 +45,8 @@ class FailureModeRow:
 
 @dataclass
 class FailureModeTable:
+    """The failure-mode table, one row per interaction and mode."""
+
     rows: list[FailureModeRow] = field(default_factory=list)
 
 

@@ -25,6 +25,8 @@ class Placement(Enum):
 
 @dataclass(frozen=True)
 class Mitigation:
+    """A pattern that damps the traced gain of its categories where attached."""
+
     id: str
     name: str
     categories: tuple[str, ...]

@@ -97,6 +97,8 @@ class GainBehaviour:
 
 @dataclass
 class Lane:
+    """A swimlane on the human or machine side of the boundary."""
+
     id: str
     side: Side
     kind: LaneKind
@@ -106,6 +108,8 @@ class Lane:
 
 @dataclass
 class ActionNode:
+    """An action at one decision-loop stage of a lane."""
+
     id: str
     lane_id: str
     stage: Stage
@@ -120,6 +124,8 @@ class ActionNode:
 
 @dataclass
 class ActivityEdge:
+    """A directed flow between two nodes, optionally guarded and mitigated."""
+
     # Edge ids are derived (assigned in declaration order), never authored,
     # so they do not participate in equality.
     id: str = field(compare=False)
@@ -185,6 +191,8 @@ class Severity(Enum):
 
 @dataclass(frozen=True)
 class Diagnostic:
+    """One finding of ``validate``: severity, code, message and source line."""
+
     severity: Severity
     code: str
     message: str

@@ -67,6 +67,8 @@ def classify(total_gain: float) -> Classification:
 
 @dataclass(frozen=True, eq=False)
 class TracePathway:
+    """One maximal simple path from an interaction endpoint, with its gains."""
+
     origin: Interaction
     mode_category: str
     direction: TraceDirection
@@ -189,6 +191,8 @@ class InducedMode(Enum):
 
 @dataclass(frozen=True)
 class SecondOrderEffect:
+    """A disuse or misuse effect induced by one specialisation."""
+
     origin_sfm_id: int
     induced_mode: InducedMode
     rationale: str

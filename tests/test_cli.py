@@ -768,18 +768,48 @@ class TestFilesAndUsage:
             assert out.splitlines()[0] == f"usage: hatlens {command} {usage}"
 
     def test_main_is_an_alias_for_run(self, capsys):
+        collecting, frozen = gc.isenabled(), gc.get_freeze_count()
         assert main(["lenses"]) == EXIT_OK
         capsys.readouterr()
+        assert (gc.isenabled(), gc.get_freeze_count()) == (collecting, frozen)
 
-    def test_the_module_runs_as_a_script_without_warnings(self):
+    def test_the_process_s_own_main_freezes_the_collector(self):
+        # main() with no argv is the console script's call; the frozen heap
+        # is what the interpreter's shutdown collections then skip.
+        env = dict(os.environ, PYTHONPATH=str(FIXTURE_ROOT.parent.parent))
+        script = ("import gc, sys\n"
+                  "from hatlens.cli import main\n"
+                  "sys.argv = ['hatlens', 'lenses']\n"
+                  "code = main()\n"
+                  "print(gc.get_freeze_count() > 0, file=sys.stderr)\n"
+                  "sys.exit(code)\n")
+        entry = subprocess.run([sys.executable, "-c", script], env=env,
+                               capture_output=True, text=True, timeout=120)
+        module = subprocess.run([sys.executable, "-m", "hatlens.cli", "lenses"], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert entry.stderr == "True\n"
+        assert (entry.returncode, entry.stdout) == (module.returncode, module.stdout)
+        assert (module.returncode, module.stderr) == (EXIT_OK, "")
+
+    @pytest.mark.parametrize("command", [
+        ("validate", MODEL),
+        ("trace", MODEL, *TRACE_BOTH, "--format", "json", "-o", "out.json"),
+    ], ids=["validate", "trace-o"])
+    @pytest.mark.parametrize("flags", [("-W", "error"), ("-X", "dev", "-W", "error")],
+                             ids=["W-error", "X-dev"])
+    def test_the_module_runs_as_a_script_without_warnings(self, tmp_path, command, flags):
         # Were the package to import hatlens.cli, runpy would warn that the
         # module is loaded before it runs; -W error makes that a failure.
+        # -X dev also warns of a file freed while still open; ``-o`` is how
+        # a command opens one.
         src = str(FIXTURE_ROOT.parent.parent)
         env = dict(os.environ, PYTHONPATH=src)
         result = subprocess.run(
-            [sys.executable, "-W", "error", "-m", "hatlens.cli", "validate", MODEL],
-            env=env, capture_output=True, text=True, timeout=120)
+            [sys.executable, *flags, "-m", "hatlens.cli", *command],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
         assert (result.returncode, result.stderr) == (EXIT_OK, "")
+        if "-o" in command:
+            assert json.loads((tmp_path / "out.json").read_text(encoding="utf-8"))["pathways"]
 
 
 # ---------------------------------------------------------------------------

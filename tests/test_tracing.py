@@ -12,10 +12,12 @@ Three independent oracles carry the load:
 * classification: the product of step gains compared against exactly 1,
   checked right up to the adjacent floating-point values.
 
-Two metamorphic relations compare traces of related models, so they check
+Four metamorphic relations compare traces of related models, so they check
 the rules themselves rather than a second copy of them: reversing every
-edge turns an upstream trace into a downstream one, and a node mitigation
-lowers exactly the totals of the pathways that pass it.
+edge turns an upstream trace into a downstream one, a node mitigation
+lowers exactly the totals of the pathways that pass it, lowering a node's
+response to dampen moves no pathway toward Amplified, and renaming nodes
+in order renames every trace and its JSON.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+import re
 from collections import deque
 
 import pytest
@@ -33,9 +36,12 @@ from conftest import BUILTIN_CATEGORIES, add_parallel_edges, random_model, tower
 from hatlens import (
     Classification,
     DEFAULT_MAX_DEPTH,
+    GainBehaviour,
+    GainKind,
     InducedMode,
     Mitigation,
     Placement,
+    ReportBundle,
     SpecialisedFailureMode,
     TraceDirection,
     TracePathway,
@@ -43,6 +49,7 @@ from hatlens import (
     builtin_mitigations,
     classify,
     derive_second_order,
+    emit_json,
     extract_interactions,
     interaction_by_id,
     parse_model,
@@ -439,6 +446,89 @@ def test_a_node_mitigation_lowers_the_totals_of_exactly_the_pathways_past_it():
                         assert repr(new.total_gain) == repr(old.total_gain), f"seed {seed}"
                     checked += 1
     assert checked >= 1000 and fell >= 100
+
+
+_TOWARD_AMPLIFIED = {Classification.MITIGATED: 0, Classification.NEUTRAL: 1,
+                     Classification.AMPLIFIED: 2}
+
+
+def test_dampening_a_node_moves_no_pathway_toward_amplified():
+    checked = fell = reclassified = 0
+    for seed in range(300):
+        rng = random.Random(9000 + seed)
+        model = add_parallel_edges(random_model(rng), rng)
+        category = rng.choice(BUILTIN_CATEGORIES)
+        # Amplify, neutral, or no response at all, which traces as neutral.
+        candidates = [node.id for node in model.nodes
+                      if category not in node.response
+                      or node.response[category].kind is not GainKind.DAMPEN]
+        if not candidates:
+            continue
+        lowered_id = rng.choice(candidates)
+        dampen = rng.choice((GainBehaviour.dampen(),
+                             GainBehaviour.dampen(round(rng.uniform(0.05, 0.95), 3))))
+        lowered = dataclasses.replace(model, nodes=[
+            dataclasses.replace(node, response={**node.response, category: dampen})
+            if node.id == lowered_id else node
+            for node in model.nodes])
+        pairs = zip(extract_interactions(model), extract_interactions(lowered))
+        for interaction, lowered_interaction in list(pairs)[:3]:
+            for direction in TraceDirection:
+                before = trace(model, interaction, category, direction)
+                after = trace(lowered, lowered_interaction, category, direction)
+                assert [p.node_ids() for p in after] == [p.node_ids() for p in before]
+                for old, new in zip(before, after):
+                    assert new.total_gain <= old.total_gain, f"seed {seed}"
+                    assert (_TOWARD_AMPLIFIED[new.classification]
+                            <= _TOWARD_AMPLIFIED[old.classification]), f"seed {seed}"
+                    if lowered_id in old.node_ids()[1:]:
+                        assert new.total_gain < old.total_gain or new.total_gain == 0, (
+                            f"seed {seed}")
+                        fell += 1
+                        reclassified += new.classification is not old.classification
+                    else:
+                        assert _outcome(new) == _outcome(old), f"seed {seed}"
+                    checked += 1
+    assert checked >= 1000 and fell >= 100 and reclassified >= 10
+
+
+def test_renaming_nodes_in_order_renames_every_trace_and_its_json():
+    checked = 0
+    for seed in range(300):
+        rng = random.Random(10000 + seed)
+        model = add_parallel_edges(random_model(rng), rng)
+        # Fresh ids of other lengths than the old ones, assigned in sorted
+        # order, so that the bijection keeps the order the walk sorts by.
+        fresh: set[str] = set()
+        while len(fresh) < len(model.nodes):
+            fresh.add("q_" + "".join(rng.choice("abz09_") for _ in range(rng.randint(1, 6))))
+        renamed_id = dict(zip(sorted(node.id for node in model.nodes), sorted(fresh)))
+        original_id = {new: old for old, new in renamed_id.items()}
+        renamed = dataclasses.replace(
+            model,
+            nodes=[dataclasses.replace(node, id=renamed_id[node.id]) for node in model.nodes],
+            edges=[dataclasses.replace(edge, from_id=renamed_id[edge.from_id],
+                                       to_id=renamed_id[edge.to_id])
+                   for edge in model.edges])
+        before: list[TracePathway] = []
+        after: list[TracePathway] = []
+        pairs = zip(extract_interactions(model), extract_interactions(renamed))
+        for interaction, renamed_interaction in pairs:
+            category = rng.choice(BUILTIN_CATEGORIES)
+            max_depth = rng.choice((1, 3, DEFAULT_MAX_DEPTH))
+            for direction in TraceDirection:
+                old = trace(model, interaction, category, direction, max_depth)
+                new = trace(renamed, renamed_interaction, category, direction, max_depth)
+                assert [_outcome(p) for p in new] == [
+                    (tuple(renamed_id[i] for i in ids), *rest)
+                    for ids, *rest in map(_outcome, old)], f"seed {seed}"
+                before += old
+                after += new
+                checked += 1
+        renamed_json = emit_json(ReportBundle(pathways=after))
+        assert re.sub('"(q_[abz09_]+)"', lambda m: f'"{original_id[m[1]]}"',
+                      renamed_json) == emit_json(ReportBundle(pathways=before)), f"seed {seed}"
+    assert checked >= 1000
 
 
 # ---------------------------------------------------------------------------
