@@ -10,14 +10,14 @@ Each statement keyword is declared once, as a tuple of ``_Field``s in
 ``_MITIGATION`` (``.mit``): its positional words, quoted strings,
 attributes and attribute prefixes in canonical order, which are optional,
 which are ids or references to ids, and the converters that parse and
-write each one.  That is the only statement table: ``_read`` parses any
-statement by walking its declaration and ``_write`` writes any statement
-from it, so parse and serialize are mutually inverse on valid values by
-construction.  ``_read`` has one path for every line: it lexes the line
-with one pattern, sorts the tokens into words, strings and attributes by
-name, and takes each declared field from them in turn.  The ``parse_*``
-functions add only the rules no declaration states: one model statement
-per file, no edge self-loops, and ascending sfm ids.
+write each one.  That is the only statement table: ``_read`` parses and
+``_write`` writes any statement by its declaration, so the two are
+mutually inverse on valid values by construction.  ``_read`` reads a line
+in one pass: one pattern lexes it, each token goes straight to its field
+(words and strings by position, attributes by name or prefix), one loop
+over the declaration reports missing fields, and only a diagnostic needs
+a column.  The ``parse_*`` functions add only the rules no declaration
+states: one model statement per file, no edge self-loops, ascending sfm ids.
 ``docs/dsl-reference.md`` describes the formats for authors.
 
 Parsing is all-or-nothing: a parse either returns the value or raises
@@ -109,10 +109,10 @@ def _matching(pattern: str | re.Pattern, message: str,
     """A parser for text that matches ``pattern`` whole, converted by
     ``convert`` if given; other text fails with ``message`` formatted with
     the text."""
-    regex = re.compile(pattern)
+    fullmatch = re.compile(pattern).fullmatch
 
     def parse(text: str):
-        if regex.fullmatch(text) is None:
+        if fullmatch(text) is None:
             raise ValueError(message.format(text))
         return text if convert is None else convert(text)
     return parse
@@ -313,31 +313,31 @@ _BAD = object()  # the value of a required field that is missing, or of any malf
 
 
 class _Statement:
-    """One statement read by its declaration: each field's value and column."""
+    """One statement read by its declaration: each field's value and token index."""
 
-    __slots__ = ("line", "column", "values", "columns", "diags")
+    __slots__ = ("line", "text", "values", "indexes", "diags")
 
-    def __init__(self, line: int, column: int, values: dict[str, object],
-                 columns: dict[str, int], diags: list[ParseDiagnostic]):
+    def __init__(self, line: int, text: str, values: dict[str, object],
+                 indexes: dict[str, int], diags: list[ParseDiagnostic]):
         self.line = line
-        self.column = column  # the keyword's
+        self.text = text
         self.values = values
-        self.columns = columns
+        self.indexes = indexes
         self.diags = diags
 
-    def error(self, column: int, message: str) -> None:
-        self.diags.append(ParseDiagnostic(self.line, column, message))
-
     def reject(self, attr: str, message: str) -> None:
-        self.error(self.columns[attr], message)
+        column = _columns(self.text)[self.indexes[attr]]
+        self.diags.append(ParseDiagnostic(self.line, column, message))
         self.values[attr] = _BAD
-
-    def good(self, *attrs: str) -> bool:
-        return all(self.values.get(attr) is not _BAD for attr in attrs)
 
     def build(self, cls, **extra):
         """``cls`` from the values given; the others keep their defaults."""
         return cls(**self.values, **extra, line=self.line)
+
+
+def _columns(line: str) -> list[int]:
+    """The 1-based column where each token of ``line`` starts."""
+    return [match.end(1) + 1 for match in _TOKEN.finditer(line)]
 
 
 def _read(text: str, statements: dict[str, tuple[_Field, ...]],
@@ -350,6 +350,14 @@ def _read(text: str, statements: dict[str, tuple[_Field, ...]],
     repeats."""
     read: dict[str, list[_Statement]] = {keyword: [] for keyword in statements}
     ids: dict[str, set] = {keyword: set() for keyword in statements}
+    plans = {}  # each keyword's fields as its tokens find them, then its required fields
+    for keyword, fields in statements.items():
+        kinds = {kind: [field for field in fields if field.kind == kind]
+                 for kind in (_WORD, _STRING, _ATTR, _PREFIX)}
+        plans[keyword] = (
+            kinds[_WORD], kinds[_STRING], {field.key: field for field in kinds[_ATTR]},
+            kinds[_PREFIX], [(field.attr or field.key, field) for field in fields
+                             if field.omit is _REQUIRED])
     if "\r" in text:  # a line ends at LF, CRLF or CR, as in universal-newline reading
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     for line_no, line in enumerate(text.split("\n"), start=1):
@@ -377,67 +385,51 @@ def _read(text: str, statements: dict[str, tuple[_Field, ...]],
         if not keyword or value:
             diags.append(ParseDiagnostic(line_no, at, "expected a statement keyword"))
             continue
-        known = keyword in statements
-        if not known:
+        seen = set()  # the attribute names so far; a repeat is ignored
+        if keyword not in plans:
             diags.append(ParseDiagnostic(line_no, at, f"unknown keyword '{keyword}'"))
-        # The tokens after the keyword, each with its column: words and
-        # strings in order, attributes by name.
-        words, strings, attrs = [], [], {}
-        column = at + len(keyword)
-        for blanks, name, value, string, _ in tokens[1:]:
-            column += len(blanks)
-            if not name:
-                strings.append((column, _unescape(string)))
-                column += len(string) + 2
-            elif not value:
-                words.append((column, name))
-                column += len(name)
-            else:  # an attribute; its value starts with the "="
-                if name in attrs:
+            for column, (_, name, value, _, _) in zip(_columns(line), tokens):
+                if value and name in seen:
                     diags.append(ParseDiagnostic(line_no, column, f"duplicate attribute '{name}'"))
-                else:
-                    attrs[name] = (column, _unescape(value[2:-1]) if value[1:2] == '"'
-                                   else value[1:])
-                column += len(name) + len(value)
-        if not known:
+                elif value:
+                    seen.add(name)
             continue
-        # Each field in declared order, its id checked against those declared so far.
-        values: dict[str, object] = {}
-        columns: dict[str, int] = {}
+        words, strings, attrs, prefixes, required = plans[keyword]
+        values, indexes = {}, {}  # field values, and token indexes (a fixed word's by key)
+        words, strings = iter(words), iter(strings)  # a word or a string takes the next of these
         new_id = None  # the statement's id, once well-formed and not a duplicate
         blocked = False  # whether a field that blocks declaring it is missing or malformed
-        for kind, key, attr, parse, _, omit, unique, refers, blocks in statements[keyword]:
-            if kind == _ATTR:
-                token = attrs.pop(key, None)
-            elif kind == _WORD:
-                token = words.pop(0) if words else None
-            elif kind == _STRING:
-                token = strings.pop(0) if strings else None
-            else:  # a prefix field: every attribute whose name starts with ``key``
-                found = {}
-                for name in [name for name in attrs if name.startswith(key)]:
-                    column, text = attrs.pop(name)
-                    name = name[len(key):]
-                    try:
-                        if _IDENT.fullmatch(name) is None:
-                            raise ValueError(f"invalid {key[:-1]} category '{name}'")
-                        found[name] = parse(text)
-                    except ValueError as exc:
-                        diags.append(ParseDiagnostic(line_no, column, str(exc)))
-                values[attr] = found
-                continue
-            if token is None:
-                if omit is _REQUIRED:
-                    what = f"the {key}= attribute" if kind == _ATTR else key
-                    diags.append(ParseDiagnostic(line_no, at,
-                                                 f"{keyword} statement is missing {what}"))
-                    if attr:
-                        values[attr] = _BAD
-                    blocked = blocked or blocks is not False
-                continue
-            column, text = token
+        columns = None  # each token's, once a diagnostic needs one
+        # Each token goes straight to its field, which parses it.
+        for index, (_, name, value, string, _) in enumerate(tokens[1:], start=1):
+            field = None
             try:
-                value = parse(text)
+                if not name:  # a quoted string
+                    field, token = next(strings, None), _unescape(string)
+                    if field is None:
+                        raise ValueError("unexpected quoted string")
+                elif not value:  # a word
+                    field, token = next(words, None), name
+                    if field is None:
+                        raise ValueError(f"unexpected token '{name}'")
+                else:  # an attribute; its value starts with the "="
+                    if name in seen:
+                        raise ValueError(f"duplicate attribute '{name}'")
+                    seen.add(name)
+                    token = _unescape(value[2:-1]) if value[1:2] == '"' else value[1:]
+                    field = attrs.get(name)
+                    if field is None:  # a prefix field's, keyed there by the rest of its name
+                        prefix = next((prefix for prefix in prefixes
+                                       if name.startswith(prefix.key)), None)
+                        if prefix is None:
+                            raise ValueError(f"unknown attribute '{name}'")
+                        name = name[len(prefix.key):]
+                        if _IDENT.fullmatch(name) is None:
+                            raise ValueError(f"invalid {prefix.key[:-1]} category '{name}'")
+                        values.setdefault(prefix.attr, {})[name] = prefix.parse(token)
+                        continue
+                _, key, attr, parse, _, omit, unique, refers, blocks = field
+                value = parse(token)
                 if unique:
                     if value in ids[keyword]:
                         raise ValueError(f"duplicate {keyword} id '{value}'")
@@ -445,21 +437,26 @@ def _read(text: str, statements: dict[str, tuple[_Field, ...]],
                 if refers and value not in ids[refers]:
                     raise ValueError(f"{keyword} references undeclared {refers} '{value}'")
             except ValueError as exc:
-                diags.append(ParseDiagnostic(line_no, column, str(exc)))
+                columns = columns or _columns(line)
+                diags.append(ParseDiagnostic(line_no, columns[index], str(exc)))
+                if field is None:  # no field takes the token
+                    continue
                 value = _BAD
                 blocked = blocked or (omit is _REQUIRED if blocks is None else blocks)
             if attr:
                 values[attr] = value
-                columns[attr] = column
-        for column, text in words:
-            diags.append(ParseDiagnostic(line_no, column, f"unexpected token '{text}'"))
-        for column, _ in strings:
-            diags.append(ParseDiagnostic(line_no, column, "unexpected quoted string"))
-        for key, (column, _) in attrs.items():
-            diags.append(ParseDiagnostic(line_no, column, f"unknown attribute '{key}'"))
+            indexes[attr or key] = index
+        for name, field in required:  # in declared order
+            if name in indexes:
+                continue
+            what = f"the {field.key}= attribute" if field.kind == _ATTR else field.key
+            diags.append(ParseDiagnostic(line_no, at, f"{keyword} statement is missing {what}"))
+            if field.attr:
+                values[field.attr] = _BAD
+            blocked = blocked or field.blocks is not False
         if new_id is not None and not blocked:
             ids[keyword].add(new_id)
-        read[keyword].append(_Statement(line_no, at, values, columns, diags))
+        read[keyword].append(_Statement(line_no, line, values, indexes, diags))
     return read
 
 
@@ -503,16 +500,17 @@ def parse_model(text: str) -> Ooda2Model:
     for statement in read["model"]:
         # The name is checked here, not by its field: a repeated model
         # statement reports only that it repeats.
-        if not statement.good("name"):
+        if statement.values["name"] is _BAD:
             continue
         if model is not None:
-            statement.error(statement.column, "duplicate model statement")
+            diags.append(ParseDiagnostic(statement.line, _columns(statement.text)[0],
+                                         "duplicate model statement"))
         elif not statement.values["name"]:
             statement.reject("name", "model name must be non-empty")
         else:
             model = statement
     for edge in read["edge"]:
-        if edge.good("from_id") and edge.values["from_id"] == edge.values["to_id"]:
+        if edge.values["from_id"] is not _BAD and edge.values["from_id"] == edge.values["to_id"]:
             edge.reject("from_id", f"edge loops node '{edge.values['from_id']}' onto itself")
     if model is None and not diags:
         diags.append(ParseDiagnostic(1, 1, "missing model statement"))
@@ -544,7 +542,7 @@ def parse_sfm_bindings(text: str) -> list[SpecialisedFailureMode]:
     read = _read(text, _SFM, diags)
     previous: int | None = None
     for sfm in read["sfm"]:
-        if sfm.good("sfm_id"):
+        if sfm.values["sfm_id"] is not _BAD:
             problem = sfm_id_problem(sfm.values["sfm_id"], previous)
             if problem:
                 sfm.reject("sfm_id", problem)

@@ -21,13 +21,13 @@ from .dsl import (
 from .interactions import extract_interactions, interaction_by_id
 from .lenses import builtin_catalog, merge_catalogs
 from .mapping import apply_specialisations, map_failure_modes
-from .mitigations import builtin_mitigations
-from .report import emit_csv, emit_dot, emit_second_order_json
+from .mitigations import builtin_mitigations, suggest_mitigations
+from .report import ReportBundle, emit_csv, emit_dot, emit_markdown, emit_second_order_json
 from .tracing import TraceDirection, derive_second_order, trace
 
 _ROOT = Path(__file__).parent / "fixtures"
 
-_GOLDEN_SUFFIXES = (".csv", ".dot", ".json")
+_GOLDEN_SUFFIXES = (".csv", ".dot", ".json", ".md")
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ def load_fixture(name: str) -> GoldenFixture:
         expected={
             path.name: path
             for path in sorted(root.iterdir())
-            if path.suffix in _GOLDEN_SUFFIXES
+            if path.suffix in _GOLDEN_SUFFIXES and path.name != "README.md"
         },
     )
     parse_model(model_path.read_text(encoding="utf-8"))
@@ -96,18 +96,19 @@ def regenerate(fixture: GoldenFixture) -> dict[str, str]:
             else parse_sfm_bindings(fixture.sfm_path.read_text(encoding="utf-8")))
     interactions = extract_interactions(model)
     table = apply_specialisations(map_failure_modes(interactions, catalog), sfms)
+    second_order = derive_second_order(sfms, interactions, catalog)
 
-    def pathway_sfm4_dot() -> str:
+    def sfm4_pathways() -> list:  # the README's: interaction 3, timely, down
         origin = next(row for row in table.rows if row.sfm_id == 4)
-        pathways = trace(model, interaction_by_id(interactions, origin.i_id),
-                         origin.generic_mode_category, TraceDirection.DOWNSTREAM,
-                         mitigation_catalog=mitigations)
-        return emit_dot(model, pathways)
+        return trace(model, interaction_by_id(interactions, origin.i_id),
+                     origin.generic_mode_category, TraceDirection.DOWNSTREAM,
+                     mitigation_catalog=mitigations)
 
     recipes = {
         "table.csv": lambda: emit_csv(table),
-        "pathway_sfm4.dot": pathway_sfm4_dot,
-        "second_order.json": lambda: emit_second_order_json(
-            derive_second_order(sfms, interactions, catalog)),
+        "pathway_sfm4.dot": lambda: emit_dot(model, sfm4_pathways()),
+        "second_order.json": lambda: emit_second_order_json(second_order),
+        "report.md": lambda: emit_markdown(ReportBundle(
+            table, sfm4_pathways(), second_order, suggest_mitigations(table, mitigations))),
     }
     return {name: recipes[name]() for name in fixture.expected if name in recipes}

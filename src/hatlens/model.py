@@ -54,7 +54,7 @@ class Stage(Enum):
         return cycle[(cycle.index(self) + 1) % len(cycle)]
 
     def display(self) -> str:
-        return self.value.capitalize()
+        return self._value_.capitalize()
 
 
 class GainKind(Enum):

@@ -105,8 +105,9 @@ def emit_markdown(bundle: ReportBundle) -> str:
     lines = ["## Failure Modes", ""]
     lines.append("| " + " | ".join(header_cells) + " |")
     lines.append("| " + " | ".join("---" for _ in header_cells) + " |")
+    cells = _Spellings(_md_cell)  # a wide table repeats a few hundred texts
     for row in bundle.table.rows:
-        lines.append("| " + " | ".join(_md_cell(cell) for cell in _row_cells(row)) + " |")
+        lines.append("| " + " | ".join(map(cells.__getitem__, _row_cells(row))) + " |")
     for title, items in (
         ("Pathways", map(pathway_label, bundle.pathways)),
         ("Second-order Effects", (f"SFM {effect.origin_sfm_id} induces "
@@ -129,7 +130,7 @@ def _effect_json(effect: SecondOrderEffect) -> dict:
 
 
 class _Spellings(dict):
-    """Each key's JSON text, made by ``spell`` on its first lookup."""
+    """Each key's spelling, made by ``spell`` on its first lookup."""
 
     def __init__(self, spell):
         super().__init__()

@@ -9,6 +9,7 @@ all-or-nothing semantics, and the sorted multi-error report.
 
 from __future__ import annotations
 
+import hashlib
 import random
 import re
 
@@ -722,76 +723,79 @@ def _with_value(token: str, value: str) -> str:
     return f"{key}={value}" if sep else value
 
 
-@st.composite
-def mutated(draw, text: str) -> str:
+def _mutate(text: str, integers, sample, permute) -> str:
     """``text`` with some statements repeated, moved or dropped, and, on some
     lines, tokens reordered, repeated, dropped, added, quoted, escaped or
     given other values; every line's tokens are joined by spaces and tabs,
-    with or without leading and trailing blanks and a CR."""
+    with or without leading and trailing blanks and a CR.  Each choice comes
+    from ``integers(a, b)``, ``sample(items)`` or ``permute(items)``."""
     lines = text.split("\n")
-    for _ in range(draw(st.integers(0, 3))):
+    for _ in range(integers(0, 3)):
         statements = [index for index, line in enumerate(lines) if line]
         if not statements:
             break
-        at = draw(st.sampled_from(statements))
-        op = draw(st.sampled_from(["repeat", "repeat", "move", "drop"]))
+        at = sample(statements)
+        op = sample(["repeat", "repeat", "move", "drop"])
         line = lines[at] if op == "repeat" else lines.pop(at)
         if op != "drop":
-            lines.insert(draw(st.integers(0, len(lines))), line)
-    rate = draw(st.sampled_from([0, 1, 2, 8]))  # eighths of the lines
+            lines.insert(integers(0, len(lines)), line)
+    rate = sample([0, 1, 2, 8])  # eighths of the lines
     out = []
     for line in lines:
         tokens = _TOKEN_TEXT.findall(line)
-        for _ in range(draw(st.integers(1, 3)) if tokens and draw(st.integers(0, 7)) < rate
-                       else 0):
-            at = draw(st.integers(1, len(tokens)))
-            op = draw(st.sampled_from(
-                ["reorder", "shuffle", "repeat", "drop", "add", "value", "quote", "escape"]))
+        for _ in range(integers(1, 3) if tokens and integers(0, 7) < rate else 0):
+            at = integers(1, len(tokens))
+            op = sample(["reorder", "shuffle", "repeat", "drop", "add", "value", "quote",
+                         "escape"])
             if op == "reorder":  # the attributes only, the rest keep their places
                 places = [index for index, token in enumerate(tokens)
                           if re.match('[^"=]+=', token)]
-                for place, token in zip(places, draw(st.permutations(
-                        [tokens[place] for place in places]))):
+                for place, token in zip(places, permute([tokens[place] for place in places])):
                     tokens[place] = token
             elif op == "shuffle":
-                tokens[1:] = draw(st.permutations(tokens[1:]))
+                tokens[1:] = permute(tokens[1:])
             elif op == "add":
-                tokens.insert(at, draw(st.sampled_from(_EXTRA_TOKENS)))
+                tokens.insert(at, sample(_EXTRA_TOKENS))
             elif at == len(tokens):
                 continue
             elif op == "repeat":  # next to itself, or anywhere
-                where = at + 1 if draw(st.booleans()) else draw(st.integers(1, len(tokens)))
+                where = at + 1 if integers(0, 1) else integers(1, len(tokens))
                 tokens.insert(where, tokens[at])
             elif op == "drop":
                 del tokens[at]
             elif op == "value":
-                tokens[at] = _with_value(tokens[at], draw(st.sampled_from(_NEW_VALUES)))
+                tokens[at] = _with_value(tokens[at], sample(_NEW_VALUES))
             elif op == "quote" and '"' not in tokens[at]:
                 key, sep, value = tokens[at].rpartition("=")
                 tokens[at] = f'{key}{sep}"{value}"'
             elif op == "escape" and '"' in tokens[at]:
                 quote = tokens[at].index('"') + 1
-                escape = draw(st.sampled_from(['\\"', "\\\\", "\\n"]))
+                escape = sample(['\\"', "\\\\", "\\n"])
                 tokens[at] = tokens[at][:quote] + escape + tokens[at][quote:]
-        seps = draw(st.lists(st.sampled_from([" ", " ", " ", "\t", "  ", " \t "]),
-                             min_size=len(tokens), max_size=len(tokens)))
-        if seps and draw(st.integers(0, 3)):
+        seps = [sample([" ", " ", " ", "\t", "  ", " \t "]) for _ in tokens]
+        if seps and integers(0, 3):
             seps[0] = ""
         line = "".join(sep + token for sep, token in zip(seps, tokens))
-        out.append(line + draw(st.sampled_from(["", "", " ", "\t", "\r"])))
+        out.append(line + sample(["", "", " ", "\t", "\r"]))
     return "\n".join(out)
 
 
+@st.composite
+def mutated(draw, text: str) -> str:
+    return _mutate(text, lambda low, high: draw(st.integers(low, high)),
+                   lambda items: draw(st.sampled_from(items)),
+                   lambda items: draw(st.permutations(items)))
+
+
+_PIECES = ["model", "lane", "node", "edge", "lens", "mode", "sfm", "mitigation", " ", "\t",
+           "\n", "\r\n", '"', "\\", "=", "x", "h", "a", "->", "1", "0", "side=human",
+           "kind=operator", "stage=act", "lane=h", "response.stability=", "amplify:2",
+           "interaction=1", "category=a", "placement=node", "direction=m2h", "lens=l",
+           "damping=", "detail=", "benign=", "question=", "cause=", "mitigation="]
 _ANY_TEXT = st.one_of(
     st.text(),
     st.text(alphabet='model lane node edge lens mode sfm mitigation ->=".\\#,:\t\r\n01a'),
-    st.lists(st.sampled_from(
-        ["model", "lane", "node", "edge", "lens", "mode", "sfm", "mitigation", " ", "\t",
-         "\n", "\r\n", '"', "\\", "=", "x", "h", "a", "->", "1", "0", "side=human",
-         "kind=operator", "stage=act", "lane=h", "response.stability=", "amplify:2",
-         "interaction=1", "category=a", "placement=node", "direction=m2h", "lens=l",
-         "damping=", "detail=", "benign=", "question=", "cause=", "mitigation="])
-    ).map("".join),
+    st.lists(st.sampled_from(_PIECES)).map("".join),
 )
 
 
@@ -809,3 +813,50 @@ def test_any_text_parses_or_raises_a_parse_error(parse, data):
         for diag in exc.diagnostics:
             assert 1 <= diag.line <= len(lines), diag
             assert 1 <= diag.column <= len(lines[diag.line - 1]) + 1, diag
+
+
+def _pinned_corpus():
+    """2,400 texts, 600 per format, the same on every run: serialized random
+    models and the lens, sfm and mitigation texts above, mutated as
+    ``mutated`` does, some with a line of another format inserted; and every
+    tenth text a run of ``_PIECES``."""
+    rng = random.Random(15)
+    values = {
+        parse_lens_catalog: [LENS_TEXT, LENS_TEXT + MODE_AGAIN],
+        parse_sfm_bindings: [SFM_TEXT],
+        parse_mitigation_catalog: [MIT_TEXT, MIT_TEXT + MIT_AGAIN],
+    }
+    lines = "".join([MODEL_PREFIX, LENS_TEXT, SFM_TEXT, MIT_TEXT]).splitlines()
+    for parse in FORMATS:
+        for index in range(600):
+            if index % 10 == 9:
+                yield parse, "".join(rng.choice(_PIECES) for _ in range(rng.randint(0, 40)))
+                continue
+            text = (serialize_model(random_model(rng, 8)) if parse is parse_model
+                    else rng.choice(values[parse]))
+            if rng.random() < 0.2:
+                text = f"{rng.choice(lines)}\n{text}" if rng.random() < 0.5 else \
+                    f"{text}{rng.choice(lines)}\n"
+            yield parse, _mutate(text, rng.randint, rng.choice,
+                                 lambda items: rng.sample(items, len(items)))
+
+
+def test_the_reader_s_values_and_diagnostics_on_a_seeded_corpus_are_pinned():
+    # Any change to what a parser returns or reports, its line, column,
+    # message or order, changes the outcome digest.  The corpus digest
+    # tells a changed corpus from a changed reader.
+    texts, outcomes = hashlib.sha256(), hashlib.sha256()
+    parsed = 0
+    for parse, text in _pinned_corpus():
+        texts.update(f"{text!r}\n".encode())
+        try:
+            outcome = repr(parse(text))
+            parsed += 1
+        except DslParseError as exc:
+            outcome = repr([(diag.line, diag.column, diag.message) for diag in exc.diagnostics])
+        outcomes.update(f"{outcome}\n".encode())
+    assert (parsed, texts.hexdigest(), outcomes.hexdigest()) == (
+        540,
+        "486bdd33dcc2e3d89134b5e6504c813967cd64822a19699af6cb86fb52cecb80",
+        "0ce4e30635c3bf699d10b4a08c43c313e2d3fabefd23d31ca59775724f904143",
+    )

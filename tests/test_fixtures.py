@@ -43,7 +43,7 @@ def test_load_atc_fixture_fields():
     assert (fixture.mitigation_path is not None
             and fixture.mitigation_path.name == "atc.mit")
     assert sorted(fixture.expected) == [
-        "pathway_sfm4.dot", "second_order.json", "table.csv",
+        "pathway_sfm4.dot", "report.md", "second_order.json", "table.csv",
     ]
 
 

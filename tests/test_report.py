@@ -63,7 +63,7 @@ from hatlens import (
     write_json,
 )
 from hatlens.dsl import _quote
-from hatlens.report import csv_text
+from hatlens.report import csv_text, pathway_label
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "report-schema.json"
 
@@ -230,6 +230,38 @@ def test_markdown_writes_each_line_break_in_a_bullet_as_br():
         "h_act_own -> h_obs_traffic (gain 1.0, Neutral)\n\n"
         "## Second-order Effects\n\n- SFM 3 induces Disuse: one<br>two\n\n"
         "## Mitigation Suggestions\n\n- I1 [stability]: hysteresis (Input<br>hysteresis)\n")
+
+
+AWKWARD = "a|b\\c\rd\ne\r\nf"  # a pipe, a backslash, CR, LF and CRLF
+IN_A_CELL = "a\\|b\\\\c<br>d<br>e<br>f"
+IN_A_BULLET = "a|b\\c<br>d<br>e<br>f"
+
+
+def test_markdown_escapes_a_repeated_text_as_each_context_needs():
+    # Every row has one interaction name, the pathways' category and one
+    # mitigation's name hold it too, and one cell holds a whole bullet's
+    # text: each must be escaped for its context, however often it repeats.
+    _, bundle = tower_bundle()
+    pathways = [dataclasses.replace(pathway, mode_category=AWKWARD)
+                for pathway in bundle.pathways]
+    label = pathway_label(pathways[0])
+    rows = [dataclasses.replace(row, interaction_name=AWKWARD) for row in bundle.table.rows]
+    rows[0] = dataclasses.replace(rows[0], specialised_text=label)
+    (row, mitigation), *suggestions = bundle.suggestions
+    suggestions.insert(0, (row, dataclasses.replace(mitigation, name=AWKWARD)))
+    text = emit_markdown(ReportBundle(table=FailureModeTable(rows=rows), pathways=pathways,
+                                      second_order=bundle.second_order,
+                                      suggestions=suggestions))
+    cells = [line.split(" | ") for line in text.split("\n") if line.startswith("| ")][2:]
+    assert [cell[2] for cell in cells] == [IN_A_CELL] * len(rows)
+    assert cells[0][-1] == label.replace(AWKWARD, IN_A_CELL) + " |"
+    bullets = [line for line in text.split("\n") if line.startswith("- ")]
+    assert f"- {label.replace(AWKWARD, IN_A_BULLET)}" in bullets
+    assert f"- I{row.i_id} [{row.generic_mode_category}]: {mitigation.id} ({IN_A_BULLET})" \
+        in bullets
+    assert not any("\\|" in bullet for bullet in bullets)
+    assert (text.count(IN_A_CELL), text.count(IN_A_BULLET)) == (
+        len(rows) + 1, len(pathways) + 1)
 
 
 def test_markdown_bullet_shapes():
