@@ -19,9 +19,7 @@ class Direction(Enum):
     HUMAN_TO_MACHINE = "h2m"
 
     def display(self) -> str:
-        if self is Direction.MACHINE_TO_HUMAN:
-            return "Machine->Human"
-        return "Human->Machine"
+        return "Machine->Human" if self._value_ == "m2h" else "Human->Machine"
 
 
 @dataclass(frozen=True, eq=False)

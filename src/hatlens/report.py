@@ -8,6 +8,8 @@ more trace pathways highlighted.
 JSON is produced as a stream of pieces, one per pathway: ``emit_json``
 joins them into a string, and ``write_json`` writes the same bytes to a
 text file object in batches, so a large trace never exists as one string.
+Each node id and gain in a piece costs one cached lookup; the caches are
+keyed so that no value gets the spelling of another that equals it.
 """
 
 from __future__ import annotations
@@ -143,20 +145,15 @@ class _Spellings(dict):
 
 def _pathways_json(pathways: Sequence[TracePathway]) -> Iterator[str]:
     """The pathways array, in pieces, exactly as ``json.dumps(..., indent=2)``
-    writes it one level deep.  ``indent`` makes ``json`` fall back to its
-    pure-Python encoder; this writer encodes each node id and each distinct
-    float once, with the C string encoder and ``float.__repr__``."""
-    if not pathways:
-        yield "[]"
-        return
+    writes it one level deep (``indent`` makes ``json`` use its pure-Python
+    encoder), or raising what it raises.  Gains are cached by identity, as a
+    trace shares one gain object per edge: by value, ``1``, ``True``, ``-0.0``
+    or ``Decimal("1.25")`` would get an equal float's spelling.  Totals are
+    new objects, so only the non-zero floats among them are cached."""
     strings = _Spellings(encode_basestring)
-    # Keys compare by value, so only non-zero floats are looked up here:
-    # 1 == 1.0 and 0.0 == -0.0, yet each pair is spelled differently.
-    floats = _Spellings(lambda f: float.__repr__(f) if math.isfinite(f) else json.dumps(f))
-
-    def array(items: list[str]) -> str:
-        return "[\n        " + ",\n        ".join(items) + "\n      ]" if items else "[]"
-
+    names, steps, held = {}, {}, []  # ``held`` keeps each gain keyed in ``steps`` alive
+    totals = _Spellings(lambda f: float.__repr__(f) if math.isfinite(f) else json.dumps(f))
+    opening, comma, closing = "[\n        ", ",\n        ", "\n      ]"
     separator = "[\n    "
     head_of = None
     for pathway in pathways:
@@ -168,16 +165,24 @@ def _pathways_json(pathways: Sequence[TracePathway]) -> Iterator[str]:
                     f'\n      "category": {json.dumps(pathway.mode_category, ensure_ascii=False)},'
                     f'\n      "direction": {json.dumps(pathway.direction.value)},'
                     '\n      "nodes": ')
-        gains = [floats[gain] if type(gain) is float and gain else json.dumps(gain)
-                 for gain in (*pathway.step_gains, pathway.total_gain)]
-        # ``_value_`` is the member's plain attribute; ``.value`` is a
-        # property that Python code serves.
-        yield (f"{separator}{head}{array([strings[node.id] for node in pathway.nodes])},"
-               f'\n      "step_gains": {array(gains[:-1])},'
-               f'\n      "total_gain": {gains[-1]},'
+        try:
+            nodes = comma.join([names[node.id] for node in pathway.nodes])
+            gains = comma.join([steps[id(gain)] for gain in pathway.step_gains])
+        except KeyError:  # a node id or gain object met for the first time
+            names.update({node.id: encode_basestring(node.id) for node in pathway.nodes})
+            held += pathway.step_gains
+            steps.update({id(gain): json.dumps(gain) for gain in pathway.step_gains})
+            nodes = comma.join([names[node.id] for node in pathway.nodes])
+            gains = comma.join([steps[id(gain)] for gain in pathway.step_gains])
+        total = totals[t] if type(t := pathway.total_gain) is float and t else json.dumps(t)
+        # An empty array is "[]"; ``_value_`` is a plain attribute, ``.value`` a property.
+        yield (f"{separator}{head}{opening if nodes else '['}{nodes}"
+               f"{closing if nodes else ']'},\n      \"step_gains\": "
+               f"{opening if gains else '['}{gains}{closing if gains else ']'},"
+               f'\n      "total_gain": {total},'
                f'\n      "classification": {strings[pathway.classification._value_]}\n    }}')
         separator = ",\n    "
-    yield "\n  ]"
+    yield "[]" if head_of is None else "\n  ]"
 
 
 def _nested(value) -> str:

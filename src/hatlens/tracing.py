@@ -12,15 +12,16 @@ of one node.  The classification compares the total against exactly 1; a
 product that overflows to infinity is an error, not a classification.
 
 Enumeration is one depth-first walk over an explicit stack, so
-``max_depth`` alone bounds the depth, not the recursion limit.  A node's
-children are listed on its first visit, since a trace may reach few of a
-model's nodes: sorted by id, each with the step gain of the edge to it,
-computed once per trace.  As no maximal path is a prefix of another, the
-walk emits pathways in lexicographic order of their node ids, with no
-sort.  A ``TracePathway`` stays a frozen dataclass, but ``trace`` builds
-each one by copying a template attribute dict that holds the fields the
-trace's pathways share, not through the generated ``__init__`` and its
-seven ``object.__setattr__`` calls.
+``max_depth`` alone bounds the depth, not the recursion limit.  As a trace
+may reach few of a model's nodes, the walk numbers each node when it first
+reaches it and lists its children on its first visit: sorted by id, each
+with its number and the step gain of the first-declared edge to it (a
+parallel edge would repeat the node sequence).  The on-path set is a
+``bytearray`` indexed by those numbers.  As no maximal path is a prefix of
+another, pathways come out in lexicographic order of their node ids, with
+no sort.  ``trace`` builds each frozen ``TracePathway`` by copying a
+template attribute dict that holds the fields the trace's pathways share,
+not through the generated ``__init__``.
 
 The loops are cyclic by design; the simple-path restriction is what makes
 enumeration finite.  Consequences of a failure repeating over many loop
@@ -57,12 +58,15 @@ class Classification(Enum):
     AMPLIFIED = "Amplified"
 
 
+_MITIGATED, _NEUTRAL, _AMPLIFIED = Classification  # a read through the class is slow
+
+
 def classify(total_gain: float) -> Classification:
     if total_gain < 1:
-        return Classification.MITIGATED
+        return _MITIGATED
     if total_gain > 1:
-        return Classification.AMPLIFIED
-    return Classification.NEUTRAL
+        return _AMPLIFIED
+    return _NEUTRAL
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,17 +83,6 @@ class TracePathway:
 
     def node_ids(self) -> tuple[str, ...]:
         return tuple(node.id for node in self.nodes)
-
-
-def _step_gain(node: ActionNode, arrived_by: ActivityEdge, category: str,
-               mitigations: dict[str, Mitigation]) -> float:
-    behaviour = node.response.get(category)
-    gain = behaviour.coefficient if behaviour is not None else 1.0
-    for mit_id in (*node.mitigation_ids, *arrived_by.mitigation_ids):
-        mitigation = mitigations.get(mit_id)
-        if mitigation is not None and category in mitigation.categories:
-            gain *= mitigation.damping
-    return gain
 
 
 def trace(
@@ -110,50 +103,49 @@ def trace(
     """
     if max_depth < 1:
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
-    if mitigation_catalog is None:
-        mitigation_catalog = builtin_mitigations()
-    mitigations = {mit.id: mit for mit in mitigation_catalog}
+    mitigations = {mit.id: mit for mit in (builtin_mitigations() if mitigation_catalog is None
+                                           else mitigation_catalog)}
     nodes = model.nodes_by_id()
 
     downstream = direction is TraceDirection.DOWNSTREAM
-    adjacency: dict[str, dict[str, ActivityEdge]] = {}
+    arcs: dict[str, list[ActivityEdge]] = {}
     for edge in model.edges:
-        tip, next_id = (edge.from_id, edge.to_id) if downstream else (edge.to_id, edge.from_id)
-        # Parallel edges between one node pair would duplicate the node
-        # sequence; only the first-declared edge is followed.
-        adjacency.setdefault(tip, {}).setdefault(next_id, edge)
-
-    children: dict[str, list[tuple[ActionNode, float]]] = {}
-
-    def children_of(node: ActionNode) -> list[tuple[ActionNode, float]]:
-        listed = children.get(node.id)
-        if listed is None:
-            arrivals = adjacency.get(node.id, {})
-            listed = children[node.id] = [
-                (nodes[next_id], _step_gain(nodes[next_id], arrivals[next_id],
-                                            mode_category, mitigations))
-                for next_id in sorted(arrivals)
-            ]
-        return listed
+        arcs.setdefault(edge.from_id if downstream else edge.to_id, []).append(edge)
 
     start = interaction.target if downstream else interaction.source
-    path = [start]
-    on_path = {start.id}
-    step_gains: list[float] = []
-    # One iterator over the remaining children of each path node; ``leaf``
-    # says no pathway was emitted since the last push, so a pop emits one.
-    pending = [iter(children_of(start) if max_depth > 1 else ())]
+    index = {start.id: 0}  # each reached id's number; all but the start's are keys of nodes
+    children: list[list[tuple[int, ActionNode, float]] | None] = [None] * (len(nodes) + 1)
+    on_path = bytearray(len(nodes) + 1)
+
+    def list_children(tip: ActionNode) -> list[tuple[int, ActionNode, float]]:
+        arrivals: dict[str, ActivityEdge] = {}
+        for edge in arcs.get(tip.id, ()):
+            arrivals.setdefault(edge.to_id if downstream else edge.from_id, edge)
+        listed = []
+        for next_id in sorted(arrivals):
+            node = nodes[next_id]
+            behaviour = node.response.get(mode_category)
+            gain = behaviour.coefficient if behaviour is not None else 1.0
+            for mit_id in (*node.mitigation_ids, *arrivals[next_id].mitigation_ids):
+                mitigation = mitigations.get(mit_id)
+                if mitigation is not None and mode_category in mitigation.categories:
+                    gain *= mitigation.damping
+            listed.append((index.setdefault(next_id, len(index)), node, gain))
+        return listed
+
+    # The path as parallel lists, an iterator over each path node's remaining
+    # children, and ``leaf``: set by a push, so that the next pop emits.
+    numbers, path, step_gains = [0], [start], []
+    on_path[0] = 1
+    pending = [iter(list_children(start) if max_depth > 1 else ())]
     leaf = True
-    # Each pathway's attribute dict is a copy of this instance's, which holds
-    # the three fields every pathway of the trace shares (a copy also keeps
-    # the class's shared keys); the other four are stored into the copy.
-    shared = vars(TracePathway(interaction, mode_category, direction, (), (), 1,
-                               Classification.NEUTRAL))
+    # Each pathway's attribute dict is a copy of this one, keeping the class's shared keys.
+    shared = vars(TracePathway(interaction, mode_category, direction, (), (), 1, _NEUTRAL))
     new, set_attribute = object.__new__, object.__setattr__
     pathways = []
     while pending:
-        for node, gain in pending[-1]:
-            if node.id not in on_path:
+        for at, node, gain in pending[-1]:
+            if not on_path[at]:
                 break
         else:
             pending.pop()
@@ -173,13 +165,18 @@ def trace(
                 pathway = new(TracePathway)
                 set_attribute(pathway, "__dict__", fields)
                 pathways.append(pathway)
-            on_path.discard(path.pop().id)
+            on_path[numbers.pop()] = 0
+            path.pop()
             del step_gains[-1:]  # the start node has no step gain to drop
             continue
+        on_path[at] = 1
+        numbers.append(at)
         path.append(node)
-        on_path.add(node.id)
         step_gains.append(gain)
-        pending.append(iter(children_of(node) if len(path) < max_depth else ()))
+        listed = children[at] if len(path) < max_depth else ()
+        if listed is None:
+            listed = children[at] = list_children(node)
+        pending.append(iter(listed))
         leaf = True
     return pathways
 

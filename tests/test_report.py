@@ -17,7 +17,11 @@ import io
 import json
 import math
 import random
+import re
 import tracemalloc
+from collections.abc import Sequence
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -491,6 +495,54 @@ def test_json_spells_every_number_and_empty_array_as_the_json_module_does():
     for pathways in (odd, odd + bundle.pathways, bundle.pathways + odd):
         mixed = ReportBundle(bundle.table, pathways, bundle.second_order, bundle.suggestions)
         assert emit_json(mixed) == _json_module_bytes(mixed)
+    # A gain that json cannot encode raises json's TypeError, also where it
+    # equals a float spelled earlier in the same bundle.
+    nodes = tower.model.nodes[:3]
+    spelled = TracePathway(origin, "timely", TraceDirection.DOWNSTREAM, nodes, (1.25, 1.0),
+                           1.25, Classification.AMPLIFIED)
+    for unencodable in (Decimal("1.25"), Fraction(5, 4)):
+        for gains, total in (((1.25, unencodable), 1.25), ((1.0, 1.25), unencodable)):
+            bad = ReportBundle(bundle.table, [spelled, TracePathway(
+                origin, "timely", TraceDirection.DOWNSTREAM, nodes, gains, total,
+                Classification.AMPLIFIED)])
+            with pytest.raises(TypeError) as expected:
+                _json_module_bytes(bad)
+            assert "is not JSON serializable" in str(expected.value)
+            with pytest.raises(TypeError, match=f"^{re.escape(str(expected.value))}$"):
+                emit_json(bad)
+            with pytest.raises(TypeError, match=f"^{re.escape(str(expected.value))}$"):
+                write_json(bad, io.StringIO())
+
+
+class _BuiltOnEachAccess(Sequence):
+    """Pathways made anew on each access, with new gain objects, so a gain
+    object dies once its pathway is written and a later one may get its id.
+    The total is one object, which the writer's value cache keeps."""
+
+    def __init__(self, origin, nodes, count):
+        self.origin, self.nodes, self.count = origin, nodes, count
+        self.gain_ids: list[int] = []
+
+    def __len__(self):
+        return self.count
+
+    def __getitem__(self, index):
+        if not 0 <= index < self.count:
+            raise IndexError(index)
+        gains = (1 + index / 7, 0.5 + index / 3)
+        self.gain_ids += map(id, gains)
+        return TracePathway(self.origin, "timely", TraceDirection.DOWNSTREAM, self.nodes,
+                            gains, 2.5, Classification.AMPLIFIED)
+
+
+def test_json_spells_each_gain_object_even_where_a_dead_one_had_its_id():
+    tower, bundle = tower_bundle()
+    lazy = ReportBundle(pathways=_BuiltOnEachAccess(bundle.pathways[0].origin,
+                                                     tower.model.nodes[:3], 40))
+    assert emit_json(lazy) == _json_module_bytes(lazy)
+    # The case arose: some new gain object had the id of a dead one.
+    gain_ids = lazy.pathways.gain_ids
+    assert len(set(gain_ids)) < len(gain_ids)
 
 
 def test_second_order_json_matches_the_bundled_golden_file():

@@ -23,10 +23,12 @@ in order renames every trace and its JSON.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 import random
 import re
-from collections import deque
+import sys
+from collections import Counter, deque
 
 import pytest
 from hypothesis import given
@@ -49,12 +51,15 @@ from hatlens import (
     builtin_mitigations,
     classify,
     derive_second_order,
+    emit_dot,
     emit_json,
     extract_interactions,
     interaction_by_id,
     parse_model,
+    serialize_model,
     trace,
 )
+from hatlens.report import pathway_label
 
 CHAIN_PREFIX = (
     'model "Chain"\n'
@@ -237,6 +242,70 @@ def test_upstream_walks_reversed_edges_from_the_source():
     assert pathway.node_ids() == ("src", "pre")
     assert pathway.step_gains == (3.0,)
     assert pathway.direction is TraceDirection.UPSTREAM
+
+
+def test_a_chain_longer_than_the_recursion_limit_is_one_pathway():
+    length = sys.getrecursionlimit() + 100
+    steps = [f'node c{index:05d} lane=h stage=orient "Step"' for index in range(length)]
+    model = chain_model(*steps, "edge src -> w", "edge w -> c00000",
+                        *(f"edge c{index:05d} -> c{index + 1:05d}" for index in range(length - 1)))
+    (pathway,) = trace(model, single_interaction(model), "stability",
+                       TraceDirection.DOWNSTREAM, max_depth=length + 10)
+    assert pathway.node_ids() == ("w", *(f"c{index:05d}" for index in range(length)))
+    assert pathway.step_gains == (1.0,) * length
+    assert (pathway.total_gain, pathway.classification) == (1.0, Classification.NEUTRAL)
+
+
+def _traced(model, interaction):
+    """Each direction's pathways as (ids, labels, step gains, total repr,
+    classification), or the type and text of the exception it raised."""
+    outcomes = []
+    for direction in TraceDirection:
+        try:
+            outcomes.append([(p.node_ids(), tuple(node.label for node in p.nodes), p.step_gains,
+                              repr(p.total_gain), p.classification.value)
+                             for p in trace(model, interaction, "stability", direction)])
+        except Exception as exc:  # the type is part of the outcome
+            outcomes.append((type(exc).__name__, str(exc)))
+    return outcomes
+
+
+def test_an_endpoint_missing_from_the_model_still_traces_from_the_interaction_s_node():
+    model = chain_model(
+        'node x lane=h stage=orient "Digest" response.stability=amplify:2.0',
+        'node pre lane=m stage=orient "Assemble" response.stability=dampen:0.5',
+        "edge pre -> src", "edge src -> w", "edge w -> x")
+    interaction = single_interaction(model)
+    upstream = [(("src", "pre"), ("Recommend", "Assemble"), (0.5,), "0.5", "Mitigated")]
+    downstream = [(("w", "x"), ("Watch", "Digest"), (2.0,), "2.0", "Amplified")]
+    for missing in ("w", "src"):
+        without = dataclasses.replace(model, nodes=[
+            node for node in model.nodes if node.id != missing])
+        assert _traced(without, interaction) == [upstream, downstream], missing
+    # An edge back to the missing endpoint fails as an edge to any missing node.
+    back = dataclasses.replace(model, edges=[
+        *model.edges, dataclasses.replace(model.edges[0], id="back", from_id="x", to_id="w")])
+    assert _traced(dataclasses.replace(back, nodes=[
+        node for node in model.nodes if node.id != "w"]), interaction) == [
+        upstream, ("KeyError", "'w'")]
+
+
+def test_a_node_id_declared_twice_traces_as_its_last_declaration():
+    model = chain_model(
+        'node x lane=h stage=orient "Digest" response.stability=amplify:2.0',
+        "edge src -> w", "edge w -> x", "edge x -> w")
+    first = model.nodes_by_id()
+    twice = dataclasses.replace(model, nodes=[
+        *model.nodes, dataclasses.replace(first["x"], label="Digest again", response={}),
+        dataclasses.replace(first["w"], label="Watch again")])
+    # The interaction of the model with the duplicates starts at its last "w";
+    # one from the first model starts at the first "w".
+    assert _traced(twice, single_interaction(twice)) == [
+        [(("src",), ("Recommend",), (), "1", "Neutral")],
+        [(("w", "x"), ("Watch again", "Digest again"), (1.0,), "1.0", "Neutral")]]
+    assert _traced(twice, single_interaction(model)) == [
+        [(("src",), ("Recommend",), (), "1", "Neutral")],
+        [(("w", "x"), ("Watch", "Digest again"), (1.0,), "1.0", "Neutral")]]
 
 
 def _adjacency(model, downstream):
@@ -612,3 +681,64 @@ def test_second_order_propagates_unknown_id_errors():
     with pytest.raises(UnknownIdError, match="catalog has no mode 'overload'"):
         derive_second_order([SpecialisedFailureMode(1, 3, "overload", "t")],
                             interactions, catalog)
+
+
+# ---------------------------------------------------------------------------
+# Pinned corpus.
+
+CORPUS_CATEGORIES = ("stability", "robustness", "misuse")
+
+
+def _pinned_trace_corpus():
+    """150 models, the same on every run: ``random_model`` of up to 20 nodes
+    with up to three parallel edges, and in every eighth model half the
+    nodes amplifying ``robustness`` by 1e200, so that its longer pathways
+    overflow."""
+    rng = random.Random(16)
+    for index in range(150):
+        model = add_parallel_edges(random_model(rng, 20), rng)
+        if index % 8 == 7:
+            huge = {node.id for node in rng.sample(model.nodes, (len(model.nodes) + 1) // 2)}
+            model = dataclasses.replace(model, nodes=[
+                dataclasses.replace(node, response={**node.response,
+                                                    "robustness": GainBehaviour.amplify(1e200)})
+                if node.id in huge else node
+                for node in model.nodes])
+        yield model
+
+
+def test_every_trace_of_a_seeded_corpus_keeps_its_text_json_and_dot_bytes():
+    # One digest covers each trace's text lines, JSON and DOT, or the text of
+    # the ValueError it raised, for every interaction, category, direction
+    # and depth.  The corpus digest tells a changed corpus from a changed walk
+    # or writer.
+    models, outcomes = hashlib.sha256(), hashlib.sha256()
+    counts = Counter()
+    for model in _pinned_trace_corpus():
+        models.update(f"{serialize_model(model)!r}\n".encode())
+        for interaction in extract_interactions(model):
+            for category in CORPUS_CATEGORIES:
+                for direction in TraceDirection:
+                    for max_depth in (1, 3, DEFAULT_MAX_DEPTH):
+                        counts["traces"] += 1
+                        outcomes.update(f"{interaction.i_id} {category} {direction.value} "
+                                        f"{max_depth}\n".encode())
+                        try:
+                            pathways = trace(model, interaction, category, direction,
+                                             max_depth)
+                        except ValueError as exc:
+                            counts["raised"] += 1
+                            outcomes.update(f"{exc}\n".encode())
+                            continue
+                        counts["pathways"] += len(pathways)
+                        counts.update(p.classification.value for p in pathways)
+                        outcomes.update("".join(f"{pathway_label(p)}\n"
+                                                for p in pathways).encode())
+                        outcomes.update(emit_json(ReportBundle(pathways=pathways)).encode())
+                        outcomes.update(emit_dot(model, pathways).encode())
+    assert (dict(counts), models.hexdigest(), outcomes.hexdigest()) == (
+        {"traces": 9126, "raised": 26, "pathways": 12457,
+         "Mitigated": 2306, "Neutral": 9674, "Amplified": 477},
+        "99803888fd8165c7852fc1ce71c7f46fe2dae37ff11c615c3f8a19475bec8f6a",
+        "87be57e96cf11f2688bde93e9e6a868d018945b3516bf22a2f18c3169766f851",
+    )
