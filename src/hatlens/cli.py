@@ -297,7 +297,10 @@ def _category(text: str) -> str:
     return text
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(running: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser: with only the subparser of ``running`` when that
+    names a subcommand (the top-level usage names none, so no help or error
+    text changes), and with all of them otherwise."""
     parser = argparse.ArgumentParser(
         prog="hatlens",
         description="Left-shift risk analysis for human-autonomy teaming: "
@@ -352,7 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
     export = [arg("--export", action="store_true",
                   help="print the catalog in its file format")]
 
-    for name, command, help_text, groups in [
+    commands = [
         ("validate", _inputs, "check a model and print diagnostics", [model]),
         ("interactions", _cmd_interactions, "list boundary-crossing interactions as CSV",
          [model, output]),
@@ -366,7 +369,9 @@ def _build_parser() -> argparse.ArgumentParser:
         ("report", _cmd_report, "render the full analysis",
          [model, sfm(False), trace_flags(False), report_format, output]),
         ("lenses", _cmd_lenses, "list or export lens catalogs", [export, lens, output]),
-    ]:
+    ]
+    for name, command, help_text, groups in [
+            entry for entry in commands if entry[0] == running] or commands:
         sub = subparsers.add_parser(name, help=help_text)
         for names, options in (call for group in groups for call in group):
             sub.add_argument(*names, **options)
@@ -379,17 +384,18 @@ def run(argv: list[str] | None = None) -> int:
     finding (conflicting catalogs, a binding that does not apply, an unknown
     id, pathways that do not fit the model) prints ``error: <message>`` and
     returns 1."""
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    # A command's data is acyclic and lives until the command ends, so the
-    # cyclic collector would only walk it again and again: it is paused
-    # while the command runs.
+    # A command's data is acyclic and lives until the command ends, and so
+    # does the parser, so the cyclic collector would only walk them again and
+    # again: it is paused while the arguments are parsed and the command runs.
     collecting = gc.isenabled()
     gc.disable()
     try:
+        if argv is None:
+            argv = sys.argv[1:]
+        try:
+            args = _build_parser(argv[0] if argv else None).parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else EXIT_USAGE
         args.func(args)
     except (CatalogError, SpecialisationError, UnknownIdError, ReportError) as exc:
         print(f"error: {exc}", file=sys.stderr)

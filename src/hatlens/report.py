@@ -10,15 +10,15 @@ joins them into a string, and ``write_json`` writes the same bytes to a
 text file object in batches, so a large trace never exists as one string.
 Each node id and gain in a piece costs one cached lookup; the caches are
 keyed so that no value gets the spelling of another that equals it.
+
+``csv`` and ``json`` are imported by the functions that write them, so a
+run that writes neither never loads them.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring
 from types import SimpleNamespace
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -62,6 +62,7 @@ def _row_cells(row: FailureModeRow) -> list[str]:
 def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     """A header and rows as CSV: LF endings, one trailing LF; fields holding
     commas, quotes, LF or CR are double-quoted."""
+    import csv
     lines: list[str] = []
     # The writer quotes a field holding a character of its line terminator,
     # so a CRLF terminator quotes a lone CR on every Python (3.13 quotes it
@@ -150,6 +151,8 @@ def _pathways_json(pathways: Sequence[TracePathway]) -> Iterator[str]:
     trace shares one gain object per edge: by value, ``1``, ``True``, ``-0.0``
     or ``Decimal("1.25")`` would get an equal float's spelling.  Totals are
     new objects, so only the non-zero floats among them are cached."""
+    import json
+    from json.encoder import encode_basestring
     strings = _Spellings(encode_basestring)
     names, steps, held = {}, {}, []  # ``held`` keeps each gain keyed in ``steps`` alive
     totals = _Spellings(lambda f: float.__repr__(f) if math.isfinite(f) else json.dumps(f))
@@ -188,6 +191,7 @@ def _pathways_json(pathways: Sequence[TracePathway]) -> Iterator[str]:
 def _nested(value) -> str:
     """``value`` as ``json.dumps(..., indent=2)`` writes it one level deep.
     JSON strings hold no raw newline, so indenting every line nests it."""
+    import json
     return json.dumps(value, indent=2, ensure_ascii=False).replace("\n", "\n  ")
 
 
@@ -250,6 +254,7 @@ def write_json(bundle: ReportBundle, out: TextIO) -> None:
 
 def emit_second_order_json(effects: Sequence[SecondOrderEffect]) -> str:
     """Second-order effects alone, as a JSON array."""
+    import json
     return json.dumps([_effect_json(effect) for effect in effects],
                       indent=2, ensure_ascii=False) + "\n"
 

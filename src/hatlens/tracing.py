@@ -41,7 +41,7 @@ from .interactions import Direction, Interaction, interaction_by_id
 from .lenses import LensCatalog
 from .mapping import SpecialisedFailureMode
 from .mitigations import Mitigation, builtin_mitigations
-from .model import ActionNode, ActivityEdge, Ooda2Model
+from .model import ActionNode, ActivityEdge, Ooda2Model, UnknownIdError
 
 DEFAULT_MAX_DEPTH = 16
 DEFAULT_SECOND_ORDER_CATEGORIES = ("stability", "timely", "uncertainty")
@@ -99,7 +99,8 @@ def trace(
     node ids.  A dead-end endpoint yields the single one-node pathway.
     ``mitigation_catalog`` supplies damping values and defaults to the
     builtins.  Raises ``ValueError`` naming the first pathway whose total
-    gain is not finite.
+    gain is not finite, and ``UnknownIdError`` naming the edge and the node
+    id when the walk follows an edge to a node the model does not declare.
     """
     if max_depth < 1:
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
@@ -123,7 +124,11 @@ def trace(
             arrivals.setdefault(edge.to_id if downstream else edge.from_id, edge)
         listed = []
         for next_id in sorted(arrivals):
-            node = nodes[next_id]
+            try:
+                node = nodes[next_id]
+            except KeyError:
+                raise UnknownIdError(f"model '{model.name}' has no node '{next_id}', which "
+                                     f"edge '{arrivals[next_id].id}' names") from None
             behaviour = node.response.get(mode_category)
             gain = behaviour.coefficient if behaviour is not None else 1.0
             for mit_id in (*node.mitigation_ids, *arrivals[next_id].mitigation_ids):

@@ -183,3 +183,21 @@ def add_parallel_edges(model: Ooda2Model, rng: random.Random) -> Ooda2Model:
             mitigation_ids=rng.sample(BUILTIN_MITIGATION_IDS, 1),
         ))
     return replace(model, edges=edges)
+
+
+def pinned_corpus():
+    """150 models, the same on every run: ``random_model`` of up to 20 nodes
+    with up to three parallel edges, and in every eighth model half the
+    nodes amplifying ``robustness`` by 1e200, so that its longer pathways
+    overflow."""
+    rng = random.Random(16)
+    for index in range(150):
+        model = add_parallel_edges(random_model(rng, 20), rng)
+        if index % 8 == 7:
+            huge = {node.id for node in rng.sample(model.nodes, (len(model.nodes) + 1) // 2)}
+            model = replace(model, nodes=[
+                replace(node, response={**node.response,
+                                        "robustness": GainBehaviour.amplify(1e200)})
+                if node.id in huge else node
+                for node in model.nodes])
+        yield model

@@ -335,7 +335,8 @@ class _PipeClosedAfter(io.RawIOBase):
 class TestCallsAndCollector:
     """The CLI reaches each pipeline step through the name it imports, so a
     wrapper set on that name sees the call (the benchmark's traced run is
-    built on this), and it pauses the cyclic collector for the command only."""
+    built on this), and it pauses the cyclic collector for the command only:
+    while it parses the arguments and runs."""
 
     @pytest.mark.parametrize("argv", [
         ("trace", MODEL, *TRACE_BOTH, "--format", "text"),
@@ -382,9 +383,12 @@ class TestCallsAndCollector:
     def test_the_collector_is_paused_for_the_command_only(self, capsys, monkeypatch,
                                                           collecting, argv, code, runs):
         during: list[bool] = []
-        original = cli.load_catalogs
+        parsing: list[bool] = []
+        original, build = cli.load_catalogs, cli._build_parser
         monkeypatch.setattr(cli, "load_catalogs", lambda *args, **kwargs: (
             during.append(gc.isenabled()) or original(*args, **kwargs)))
+        monkeypatch.setattr(cli, "_build_parser", lambda *args: (
+            parsing.append(gc.isenabled()) or build(*args)))
         (gc.enable if collecting else gc.disable)()
         try:
             assert run(list(argv)) == code
@@ -392,7 +396,7 @@ class TestCallsAndCollector:
         finally:
             gc.enable()
         capsys.readouterr()
-        assert during == ([False] if runs else [])
+        assert (parsing, during) == ([False], [False] if runs else [])
 
     def test_the_collector_is_restored_when_a_command_raises(self, monkeypatch):
         def broken(*args, **kwargs):
@@ -766,6 +770,58 @@ class TestFilesAndUsage:
             code, out, err = invoke(capsys, command, "--help")
             assert code == EXIT_OK
             assert out.splitlines()[0] == f"usage: hatlens {command} {usage}"
+
+    @pytest.mark.parametrize("argv", [
+        ("--help",), (), ("frobnicate", MODEL), ("--strict", "trace"),
+        *((command, "--help") for command in SUBCOMMANDS),
+        *((command,) for command in SUBCOMMANDS),
+        *((command, MODEL, "--bogus") for command in SUBCOMMANDS),
+        ("trace", MODEL, "--interaction", "3"),
+        ("trace", MODEL, *TRACE_BOTH, "--format", "svg"),
+        ("specialise", MODEL),
+        ("report", MODEL, "--sfm", SFM, "--format", "md", "--max-depth", "x"),
+    ], ids=lambda argv: " ".join(argv).replace(str(ATC), "atc") or "none")
+    def test_the_running_command_s_parser_parses_and_fails_as_the_whole_one(
+            self, capsys, monkeypatch, argv):
+        # run builds only the subparser that argv[0] names; help, usage
+        # errors and parsed values must not tell it from the full parser.
+        monkeypatch.setenv("COLUMNS", "80")
+
+        def parsed(parser):
+            try:
+                outcome = vars(parser.parse_args(list(argv)))
+            except SystemExit as exc:
+                outcome = exc.code
+            return outcome, capsys.readouterr()
+
+        whole, running = cli._build_parser(), cli._build_parser(argv[0] if argv else None)
+        assert parsed(running) == parsed(whole)
+        choices = running._subparsers._group_actions[0].choices
+        assert list(choices) == ([argv[0]] if argv and argv[0] in USAGES else SUBCOMMANDS)
+
+    @pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
+    @pytest.mark.parametrize("argv, loaded", [
+        (None, []),
+        (("trace", MODEL, *TRACE_BOTH, "--format", "text"), []),
+        (("interactions", MODEL), ["csv"]),
+        (("trace", MODEL, *TRACE_BOTH, "--format", "json", "-o", "out.json"), ["json"]),
+    ], ids=["import", "trace-text", "interactions", "trace-json"])
+    def test_a_process_loads_json_and_csv_only_to_write_them(self, tmp_path, collecting,
+                                                              argv, loaded):
+        # In a fresh interpreter: the import leaves the collector as it found
+        # it, and a command loads json or csv only when it writes that format.
+        env = dict(os.environ, PYTHONPATH=str(FIXTURE_ROOT.parent.parent))
+        script = ("import gc, sys\n"
+                  f"(gc.enable if {collecting} else gc.disable)()\n"
+                  "import hatlens.cli\n"
+                  f"assert gc.isenabled() is {collecting}\n"
+                  f"sys.argv = ['hatlens', *{argv or ()!r}]\n"
+                  f"code = hatlens.cli.main() if {argv is not None} else 0\n"
+                  "print(sorted({'json', 'csv'} & set(sys.modules)), file=sys.stderr)\n"
+                  "sys.exit(code)\n")
+        result = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert (result.returncode, result.stderr) == (EXIT_OK, f"{loaded}\n")
 
     def test_main_is_an_alias_for_run(self, capsys):
         collecting, frozen = gc.isenabled(), gc.get_freeze_count()

@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import math
 import random
 import re
 import tracemalloc
+from collections import Counter
 from collections.abc import Sequence
 from decimal import Decimal
 from fractions import Fraction
@@ -33,20 +35,29 @@ from conftest import (
     BUILTIN_CATEGORIES,
     FIXTURE_ROOT,
     add_parallel_edges,
+    pinned_corpus,
+    random_label,
     random_model,
     tower_inputs,
 )
 from hatlens import (
     CSV_HEADER,
+    ActivityEdge,
     Classification,
     Direction,
     FailureModeRow,
     FailureModeTable,
+    GainBehaviour,
     InducedMode,
+    Lane,
+    LaneKind,
     ReportBundle,
     ReportError,
     SecondOrderEffect,
+    Side,
+    SpecialisedFailureMode,
     Stage,
+    Strictness,
     TraceDirection,
     TracePathway,
     apply_specialisations,
@@ -64,6 +75,7 @@ from hatlens import (
     parse_model,
     suggest_mitigations,
     trace,
+    validate,
     write_json,
 )
 from hatlens.dsl import _quote
@@ -700,3 +712,71 @@ def test_dot_rejects_an_origin_edge_the_model_does_not_have():
     with pytest.raises(ReportError, match="pathway interaction edge 'e3' is not part "
                                           "of model 'Short'"):
         emit_dot(shorter, pathway)
+
+
+def _with_every_referential_error(model):
+    """``model`` with a lane on the wrong side, a duplicate node, an unknown
+    category and mitigation, an edge to an undeclared node and a self-loop."""
+    first, last = model.nodes[0], model.nodes[-1]
+    return dataclasses.replace(model, lanes=[
+        *model.lanes,
+        Lane(id="wrong", side=Side.HUMAN, kind=LaneKind.AUTONOMY, display_name="Wrong side"),
+    ], nodes=[
+        *model.nodes,
+        dataclasses.replace(first, response={**first.response, "nope": GainBehaviour.neutral()}),
+        dataclasses.replace(last, id="extra", lane_id="nowhere", causes=["nope"],
+                            mitigation_ids=["no_such", "odd_margin"]),
+    ], edges=[
+        *model.edges,
+        dataclasses.replace(model.edges[0], id="dangling", to_id="ghost")
+        if model.edges else ActivityEdge(id="dangling", from_id=first.id, to_id="ghost"),
+        ActivityEdge(id="loop", from_id=last.id, to_id=last.id, mitigation_ids=["hysteresis"]),
+    ])
+
+
+def test_every_model_of_a_seeded_corpus_keeps_its_diagnostics_csv_and_markdown_bytes():
+    # Per model of the trace corpus (and, for every fourth, a copy with every
+    # referential error): the validate diagnostics under both strictness
+    # levels, the mapped table's CSV, and one Markdown bundle with up to three
+    # specialisations, a depth-3 trace each way, second-order effects and
+    # suggestions.  The digests were taken before the emitters last changed.
+    rng = random.Random(17)
+    catalog, mitigations = builtin_catalog(), builtin_mitigations()
+    outcomes = hashlib.sha256()
+    counts = Counter()
+    for index, model in enumerate(pinned_corpus()):
+        counts["models"] += 1
+        for checked in [model] + ([_with_every_referential_error(model)] if index % 4 == 3
+                                  else []):
+            for strictness in Strictness:
+                diagnostics = validate(checked, strictness, lens_catalog=catalog,
+                                       mitigation_catalog=mitigations)
+                counts.update(f"{d.severity.value} {d.code}" for d in diagnostics)
+                outcomes.update(f"{strictness.value} {diagnostics!r}\n".encode())
+        interactions = extract_interactions(model)
+        table = map_failure_modes(interactions, catalog)
+        outcomes.update(emit_csv(table).encode())
+        chosen = sorted(rng.sample(range(len(table.rows)), min(3, len(table.rows))))
+        sfms = [SpecialisedFailureMode(number, table.rows[row].i_id,
+                                       table.rows[row].generic_mode_id, random_label(rng))
+                for number, row in enumerate(chosen, 1)]
+        specialised = apply_specialisations(table, sfms)
+        pathways = [pathway for direction in TraceDirection for pathway in (
+            trace(model, interactions[0], "stability", direction, 3,
+                  mitigation_catalog=mitigations) if interactions else ())]
+        second_order = derive_second_order(sfms, interactions, catalog)
+        suggestions = suggest_mitigations(specialised, mitigations)
+        counts.update(rows=len(table.rows), sfms=len(sfms), pathways=len(pathways),
+                      second_order=len(second_order), suggestions=len(suggestions))
+        outcomes.update(emit_markdown(ReportBundle(specialised, pathways, second_order,
+                                                   suggestions)).encode())
+    assert (dict(counts), outcomes.hexdigest()) == (
+        {"models": 150, "rows": 3069, "sfms": 282, "pathways": 243, "second_order": 78,
+         "suggestions": 2802, "error DUPLICATE_ID": 74, "error LANE_KIND": 74,
+         "error MITIGATION_PLACEMENT": 444, "error OBSERVE_TARGET": 454,
+         "error SELF_LOOP": 74, "error UNKNOWN_CATEGORY": 74, "error UNKNOWN_MITIGATION": 74,
+         "error UNRESOLVED_REF": 148, "warning MITIGATION_PLACEMENT": 444,
+         "warning NO_INTERACTIONS": 150, "warning OBSERVE_TARGET": 454,
+         "warning STAGE_ORDER": 796},
+        "ea931088167a1188f28704ec34d134162ef4336db0a888bb342ac7a9dc411476",
+    )

@@ -34,7 +34,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import BUILTIN_CATEGORIES, add_parallel_edges, random_model, tower_inputs
+from conftest import (
+    BUILTIN_CATEGORIES, add_parallel_edges, pinned_corpus, random_model, tower_inputs,
+)
 from hatlens import (
     Classification,
     DEFAULT_MAX_DEPTH,
@@ -282,12 +284,14 @@ def test_an_endpoint_missing_from_the_model_still_traces_from_the_interaction_s_
         without = dataclasses.replace(model, nodes=[
             node for node in model.nodes if node.id != missing])
         assert _traced(without, interaction) == [upstream, downstream], missing
-    # An edge back to the missing endpoint fails as an edge to any missing node.
+    # An edge back to the missing endpoint fails as an edge to any missing
+    # node, naming the edge and the node.
     back = dataclasses.replace(model, edges=[
         *model.edges, dataclasses.replace(model.edges[0], id="back", from_id="x", to_id="w")])
     assert _traced(dataclasses.replace(back, nodes=[
         node for node in model.nodes if node.id != "w"]), interaction) == [
-        upstream, ("KeyError", "'w'")]
+        upstream, ("UnknownIdError", f"model '{model.name}' has no node 'w', "
+                   "which edge 'back' names")]
 
 
 def test_a_node_id_declared_twice_traces_as_its_last_declaration():
@@ -689,24 +693,6 @@ def test_second_order_propagates_unknown_id_errors():
 CORPUS_CATEGORIES = ("stability", "robustness", "misuse")
 
 
-def _pinned_trace_corpus():
-    """150 models, the same on every run: ``random_model`` of up to 20 nodes
-    with up to three parallel edges, and in every eighth model half the
-    nodes amplifying ``robustness`` by 1e200, so that its longer pathways
-    overflow."""
-    rng = random.Random(16)
-    for index in range(150):
-        model = add_parallel_edges(random_model(rng, 20), rng)
-        if index % 8 == 7:
-            huge = {node.id for node in rng.sample(model.nodes, (len(model.nodes) + 1) // 2)}
-            model = dataclasses.replace(model, nodes=[
-                dataclasses.replace(node, response={**node.response,
-                                                    "robustness": GainBehaviour.amplify(1e200)})
-                if node.id in huge else node
-                for node in model.nodes])
-        yield model
-
-
 def test_every_trace_of_a_seeded_corpus_keeps_its_text_json_and_dot_bytes():
     # One digest covers each trace's text lines, JSON and DOT, or the text of
     # the ValueError it raised, for every interaction, category, direction
@@ -714,7 +700,7 @@ def test_every_trace_of_a_seeded_corpus_keeps_its_text_json_and_dot_bytes():
     # or writer.
     models, outcomes = hashlib.sha256(), hashlib.sha256()
     counts = Counter()
-    for model in _pinned_trace_corpus():
+    for model in pinned_corpus():
         models.update(f"{serialize_model(model)!r}\n".encode())
         for interaction in extract_interactions(model):
             for category in CORPUS_CATEGORIES:
