@@ -48,13 +48,14 @@ from .model import (
     Ooda2Model,
     Side,
     Stage,
+    _HashRecord,
 )
 
 _IDENT = re.compile("[a-z][a-z0-9_]*")
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
+@dataclass(frozen=True, repr=False, eq=False)
+class ParseDiagnostic(_HashRecord):
     """One problem found while parsing, at a 1-based line and column."""
 
     line: int

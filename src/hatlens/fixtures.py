@@ -22,6 +22,7 @@ from .interactions import extract_interactions, interaction_by_id
 from .lenses import builtin_catalog, merge_catalogs
 from .mapping import apply_specialisations, map_failure_modes
 from .mitigations import builtin_mitigations, suggest_mitigations
+from .model import _HashRecord
 from .report import ReportBundle, emit_csv, emit_dot, emit_markdown, emit_second_order_json
 from .tracing import TraceDirection, derive_second_order, trace
 
@@ -30,8 +31,8 @@ _ROOT = Path(__file__).parent / "fixtures"
 _GOLDEN_SUFFIXES = (".csv", ".dot", ".json", ".md")
 
 
-@dataclass(frozen=True)
-class GoldenFixture:
+@dataclass(frozen=True, repr=False, eq=False)
+class GoldenFixture(_HashRecord):
     name: str
     root: Path
     model_path: Path

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .model import ActionNode, ActivityEdge, Ooda2Model, Side, Stage, UnknownIdError
+from .model import ActionNode, ActivityEdge, Ooda2Model, Side, Stage, UnknownIdError, _Record
 
 
 class Direction(Enum):
@@ -22,8 +22,8 @@ class Direction(Enum):
         return "Machine->Human" if self._value_ == "m2h" else "Human->Machine"
 
 
-@dataclass(frozen=True, eq=False)
-class Interaction:
+@dataclass(frozen=True, repr=False, eq=False)
+class Interaction(_Record):
     """An edge that crosses the human/machine boundary, numbered ``i_id``."""
 
     i_id: int

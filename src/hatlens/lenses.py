@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .interactions import Direction, Interaction
-from .model import UnknownIdError
+from .model import UnknownIdError, _EqRecord, _HashRecord
 
 
 class Applicability(Enum):
@@ -25,8 +25,8 @@ class Applicability(Enum):
         return self is Applicability.BOTH or self.value == direction.value
 
 
-@dataclass(frozen=True)
-class GenericFailureMode:
+@dataclass(frozen=True, repr=False, eq=False)
+class GenericFailureMode(_HashRecord):
     """An analyst question of one lens, with its category and directions."""
 
     id: str
@@ -39,8 +39,8 @@ class GenericFailureMode:
     line: int | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
-class Lens:
+@dataclass(frozen=True, repr=False, eq=False)
+class Lens(_HashRecord):
     """A named group of generic failure modes."""
 
     id: str
@@ -49,8 +49,8 @@ class Lens:
     line: int | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass
-class LensCatalog:
+@dataclass(repr=False, eq=False)
+class LensCatalog(_EqRecord):
     """An ordered list of lenses, such as the builtins merged with ``.lens`` files."""
 
     lenses: list[Lens] = field(default_factory=list)

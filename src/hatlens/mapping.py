@@ -13,11 +13,11 @@ from dataclasses import dataclass, field, replace
 
 from .interactions import Direction, Interaction
 from .lenses import GenericFailureMode, LensCatalog, applicable_modes
-from .model import Stage
+from .model import Stage, _EqRecord, _HashRecord
 
 
-@dataclass(frozen=True)
-class SpecialisedFailureMode:
+@dataclass(frozen=True, repr=False, eq=False)
+class SpecialisedFailureMode(_HashRecord):
     """An analyst's refinement of one generic mode on one interaction."""
 
     sfm_id: int
@@ -27,8 +27,8 @@ class SpecialisedFailureMode:
     line: int | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
-class FailureModeRow:
+@dataclass(frozen=True, repr=False, eq=False)
+class FailureModeRow(_HashRecord):
     """One row of the table: an interaction, a generic mode and any specialisation."""
 
     i_id: int
@@ -43,8 +43,8 @@ class FailureModeRow:
     specialised_text: str | None
 
 
-@dataclass
-class FailureModeTable:
+@dataclass(repr=False, eq=False)
+class FailureModeTable(_EqRecord):
     """The failure-mode table, one row per interaction and mode."""
 
     rows: list[FailureModeRow] = field(default_factory=list)

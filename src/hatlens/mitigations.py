@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
 
+from .model import _HashRecord
+
 if TYPE_CHECKING:
     from .mapping import FailureModeRow, FailureModeTable
 
@@ -23,8 +25,8 @@ class Placement(Enum):
     EDGE = "edge"
 
 
-@dataclass(frozen=True)
-class Mitigation:
+@dataclass(frozen=True, repr=False, eq=False)
+class Mitigation(_HashRecord):
     """A pattern that damps the traced gain of its categories where attached."""
 
     id: str

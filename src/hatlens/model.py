@@ -10,16 +10,65 @@ are the raw material every later analysis step works on.
 a boundary-crossing edge targets an Observe-stage node, and an intra-lane
 edge stays on the stage cycle.  The "Validation codes" table of
 ``docs/dsl-reference.md`` lists each code, its severity and when it fires.
+
+Every dataclass of the package takes ``__repr__``, ``__eq__`` and
+``__hash__`` from one of the bases below rather than from the decorator,
+which compiles and ``exec``s a copy of each method for each class in every
+process: sharing the three cuts the methods that ``import hatlens.cli``
+generates from 83 to 40.  They behave as the generated ones do (the same
+fields shown, compared and hashed, ``NotImplemented`` for another class, a
+recursion guard), so only ``__dataclass_params__`` differs: it reports
+``repr=False, eq=False``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import reprlib
+from dataclasses import dataclass, field, fields
 from enum import Enum
+from operator import attrgetter
 
 DEFAULT_AMPLIFY_COEFFICIENT = 2.0
 DEFAULT_DAMPEN_COEFFICIENT = 0.5
+
+# Each dataclass's getter of the tuple of its compared fields, made on first use.
+_COMPARED = {}
+
+
+def _compared(cls: type):
+    names = [f.name for f in fields(cls) if f.compare]
+    # attrgetter returns a tuple only for two names or more.
+    getter = _COMPARED[cls] = attrgetter(*names) if len(names) > 1 else (
+        lambda value: tuple(getattr(value, name) for name in names))
+    return getter
+
+
+class _Record:
+    """Base of the ``eq=False`` dataclasses: the generated ``__repr__``."""
+
+    @reprlib.recursive_repr()
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self) if f.repr)
+        return f"{self.__class__.__qualname__}({shown})"
+
+
+class _EqRecord(_Record):
+    """Base of the mutable dataclasses: the generated ``__eq__``.  Defining
+    ``__eq__`` alone sets ``__hash__`` to None, as the decorator does."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        compared = _COMPARED.get(self.__class__) or _compared(self.__class__)
+        return compared(self) == compared(other)
+
+
+class _HashRecord(_EqRecord):
+    """Base of the frozen value dataclasses: the generated ``__hash__`` as well."""
+
+    def __hash__(self) -> int:
+        return hash((_COMPARED.get(self.__class__) or _compared(self.__class__))(self))
 
 
 class Side(Enum):
@@ -50,11 +99,15 @@ class Stage(Enum):
 
     @property
     def successor(self) -> "Stage":
-        cycle = (Stage.OBSERVE, Stage.ORIENT, Stage.DECIDE, Stage.ACT)
-        return cycle[(cycle.index(self) + 1) % len(cycle)]
+        return _SUCCESSOR[self._value_]
 
     def display(self) -> str:
         return self._value_.capitalize()
+
+
+# By value: a read through the enum class costs more than the lookup.
+_SUCCESSOR = {"observe": Stage.ORIENT, "orient": Stage.DECIDE, "decide": Stage.ACT,
+              "act": Stage.OBSERVE}
 
 
 class GainKind(Enum):
@@ -63,8 +116,8 @@ class GainKind(Enum):
     NEUTRAL = "neutral"
 
 
-@dataclass(frozen=True)
-class GainBehaviour:
+@dataclass(frozen=True, repr=False, eq=False)
+class GainBehaviour(_HashRecord):
     """How a node transforms a propagating failure mode: a positive gain."""
 
     kind: GainKind
@@ -95,8 +148,8 @@ class GainBehaviour:
         return cls(GainKind.NEUTRAL, 1.0)
 
 
-@dataclass
-class Lane:
+@dataclass(repr=False, eq=False)
+class Lane(_EqRecord):
     """A swimlane on the human or machine side of the boundary."""
 
     id: str
@@ -106,8 +159,8 @@ class Lane:
     line: int | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass
-class ActionNode:
+@dataclass(repr=False, eq=False)
+class ActionNode(_EqRecord):
     """An action at one decision-loop stage of a lane."""
 
     id: str
@@ -122,8 +175,8 @@ class ActionNode:
     line: int | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass
-class ActivityEdge:
+@dataclass(repr=False, eq=False)
+class ActivityEdge(_EqRecord):
     """A directed flow between two nodes, optionally guarded and mitigated."""
 
     # Edge ids are derived (assigned in declaration order), never authored,
@@ -137,8 +190,8 @@ class ActivityEdge:
     line: int | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass
-class Ooda2Model:
+@dataclass(repr=False, eq=False)
+class Ooda2Model(_EqRecord):
     """Two interlocking decision loops: lanes, staged nodes, directed edges."""
 
     name: str
@@ -189,8 +242,8 @@ class Severity(Enum):
     WARNING = "warning"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+@dataclass(frozen=True, repr=False, eq=False)
+class Diagnostic(_HashRecord):
     """One finding of ``validate``: severity, code, message and source line."""
 
     severity: Severity

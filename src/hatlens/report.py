@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Sequence, TextIO
 from .dsl import _quote  # a DOT id is quoted and escaped as a DSL string is
 from .mapping import FailureModeRow, FailureModeTable
 from .mitigations import Mitigation
-from .model import Ooda2Model
+from .model import Ooda2Model, _EqRecord
 from .tracing import SecondOrderEffect, TraceDirection, TracePathway
 
 CSV_HEADER = ("I ID,SFM ID,Interaction Name,Machine Stage,Human Stage,Direction,"
@@ -36,8 +36,8 @@ class ReportError(ValueError):
     """Raised when asked to render mutually inconsistent inputs."""
 
 
-@dataclass
-class ReportBundle:
+@dataclass(repr=False, eq=False)
+class ReportBundle(_EqRecord):
     """Everything one analysis run produced, ready for rendering."""
 
     table: FailureModeTable = field(default_factory=lambda: FailureModeTable(rows=[]))

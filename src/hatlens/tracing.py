@@ -41,7 +41,7 @@ from .interactions import Direction, Interaction, interaction_by_id
 from .lenses import LensCatalog
 from .mapping import SpecialisedFailureMode
 from .mitigations import Mitigation, builtin_mitigations
-from .model import ActionNode, ActivityEdge, Ooda2Model, UnknownIdError
+from .model import ActionNode, ActivityEdge, Ooda2Model, UnknownIdError, _HashRecord, _Record
 
 DEFAULT_MAX_DEPTH = 16
 DEFAULT_SECOND_ORDER_CATEGORIES = ("stability", "timely", "uncertainty")
@@ -69,8 +69,8 @@ def classify(total_gain: float) -> Classification:
     return _NEUTRAL
 
 
-@dataclass(frozen=True, eq=False)
-class TracePathway:
+@dataclass(frozen=True, repr=False, eq=False)
+class TracePathway(_Record):
     """One maximal simple path from an interaction endpoint, with its gains."""
 
     origin: Interaction
@@ -191,8 +191,8 @@ class InducedMode(Enum):
     MISUSE = "Misuse"
 
 
-@dataclass(frozen=True)
-class SecondOrderEffect:
+@dataclass(frozen=True, repr=False, eq=False)
+class SecondOrderEffect(_HashRecord):
     """A disuse or misuse effect induced by one specialisation."""
 
     origin_sfm_id: int

@@ -15,6 +15,7 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 
@@ -876,8 +877,12 @@ class TestFilesAndUsage:
 def test_any_argv_ends_in_an_exit_code(tmp_path_factory, data):
     out = tmp_path_factory.getbasetemp() / "argv"
     out.mkdir(exist_ok=True)
+    # Fresh copies of the inputs for each example: a drawn "-o <input>"
+    # overwrites a copy, never a bundled fixture.
+    inputs = [str(shutil.copyfile(path, out / os.path.basename(path)))
+              for path in (MODEL, LENS, SFM, MIT, MINIMAL)]
     words = st.sampled_from([
-        *SUBCOMMANDS, MODEL, LENS, SFM, MIT, MINIMAL, str(out / "missing.hat"),
+        *SUBCOMMANDS, *inputs, str(out / "missing.hat"),
         "--lens", "--mit", "--sfm", "--no-builtin", "--strict", "--export", "--help",
         "--interaction", "--category", "--direction", "--max-depth", "--format",
         "-o", "--output", str(out / "out.txt"), str(out), str(out / "no" / "out.txt"),
