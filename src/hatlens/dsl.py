@@ -49,18 +49,24 @@ from .model import (
     Side,
     Stage,
     _HashRecord,
+    _set,
 )
 
 _IDENT = re.compile("[a-z][a-z0-9_]*")
 
 
-@dataclass(frozen=True, repr=False, eq=False)
+@dataclass(init=False, repr=False, eq=False)
 class ParseDiagnostic(_HashRecord):
     """One problem found while parsing, at a 1-based line and column."""
 
     line: int
     column: int
     message: str
+
+    def __init__(self, line, column, message):
+        _set(self, "line", line)
+        _set(self, "column", column)
+        _set(self, "message", message)
 
 
 class DslParseError(ValueError):

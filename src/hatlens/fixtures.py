@@ -22,7 +22,7 @@ from .interactions import extract_interactions, interaction_by_id
 from .lenses import builtin_catalog, merge_catalogs
 from .mapping import apply_specialisations, map_failure_modes
 from .mitigations import builtin_mitigations, suggest_mitigations
-from .model import _HashRecord
+from .model import _HashRecord, _set
 from .report import ReportBundle, emit_csv, emit_dot, emit_markdown, emit_second_order_json
 from .tracing import TraceDirection, derive_second_order, trace
 
@@ -31,8 +31,10 @@ _ROOT = Path(__file__).parent / "fixtures"
 _GOLDEN_SUFFIXES = (".csv", ".dot", ".json", ".md")
 
 
-@dataclass(frozen=True, repr=False, eq=False)
+@dataclass(init=False, repr=False, eq=False)
 class GoldenFixture(_HashRecord):
+    """A bundled example: its input paths and its golden outputs by file name."""
+
     name: str
     root: Path
     model_path: Path
@@ -40,6 +42,15 @@ class GoldenFixture(_HashRecord):
     sfm_path: Path | None
     mitigation_path: Path | None
     expected: dict[str, Path]
+
+    def __init__(self, name, root, model_path, lens_path, sfm_path, mitigation_path, expected):
+        _set(self, "name", name)
+        _set(self, "root", root)
+        _set(self, "model_path", model_path)
+        _set(self, "lens_path", lens_path)
+        _set(self, "sfm_path", sfm_path)
+        _set(self, "mitigation_path", mitigation_path)
+        _set(self, "expected", expected)
 
 
 def available_fixtures() -> list[str]:

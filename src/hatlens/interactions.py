@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .model import ActionNode, ActivityEdge, Ooda2Model, Side, Stage, UnknownIdError, _Record
+from .model import (ActionNode, ActivityEdge, Ooda2Model, Side, Stage, UnknownIdError,
+                    _FrozenRecord, _set)
 
 
 class Direction(Enum):
@@ -22,8 +23,8 @@ class Direction(Enum):
         return "Machine->Human" if self._value_ == "m2h" else "Human->Machine"
 
 
-@dataclass(frozen=True, repr=False, eq=False)
-class Interaction(_Record):
+@dataclass(init=False, repr=False, eq=False)
+class Interaction(_FrozenRecord):
     """An edge that crosses the human/machine boundary, numbered ``i_id``."""
 
     i_id: int
@@ -34,6 +35,16 @@ class Interaction(_Record):
     machine_stage: Stage
     human_stage: Stage
     edge: ActivityEdge
+
+    def __init__(self, i_id, name, source, target, direction, machine_stage, human_stage, edge):
+        _set(self, "i_id", i_id)
+        _set(self, "name", name)
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "direction", direction)
+        _set(self, "machine_stage", machine_stage)
+        _set(self, "human_stage", human_stage)
+        _set(self, "edge", edge)
 
 
 def extract_interactions(model: Ooda2Model) -> list[Interaction]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .interactions import Direction, Interaction
-from .model import UnknownIdError, _EqRecord, _HashRecord
+from .model import _FACTORY, UnknownIdError, _EqRecord, _HashRecord, _set
 
 
 class Applicability(Enum):
@@ -25,7 +25,7 @@ class Applicability(Enum):
         return self is Applicability.BOTH or self.value == direction.value
 
 
-@dataclass(frozen=True, repr=False, eq=False)
+@dataclass(init=False, repr=False, eq=False)
 class GenericFailureMode(_HashRecord):
     """An analyst question of one lens, with its category and directions."""
 
@@ -38,8 +38,19 @@ class GenericFailureMode(_HashRecord):
     benign: bool = False
     line: int | None = field(default=None, compare=False, repr=False)
 
+    def __init__(self, id, lens_id, category, title, question, applicability, benign=False,
+                 line=None):
+        _set(self, "id", id)
+        _set(self, "lens_id", lens_id)
+        _set(self, "category", category)
+        _set(self, "title", title)
+        _set(self, "question", question)
+        _set(self, "applicability", applicability)
+        _set(self, "benign", benign)
+        _set(self, "line", line)
 
-@dataclass(frozen=True, repr=False, eq=False)
+
+@dataclass(init=False, repr=False, eq=False)
 class Lens(_HashRecord):
     """A named group of generic failure modes."""
 
@@ -48,12 +59,21 @@ class Lens(_HashRecord):
     modes: tuple[GenericFailureMode, ...] = ()
     line: int | None = field(default=None, compare=False, repr=False)
 
+    def __init__(self, id, name, modes=(), line=None):
+        _set(self, "id", id)
+        _set(self, "name", name)
+        _set(self, "modes", modes)
+        _set(self, "line", line)
 
-@dataclass(repr=False, eq=False)
+
+@dataclass(init=False, repr=False, eq=False)
 class LensCatalog(_EqRecord):
     """An ordered list of lenses, such as the builtins merged with ``.lens`` files."""
 
     lenses: list[Lens] = field(default_factory=list)
+
+    def __init__(self, lenses=_FACTORY):
+        self.lenses = [] if lenses is _FACTORY else lenses
 
     def modes(self) -> list[GenericFailureMode]:
         return [mode for lens in self.lenses for mode in lens.modes]

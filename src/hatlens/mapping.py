@@ -13,10 +13,10 @@ from dataclasses import dataclass, field, replace
 
 from .interactions import Direction, Interaction
 from .lenses import GenericFailureMode, LensCatalog, applicable_modes
-from .model import Stage, _EqRecord, _HashRecord
+from .model import _FACTORY, Stage, _EqRecord, _HashRecord, _set
 
 
-@dataclass(frozen=True, repr=False, eq=False)
+@dataclass(init=False, repr=False, eq=False)
 class SpecialisedFailureMode(_HashRecord):
     """An analyst's refinement of one generic mode on one interaction."""
 
@@ -26,8 +26,15 @@ class SpecialisedFailureMode(_HashRecord):
     text: str
     line: int | None = field(default=None, compare=False, repr=False)
 
+    def __init__(self, sfm_id, interaction_id, generic_mode_id, text, line=None):
+        _set(self, "sfm_id", sfm_id)
+        _set(self, "interaction_id", interaction_id)
+        _set(self, "generic_mode_id", generic_mode_id)
+        _set(self, "text", text)
+        _set(self, "line", line)
 
-@dataclass(frozen=True, repr=False, eq=False)
+
+@dataclass(init=False, repr=False, eq=False)
 class FailureModeRow(_HashRecord):
     """One row of the table: an interaction, a generic mode and any specialisation."""
 
@@ -42,12 +49,28 @@ class FailureModeRow(_HashRecord):
     generic_mode_category: str
     specialised_text: str | None
 
+    def __init__(self, i_id, sfm_id, interaction_name, machine_stage, human_stage, direction,
+                 generic_mode_id, generic_mode_title, generic_mode_category, specialised_text):
+        _set(self, "i_id", i_id)
+        _set(self, "sfm_id", sfm_id)
+        _set(self, "interaction_name", interaction_name)
+        _set(self, "machine_stage", machine_stage)
+        _set(self, "human_stage", human_stage)
+        _set(self, "direction", direction)
+        _set(self, "generic_mode_id", generic_mode_id)
+        _set(self, "generic_mode_title", generic_mode_title)
+        _set(self, "generic_mode_category", generic_mode_category)
+        _set(self, "specialised_text", specialised_text)
 
-@dataclass(repr=False, eq=False)
+
+@dataclass(init=False, repr=False, eq=False)
 class FailureModeTable(_EqRecord):
     """The failure-mode table, one row per interaction and mode."""
 
     rows: list[FailureModeRow] = field(default_factory=list)
+
+    def __init__(self, rows=_FACTORY):
+        self.rows = [] if rows is _FACTORY else rows
 
 
 class SpecialisationError(ValueError):

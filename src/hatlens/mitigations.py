@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from .model import _HashRecord
+from .model import _HashRecord, _set
 
 if TYPE_CHECKING:
     from .mapping import FailureModeRow, FailureModeTable
@@ -25,7 +25,7 @@ class Placement(Enum):
     EDGE = "edge"
 
 
-@dataclass(frozen=True, repr=False, eq=False)
+@dataclass(init=False, repr=False, eq=False)
 class Mitigation(_HashRecord):
     """A pattern that damps the traced gain of its categories where attached."""
 
@@ -36,6 +36,17 @@ class Mitigation(_HashRecord):
     detail: str
     damping: float = DEFAULT_DAMPING
     line: int | None = field(default=None, compare=False, repr=False)
+
+    def __init__(self, id, name, categories, placement, detail, damping=DEFAULT_DAMPING,
+                 line=None):
+        _set(self, "id", id)
+        _set(self, "name", name)
+        _set(self, "categories", categories)
+        _set(self, "placement", placement)
+        _set(self, "detail", detail)
+        _set(self, "damping", damping)
+        _set(self, "line", line)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not self.categories:

@@ -11,21 +11,24 @@ a boundary-crossing edge targets an Observe-stage node, and an intra-lane
 edge stays on the stage cycle.  The "Validation codes" table of
 ``docs/dsl-reference.md`` lists each code, its severity and when it fires.
 
-Every dataclass of the package takes ``__repr__``, ``__eq__`` and
-``__hash__`` from one of the bases below rather than from the decorator,
-which compiles and ``exec``s a copy of each method for each class in every
-process: sharing the three cuts the methods that ``import hatlens.cli``
-generates from 83 to 40.  They behave as the generated ones do (the same
-fields shown, compared and hashed, ``NotImplemented`` for another class, a
-recursion guard), so only ``__dataclass_params__`` differs: it reports
-``repr=False, eq=False``.
+The decorator compiles and ``exec``s a copy of each method it generates,
+for each class in every process, so no dataclass of the package has it
+generate one.  Each takes ``__repr__``, ``__eq__`` and ``__hash__`` from one
+of the bases below, and the frozen ones take ``__setattr__`` and
+``__delattr__`` from ``_FrozenRecord``; each writes its own ``__init__``,
+which sets a frozen class's fields with ``object.__setattr__``.  With this,
+``import hatlens.cli`` compiles no method (83 at first, 40 with the three
+shared).  They behave as the generated ones do (the same fields shown,
+compared and hashed, ``NotImplemented`` for another class, a recursion
+guard, the same errors), so only ``__dataclass_params__`` differs: it
+reports ``init=False, repr=False, eq=False, frozen=False``.
 """
 
 from __future__ import annotations
 
 import math
 import reprlib
-from dataclasses import dataclass, field, fields
+from dataclasses import FrozenInstanceError, dataclass, field, fields
 from enum import Enum
 from operator import attrgetter
 
@@ -64,11 +67,42 @@ class _EqRecord(_Record):
         return compared(self) == compared(other)
 
 
-class _HashRecord(_EqRecord):
-    """Base of the frozen value dataclasses: the generated ``__hash__`` as well."""
+class _FrozenRecord(_Record):
+    """Base of the frozen dataclasses: the generated ``__setattr__`` and
+    ``__delattr__``.  They refuse any name on an instance of a declared
+    dataclass, which holds its own ``__dataclass_fields__``, and only the
+    field names on an instance of a plain subclass."""
+
+    def __setattr__(self, name, value):
+        cls = self.__class__
+        if "__dataclass_fields__" in cls.__dict__ or name in cls.__dataclass_fields__:
+            raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        cls = self.__class__
+        if "__dataclass_fields__" in cls.__dict__ or name in cls.__dataclass_fields__:
+            raise FrozenInstanceError(f"cannot delete field {name!r}")
+        object.__delattr__(self, name)
+
+
+class _HashRecord(_EqRecord, _FrozenRecord):
+    """Base of the frozen value dataclasses: the generated ``__hash__`` and the
+    frozen guard as well."""
 
     def __hash__(self) -> int:
         return hash((_COMPARED.get(self.__class__) or _compared(self.__class__))(self))
+
+
+class _Factory:
+    """The default of an ``__init__`` parameter whose field has a default factory."""
+
+    def __repr__(self) -> str:
+        return "<factory>"
+
+
+_FACTORY = _Factory()
+_set = object.__setattr__  # how a frozen class's __init__ sets a field
 
 
 class Side(Enum):
@@ -116,12 +150,17 @@ class GainKind(Enum):
     NEUTRAL = "neutral"
 
 
-@dataclass(frozen=True, repr=False, eq=False)
+@dataclass(init=False, repr=False, eq=False)
 class GainBehaviour(_HashRecord):
     """How a node transforms a propagating failure mode: a positive gain."""
 
     kind: GainKind
     coefficient: float
+
+    def __init__(self, kind, coefficient):
+        _set(self, "kind", kind)
+        _set(self, "coefficient", coefficient)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.coefficient):
@@ -148,7 +187,7 @@ class GainBehaviour(_HashRecord):
         return cls(GainKind.NEUTRAL, 1.0)
 
 
-@dataclass(repr=False, eq=False)
+@dataclass(init=False, repr=False, eq=False)
 class Lane(_EqRecord):
     """A swimlane on the human or machine side of the boundary."""
 
@@ -158,8 +197,15 @@ class Lane(_EqRecord):
     display_name: str
     line: int | None = field(default=None, compare=False, repr=False)
 
+    def __init__(self, id, side, kind, display_name, line=None):
+        self.id = id
+        self.side = side
+        self.kind = kind
+        self.display_name = display_name
+        self.line = line
 
-@dataclass(repr=False, eq=False)
+
+@dataclass(init=False, repr=False, eq=False)
 class ActionNode(_EqRecord):
     """An action at one decision-loop stage of a lane."""
 
@@ -174,8 +220,19 @@ class ActionNode(_EqRecord):
     mitigation_ids: list[str] = field(default_factory=list)
     line: int | None = field(default=None, compare=False, repr=False)
 
+    def __init__(self, id, lane_id, stage, label, response=_FACTORY, causes=_FACTORY,
+                 mitigation_ids=_FACTORY, line=None):
+        self.id = id
+        self.lane_id = lane_id
+        self.stage = stage
+        self.label = label
+        self.response = {} if response is _FACTORY else response
+        self.causes = [] if causes is _FACTORY else causes
+        self.mitigation_ids = [] if mitigation_ids is _FACTORY else mitigation_ids
+        self.line = line
 
-@dataclass(repr=False, eq=False)
+
+@dataclass(init=False, repr=False, eq=False)
 class ActivityEdge(_EqRecord):
     """A directed flow between two nodes, optionally guarded and mitigated."""
 
@@ -189,8 +246,18 @@ class ActivityEdge(_EqRecord):
     mitigation_ids: list[str] = field(default_factory=list)
     line: int | None = field(default=None, compare=False, repr=False)
 
+    def __init__(self, id, from_id, to_id, guard=None, name=None, mitigation_ids=_FACTORY,
+                 line=None):
+        self.id = id
+        self.from_id = from_id
+        self.to_id = to_id
+        self.guard = guard
+        self.name = name
+        self.mitigation_ids = [] if mitigation_ids is _FACTORY else mitigation_ids
+        self.line = line
 
-@dataclass(repr=False, eq=False)
+
+@dataclass(init=False, repr=False, eq=False)
 class Ooda2Model(_EqRecord):
     """Two interlocking decision loops: lanes, staged nodes, directed edges."""
 
@@ -199,6 +266,13 @@ class Ooda2Model(_EqRecord):
     nodes: list[ActionNode] = field(default_factory=list)
     edges: list[ActivityEdge] = field(default_factory=list)
     line: int | None = field(default=None, compare=False, repr=False)
+
+    def __init__(self, name, lanes=_FACTORY, nodes=_FACTORY, edges=_FACTORY, line=None):
+        self.name = name
+        self.lanes = [] if lanes is _FACTORY else lanes
+        self.nodes = [] if nodes is _FACTORY else nodes
+        self.edges = [] if edges is _FACTORY else edges
+        self.line = line
 
     def lanes_by_id(self) -> dict[str, Lane]:
         return {lane.id: lane for lane in self.lanes}
@@ -242,7 +316,7 @@ class Severity(Enum):
     WARNING = "warning"
 
 
-@dataclass(frozen=True, repr=False, eq=False)
+@dataclass(init=False, repr=False, eq=False)
 class Diagnostic(_HashRecord):
     """One finding of ``validate``: severity, code, message and source line."""
 
@@ -250,6 +324,12 @@ class Diagnostic(_HashRecord):
     code: str
     message: str
     line: int | None = None
+
+    def __init__(self, severity, code, message, line=None):
+        _set(self, "severity", severity)
+        _set(self, "code", code)
+        _set(self, "message", message)
+        _set(self, "line", line)
 
 
 def validate(model: Ooda2Model, strictness: Strictness = Strictness.LENIENT, *,

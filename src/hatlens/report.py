@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Sequence, TextIO
 from .dsl import _quote  # a DOT id is quoted and escaped as a DSL string is
 from .mapping import FailureModeRow, FailureModeTable
 from .mitigations import Mitigation
-from .model import Ooda2Model, _EqRecord
+from .model import _FACTORY, Ooda2Model, _EqRecord
 from .tracing import SecondOrderEffect, TraceDirection, TracePathway
 
 CSV_HEADER = ("I ID,SFM ID,Interaction Name,Machine Stage,Human Stage,Direction,"
@@ -36,7 +36,7 @@ class ReportError(ValueError):
     """Raised when asked to render mutually inconsistent inputs."""
 
 
-@dataclass(repr=False, eq=False)
+@dataclass(init=False, repr=False, eq=False)
 class ReportBundle(_EqRecord):
     """Everything one analysis run produced, ready for rendering."""
 
@@ -44,6 +44,13 @@ class ReportBundle(_EqRecord):
     pathways: list[TracePathway] = field(default_factory=list)
     second_order: list[SecondOrderEffect] = field(default_factory=list)
     suggestions: list[tuple[FailureModeRow, Mitigation]] = field(default_factory=list)
+
+    def __init__(self, table=_FACTORY, pathways=_FACTORY, second_order=_FACTORY,
+                 suggestions=_FACTORY):
+        self.table = FailureModeTable([]) if table is _FACTORY else table
+        self.pathways = [] if pathways is _FACTORY else pathways
+        self.second_order = [] if second_order is _FACTORY else second_order
+        self.suggestions = [] if suggestions is _FACTORY else suggestions
 
 
 def _row_cells(row: FailureModeRow) -> list[str]:

@@ -21,7 +21,7 @@ parallel edge would repeat the node sequence).  The on-path set is a
 another, pathways come out in lexicographic order of their node ids, with
 no sort.  ``trace`` builds each frozen ``TracePathway`` by copying a
 template attribute dict that holds the fields the trace's pathways share,
-not through the generated ``__init__``.
+not through ``__init__``, which sets the seven fields one call at a time.
 
 The loops are cyclic by design; the simple-path restriction is what makes
 enumeration finite.  Consequences of a failure repeating over many loop
@@ -41,7 +41,8 @@ from .interactions import Direction, Interaction, interaction_by_id
 from .lenses import LensCatalog
 from .mapping import SpecialisedFailureMode
 from .mitigations import Mitigation, builtin_mitigations
-from .model import ActionNode, ActivityEdge, Ooda2Model, UnknownIdError, _HashRecord, _Record
+from .model import (ActionNode, ActivityEdge, Ooda2Model, UnknownIdError, _FrozenRecord,
+                    _HashRecord, _set)
 
 DEFAULT_MAX_DEPTH = 16
 DEFAULT_SECOND_ORDER_CATEGORIES = ("stability", "timely", "uncertainty")
@@ -69,8 +70,8 @@ def classify(total_gain: float) -> Classification:
     return _NEUTRAL
 
 
-@dataclass(frozen=True, repr=False, eq=False)
-class TracePathway(_Record):
+@dataclass(init=False, repr=False, eq=False)
+class TracePathway(_FrozenRecord):
     """One maximal simple path from an interaction endpoint, with its gains."""
 
     origin: Interaction
@@ -80,6 +81,16 @@ class TracePathway(_Record):
     step_gains: tuple[float, ...]
     total_gain: float
     classification: Classification
+
+    def __init__(self, origin, mode_category, direction, nodes, step_gains, total_gain,
+                 classification):
+        _set(self, "origin", origin)
+        _set(self, "mode_category", mode_category)
+        _set(self, "direction", direction)
+        _set(self, "nodes", nodes)
+        _set(self, "step_gains", step_gains)
+        _set(self, "total_gain", total_gain)
+        _set(self, "classification", classification)
 
     def node_ids(self) -> tuple[str, ...]:
         return tuple(node.id for node in self.nodes)
@@ -191,13 +202,18 @@ class InducedMode(Enum):
     MISUSE = "Misuse"
 
 
-@dataclass(frozen=True, repr=False, eq=False)
+@dataclass(init=False, repr=False, eq=False)
 class SecondOrderEffect(_HashRecord):
     """A disuse or misuse effect induced by one specialisation."""
 
     origin_sfm_id: int
     induced_mode: InducedMode
     rationale: str
+
+    def __init__(self, origin_sfm_id, induced_mode, rationale):
+        _set(self, "origin_sfm_id", origin_sfm_id)
+        _set(self, "induced_mode", induced_mode)
+        _set(self, "rationale", rationale)
 
 
 _INDUCED = (

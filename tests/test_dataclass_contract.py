@@ -1,17 +1,28 @@
 """The public dataclasses' contract: fields, constructor, repr, equality,
-hashing, frozenness, ``replace``, ``asdict`` and pickling.
+hashing, frozenness, ``replace``, ``asdict``, copying and pickling.
 
 The expected values were written against the dataclass-generated methods,
-so they pin what the package's shared ``__repr__``/``__eq__``/``__hash__``
-must reproduce.  Every public dataclass has a sample here; a new one fails
+so they pin what the package's shared ``__repr__``/``__eq__``/``__hash__``,
+its hand-written ``__init__``s and its shared frozen guard must reproduce.
+Every public dataclass has a sample here; a new one fails
 ``test_every_public_dataclass_has_a_sample`` until it gets one.
 """
 
 from __future__ import annotations
 
+import copy
 import inspect
+import math
 import pickle
-from dataclasses import FrozenInstanceError, asdict, fields, is_dataclass, replace
+from dataclasses import (
+    MISSING,
+    FrozenInstanceError,
+    asdict,
+    dataclass,
+    fields,
+    is_dataclass,
+    replace,
+)
 from pathlib import Path
 
 import pytest
@@ -128,6 +139,55 @@ SIGNATURES = {
     "SpecialisedFailureMode": "sfm_id, interaction_id, generic_mode_id, text, line=None",
     "TracePathway": "origin, mode_category, direction, nodes, step_gains, total_gain, "
                     "classification",
+}
+
+# The TypeErrors of ``cls()`` (None: every field has a default) and of one
+# positional argument past the last field, after "<name>.__init__() ".
+TYPE_ERRORS = {
+    "ActionNode": ("missing 4 required positional arguments: 'id', 'lane_id', 'stage', and "
+                   "'label'", "takes from 5 to 9 positional arguments but 10 were given"),
+    "ActivityEdge": ("missing 3 required positional arguments: 'id', 'from_id', and 'to_id'",
+                     "takes from 4 to 8 positional arguments but 9 were given"),
+    "Diagnostic": ("missing 3 required positional arguments: 'severity', 'code', and "
+                   "'message'", "takes from 4 to 5 positional arguments but 6 were given"),
+    "FailureModeRow": ("missing 10 required positional arguments: 'i_id', 'sfm_id', "
+                       "'interaction_name', 'machine_stage', 'human_stage', 'direction', "
+                       "'generic_mode_id', 'generic_mode_title', 'generic_mode_category', and "
+                       "'specialised_text'", "takes 11 positional arguments but 12 were given"),
+    "FailureModeTable": (None, "takes from 1 to 2 positional arguments but 3 were given"),
+    "GainBehaviour": ("missing 2 required positional arguments: 'kind' and 'coefficient'",
+                      "takes 3 positional arguments but 4 were given"),
+    "GenericFailureMode": ("missing 6 required positional arguments: 'id', 'lens_id', "
+                           "'category', 'title', 'question', and 'applicability'",
+                           "takes from 7 to 9 positional arguments but 10 were given"),
+    "GoldenFixture": ("missing 7 required positional arguments: 'name', 'root', 'model_path', "
+                      "'lens_path', 'sfm_path', 'mitigation_path', and 'expected'",
+                      "takes 8 positional arguments but 9 were given"),
+    "Interaction": ("missing 8 required positional arguments: 'i_id', 'name', 'source', "
+                    "'target', 'direction', 'machine_stage', 'human_stage', and 'edge'",
+                    "takes 9 positional arguments but 10 were given"),
+    "Lane": ("missing 4 required positional arguments: 'id', 'side', 'kind', and "
+             "'display_name'", "takes from 5 to 6 positional arguments but 7 were given"),
+    "Lens": ("missing 2 required positional arguments: 'id' and 'name'",
+             "takes from 3 to 5 positional arguments but 6 were given"),
+    "LensCatalog": (None, "takes from 1 to 2 positional arguments but 3 were given"),
+    "Mitigation": ("missing 5 required positional arguments: 'id', 'name', 'categories', "
+                   "'placement', and 'detail'",
+                   "takes from 6 to 8 positional arguments but 9 were given"),
+    "Ooda2Model": ("missing 1 required positional argument: 'name'",
+                   "takes from 2 to 6 positional arguments but 7 were given"),
+    "ParseDiagnostic": ("missing 3 required positional arguments: 'line', 'column', and "
+                        "'message'", "takes 4 positional arguments but 5 were given"),
+    "ReportBundle": (None, "takes from 1 to 5 positional arguments but 6 were given"),
+    "SecondOrderEffect": ("missing 3 required positional arguments: 'origin_sfm_id', "
+                          "'induced_mode', and 'rationale'",
+                          "takes 4 positional arguments but 5 were given"),
+    "SpecialisedFailureMode": ("missing 4 required positional arguments: 'sfm_id', "
+                               "'interaction_id', 'generic_mode_id', and 'text'",
+                               "takes from 5 to 6 positional arguments but 7 were given"),
+    "TracePathway": ("missing 7 required positional arguments: 'origin', 'mode_category', "
+                     "'direction', 'nodes', 'step_gains', 'total_gain', and 'classification'",
+                     "takes 8 positional arguments but 9 were given"),
 }
 
 _LANE = "Lane(id='ops', side=<Side.HUMAN: 'human'>, kind=<LaneKind.OPERATOR: 'operator'>, " \
@@ -422,3 +482,124 @@ def test_no_public_class_defines_its_own_repr_eq_or_hash():
     own = [f"{name}.{method}" for name, cls in _public_classes()
            for method in ("__repr__", "__eq__", "__hash__") if method in vars(cls)]
     assert own == []
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_constructor_type_errors(name):
+    cls = getattr(hatlens, name)
+    value = _values()[name]
+    args = [getattr(value, f.name) for f in fields(value)]
+    first = fields(value)[0].name
+    missing, positional = TYPE_ERRORS[name]
+    prefix = f"{name}.__init__() "
+    if missing is None:
+        assert type(cls()) is cls
+    else:
+        assert _outcome(lambda: cls()) == (TypeError, prefix + missing)
+    assert _outcome(lambda: cls(*args, None)) == (TypeError, prefix + positional)
+    assert _outcome(lambda: cls(*args, bogus=1)) == (
+        TypeError, prefix + "got an unexpected keyword argument 'bogus'")
+    assert _outcome(lambda: cls(*args, **{first: args[0]})) == (
+        TypeError, prefix + f"got multiple values for argument '{first}'")
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_factory_defaults_are_new_for_each_instance(name):
+    cls = getattr(hatlens, name)
+    value = _values()[name]
+    made = [f for f in fields(cls) if f.default_factory is not MISSING]
+    required = {f.name: getattr(value, f.name) for f in fields(cls)
+                if f.default is MISSING and f.default_factory is MISSING}
+    one, two = cls(**required), cls(**required)
+    for f in made:
+        assert getattr(one, f.name) == f.default_factory()
+        assert getattr(one, f.name) is not getattr(two, f.name)
+
+
+@pytest.mark.parametrize("name", FROZEN)
+def test_a_plain_subclass_of_a_frozen_class_takes_new_attributes_but_refuses_fields(name):
+    subclass = type("Sub", (getattr(hatlens, name),), {})
+    value = _values()[name]
+    copy = subclass(**{f.name: getattr(value, f.name) for f in fields(value)})
+    copy.extra = 1
+    assert copy.extra == 1
+    del copy.extra
+    assert not hasattr(copy, "extra")
+    for f in fields(value):
+        with pytest.raises(FrozenInstanceError, match=rf"^cannot assign to field '{f.name}'$"):
+            setattr(copy, f.name, None)
+        with pytest.raises(FrozenInstanceError, match=rf"^cannot delete field '{f.name}'$"):
+            delattr(copy, f.name)
+        assert getattr(copy, f.name) is getattr(value, f.name)
+
+
+@pytest.mark.parametrize("name", FROZEN)
+def test_dataclass_subclasses_of_a_frozen_class(name):
+    """The frozen classes are declared ``frozen=False`` with a shared guard
+    (README, "Library use"): the decorator refuses a frozen subclass, and a
+    non-frozen one cannot set the fields it inherits."""
+    cls = getattr(hatlens, name)
+    with pytest.raises(TypeError, match=r"^cannot inherit frozen dataclass from a non-frozen "
+                                        r"one$"):
+        dataclass(frozen=True)(type("Sub", (cls,), {}))
+    subclass = dataclass(type("Sub", (cls,), {}))
+    value = _values()[name]
+    first = fields(value)[0].name
+    with pytest.raises(FrozenInstanceError, match=rf"^cannot assign to field '{first}'$"):
+        subclass(**{f.name: getattr(value, f.name) for f in fields(value)})
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_copy_and_deepcopy_keep_every_field(name):
+    value = _values()[name]
+    shallow, deep = copy.copy(value), copy.deepcopy(value)
+    for twin in shallow, deep:
+        assert type(twin) is type(value) and twin is not value
+        assert repr(twin) == repr(value) and asdict(twin) == asdict(value)
+        if name not in IDENTITY:
+            assert twin == value
+    assert vars(shallow) == vars(value)
+    assert all(getattr(shallow, f.name) is getattr(value, f.name) for f in fields(value))
+    assert [f.name for f in fields(value) if isinstance(getattr(value, f.name), (list, dict))
+            and getattr(deep, f.name) is getattr(value, f.name)] == []
+
+
+def test_replace_runs_the_post_init_checks():
+    with pytest.raises(ValueError, match=r"^dampen coefficient must be < 1, got 2$"):
+        replace(GainBehaviour.dampen(), coefficient=2)
+    with pytest.raises(ValueError, match=r"^gain coefficient must be finite, got inf$"):
+        replace(GainBehaviour.amplify(), coefficient=math.inf)
+    mitigation = _values()["Mitigation"]
+    with pytest.raises(ValueError, match=r"^mitigation 'odd_margin' must bind at least one "
+                                         r"category$"):
+        replace(mitigation, categories=())
+    with pytest.raises(ValueError, match=r"^mitigation 'odd_margin' damping must be in "
+                                         r"\(0, 1\), got 1$"):
+        replace(mitigation, damping=1)
+
+
+def test_no_public_dataclass_method_is_compiled_at_run_time():
+    """Each ``__init__``, and the frozen classes' ``__setattr__`` and
+    ``__delattr__``, come from the package's source, not from the decorator,
+    which ``exec``s generated text (a ``<string>`` file) in every process."""
+    package = Path(hatlens.__file__).parent
+    compiled = []
+    for name in NAMES:
+        cls = getattr(hatlens, name)
+        methods = {"__init__": vars(cls).get("__init__")}
+        if name in FROZEN:
+            methods.update(__setattr__=cls.__setattr__, __delattr__=cls.__delattr__)
+        for method, function in methods.items():
+            code = getattr(function, "__code__", None)
+            if code is None or Path(code.co_filename).parent != package:
+                compiled.append(f"{name}.{method}")
+    assert compiled == []
+
+
+def test_every_public_dataclass_has_its_own_docstring():
+    """Without one, the decorator builds a docstring from ``inspect.signature``
+    on every import."""
+    generated = [name for name in NAMES
+                 if getattr(hatlens, name).__doc__ in (None, name + str(
+                     inspect.signature(getattr(hatlens, name))).replace(" -> None", ""))]
+    assert generated == []
