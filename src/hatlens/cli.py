@@ -186,7 +186,7 @@ def _build_table(args, interactions: list[Interaction], catalog: LensCatalog):
 
 
 def _trace_pathways(args, model: Ooda2Model, interactions: list[Interaction],
-                    mitigations: list[Mitigation]) -> list[TracePathway]:
+                    catalog: LensCatalog, mitigations: list[Mitigation]) -> list[TracePathway]:
     interaction = interaction_by_id(interactions, args.interaction)
     pathways: list[TracePathway] = []
     for direction in TraceDirection:  # upstream first
@@ -197,6 +197,14 @@ def _trace_pathways(args, model: Ooda2Model, interactions: list[Interaction],
                                       mitigation_catalog=mitigations))
             except ValueError as exc:
                 _fail(str(exc))
+    defined = {mode.category for mode in catalog.modes()}
+    if args.category not in defined and not any(
+            args.category in mitigation.categories for mitigation in mitigations):
+        # No node responds to it (validate refuses such a response) and no
+        # mitigation damps it, so the trace measured nothing.
+        print(f"warning: category '{args.category}' is not defined by the loaded lenses "
+              f"(defined: {', '.join(sorted(defined))}); every step is Neutral",
+              file=sys.stderr)
     return pathways
 
 
@@ -219,9 +227,9 @@ def _cmd_map(args) -> None:
 
 
 def _cmd_trace(args) -> None:
-    _, mitigations, model = _inputs(args)
+    catalog, mitigations, model = _inputs(args)
     interactions = extract_interactions(model)
-    pathways = _trace_pathways(args, model, interactions, mitigations)
+    pathways = _trace_pathways(args, model, interactions, catalog, mitigations)
     if args.format == "json":
         bundle = ReportBundle(pathways=pathways)
         _output(args, lambda out: write_json(bundle, out))
@@ -251,7 +259,7 @@ def _cmd_report(args) -> None:
     table, sfms = _build_table(args, interactions, catalog)
     pathways: list[TracePathway] = []
     if args.interaction is not None:
-        pathways = _trace_pathways(args, model, interactions, mitigations)
+        pathways = _trace_pathways(args, model, interactions, catalog, mitigations)
     # The table has every sfm's interaction and mode, so no lookup can fail.
     second_order = derive_second_order(sfms, interactions, catalog)
     suggestions = suggest_mitigations(table, mitigations)

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
@@ -49,13 +48,14 @@ from .model import (
     Side,
     Stage,
     _HashRecord,
+    _dataclass,
     _set,
 )
 
 _IDENT = re.compile("[a-z][a-z0-9_]*")
 
 
-@dataclass(init=False, repr=False, eq=False)
+@_dataclass
 class ParseDiagnostic(_HashRecord):
     """One problem found while parsing, at a 1-based line and column."""
 

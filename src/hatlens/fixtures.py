@@ -9,7 +9,6 @@ golden outputs the current tool must regenerate bit-identically.  The
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 from .dsl import (
@@ -22,7 +21,7 @@ from .interactions import extract_interactions, interaction_by_id
 from .lenses import builtin_catalog, merge_catalogs
 from .mapping import apply_specialisations, map_failure_modes
 from .mitigations import builtin_mitigations, suggest_mitigations
-from .model import _HashRecord, _set
+from .model import _HashRecord, _dataclass, _set
 from .report import ReportBundle, emit_csv, emit_dot, emit_markdown, emit_second_order_json
 from .tracing import TraceDirection, derive_second_order, trace
 
@@ -31,7 +30,7 @@ _ROOT = Path(__file__).parent / "fixtures"
 _GOLDEN_SUFFIXES = (".csv", ".dot", ".json", ".md")
 
 
-@dataclass(init=False, repr=False, eq=False)
+@_dataclass
 class GoldenFixture(_HashRecord):
     """A bundled example: its input paths and its golden outputs by file name."""
 

@@ -8,11 +8,10 @@ declaration order; that numbering is the stable handle everything else
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .model import (ActionNode, ActivityEdge, Ooda2Model, Side, Stage, UnknownIdError,
-                    _FrozenRecord, _set)
+                    _FrozenRecord, _dataclass, _set)
 
 
 class Direction(Enum):
@@ -23,7 +22,7 @@ class Direction(Enum):
         return "Machine->Human" if self._value_ == "m2h" else "Human->Machine"
 
 
-@dataclass(init=False, repr=False, eq=False)
+@_dataclass
 class Interaction(_FrozenRecord):
     """An edge that crosses the human/machine boundary, numbered ``i_id``."""
 

@@ -9,11 +9,11 @@ Catalogs are merged by union; mode ids must stay unique across the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 
 from .interactions import Direction, Interaction
-from .model import _FACTORY, UnknownIdError, _EqRecord, _HashRecord, _set
+from .model import (_FACTORY, UnknownIdError, _EqRecord, _FieldOptions, _HashRecord, _dataclass,
+                    _set)
 
 
 class Applicability(Enum):
@@ -25,7 +25,7 @@ class Applicability(Enum):
         return self is Applicability.BOTH or self.value == direction.value
 
 
-@dataclass(init=False, repr=False, eq=False)
+@_dataclass
 class GenericFailureMode(_HashRecord):
     """An analyst question of one lens, with its category and directions."""
 
@@ -36,7 +36,7 @@ class GenericFailureMode(_HashRecord):
     question: str
     applicability: Applicability
     benign: bool = False
-    line: int | None = field(default=None, compare=False, repr=False)
+    line: int | None = _FieldOptions(default=None, compare=False, repr=False)
 
     def __init__(self, id, lens_id, category, title, question, applicability, benign=False,
                  line=None):
@@ -50,14 +50,14 @@ class GenericFailureMode(_HashRecord):
         _set(self, "line", line)
 
 
-@dataclass(init=False, repr=False, eq=False)
+@_dataclass
 class Lens(_HashRecord):
     """A named group of generic failure modes."""
 
     id: str
     name: str
     modes: tuple[GenericFailureMode, ...] = ()
-    line: int | None = field(default=None, compare=False, repr=False)
+    line: int | None = _FieldOptions(default=None, compare=False, repr=False)
 
     def __init__(self, id, name, modes=(), line=None):
         _set(self, "id", id)
@@ -66,11 +66,11 @@ class Lens(_HashRecord):
         _set(self, "line", line)
 
 
-@dataclass(init=False, repr=False, eq=False)
+@_dataclass
 class LensCatalog(_EqRecord):
     """An ordered list of lenses, such as the builtins merged with ``.lens`` files."""
 
-    lenses: list[Lens] = field(default_factory=list)
+    lenses: list[Lens] = _FieldOptions(default_factory=list)
 
     def __init__(self, lenses=_FACTORY):
         self.lenses = [] if lenses is _FACTORY else lenses

@@ -9,14 +9,12 @@ the analysis remain visible to reviewers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-
 from .interactions import Direction, Interaction
 from .lenses import GenericFailureMode, LensCatalog, applicable_modes
-from .model import _FACTORY, Stage, _EqRecord, _HashRecord, _set
+from .model import _FACTORY, Stage, _EqRecord, _FieldOptions, _HashRecord, _dataclass, _set
 
 
-@dataclass(init=False, repr=False, eq=False)
+@_dataclass
 class SpecialisedFailureMode(_HashRecord):
     """An analyst's refinement of one generic mode on one interaction."""
 
@@ -24,7 +22,7 @@ class SpecialisedFailureMode(_HashRecord):
     interaction_id: int
     generic_mode_id: str
     text: str
-    line: int | None = field(default=None, compare=False, repr=False)
+    line: int | None = _FieldOptions(default=None, compare=False, repr=False)
 
     def __init__(self, sfm_id, interaction_id, generic_mode_id, text, line=None):
         _set(self, "sfm_id", sfm_id)
@@ -34,7 +32,7 @@ class SpecialisedFailureMode(_HashRecord):
         _set(self, "line", line)
 
 
-@dataclass(init=False, repr=False, eq=False)
+@_dataclass
 class FailureModeRow(_HashRecord):
     """One row of the table: an interaction, a generic mode and any specialisation."""
 
@@ -63,11 +61,11 @@ class FailureModeRow(_HashRecord):
         _set(self, "specialised_text", specialised_text)
 
 
-@dataclass(init=False, repr=False, eq=False)
+@_dataclass
 class FailureModeTable(_EqRecord):
     """The failure-mode table, one row per interaction and mode."""
 
-    rows: list[FailureModeRow] = field(default_factory=list)
+    rows: list[FailureModeRow] = _FieldOptions(default_factory=list)
 
     def __init__(self, rows=_FACTORY):
         self.rows = [] if rows is _FACTORY else rows
@@ -158,8 +156,10 @@ def apply_specialisations(
             raise SpecialisationError(
                 f"sfm {sfm.sfm_id}: unknown generic mode '{sfm.generic_mode_id}'"
             )
-        groups[sfm.interaction_id].append(
-            replace(base, sfm_id=sfm.sfm_id, specialised_text=sfm.text))
+        groups[sfm.interaction_id].append(FailureModeRow(
+            base.i_id, sfm.sfm_id, base.interaction_name, base.machine_stage, base.human_stage,
+            base.direction, base.generic_mode_id, base.generic_mode_title,
+            base.generic_mode_category, sfm.text))
 
     new_rows: list[FailureModeRow] = []
     for rows in groups.values():

@@ -8,11 +8,10 @@ modelling step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from .model import _HashRecord, _set
+from .model import _FieldOptions, _HashRecord, _dataclass, _set
 
 if TYPE_CHECKING:
     from .mapping import FailureModeRow, FailureModeTable
@@ -25,7 +24,7 @@ class Placement(Enum):
     EDGE = "edge"
 
 
-@dataclass(init=False, repr=False, eq=False)
+@_dataclass
 class Mitigation(_HashRecord):
     """A pattern that damps the traced gain of its categories where attached."""
 
@@ -35,7 +34,7 @@ class Mitigation(_HashRecord):
     placement: Placement
     detail: str
     damping: float = DEFAULT_DAMPING
-    line: int | None = field(default=None, compare=False, repr=False)
+    line: int | None = _FieldOptions(default=None, compare=False, repr=False)
 
     def __init__(self, id, name, categories, placement, detail, damping=DEFAULT_DAMPING,
                  line=None):

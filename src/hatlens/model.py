@@ -11,24 +11,30 @@ a boundary-crossing edge targets an Observe-stage node, and an intra-lane
 edge stays on the stage cycle.  The "Validation codes" table of
 ``docs/dsl-reference.md`` lists each code, its severity and when it fires.
 
-The decorator compiles and ``exec``s a copy of each method it generates,
-for each class in every process, so no dataclass of the package has it
-generate one.  Each takes ``__repr__``, ``__eq__`` and ``__hash__`` from one
-of the bases below, and the frozen ones take ``__setattr__`` and
-``__delattr__`` from ``_FrozenRecord``; each writes its own ``__init__``,
-which sets a frozen class's fields with ``object.__setattr__``.  With this,
-``import hatlens.cli`` compiles no method (83 at first, 40 with the three
-shared).  They behave as the generated ones do (the same fields shown,
-compared and hashed, ``NotImplemented`` for another class, a recursion
-guard, the same errors), so only ``__dataclass_params__`` differs: it
-reports ``init=False, repr=False, eq=False, frozen=False``.
+The value types become dataclasses on first introspection, not at import.
+``_dataclass`` records each class with its fields' options and sets
+``__match_args__`` and the plain defaults; the first read of
+``__dataclass_fields__``, ``__dataclass_params__`` or (3.13+) ``__replace__``,
+as ``fields``, ``replace``, ``asdict``, ``is_dataclass`` and ``copy.replace``
+make, declares every recorded class ``@dataclass(init=False, repr=False,
+eq=False)``.  No CLI command introspects one, so none imports
+``dataclasses`` or the ``inspect`` it imports.
+
+Nor does the decorator generate a method, which it would compile and
+``exec`` in every process: the bases below hold one ``__repr__``, ``__eq__``,
+``__hash__`` and frozen guard for all, and each class writes an
+``__init__`` that sets a frozen class's fields with ``object.__setattr__``.
+They behave as the generated ones do (the same fields shown, compared and
+hashed, ``NotImplemented`` for another class, a recursion guard, the same
+errors), so only ``__dataclass_params__`` differs: ``frozen`` is False.
 """
 
 from __future__ import annotations
 
+import _thread
 import math
 import reprlib
-from dataclasses import FrozenInstanceError, dataclass, field, fields
+import sys
 from enum import Enum
 from operator import attrgetter
 
@@ -40,6 +46,7 @@ _COMPARED = {}
 
 
 def _compared(cls: type):
+    from dataclasses import fields
     names = [f.name for f in fields(cls) if f.compare]
     # attrgetter returns a tuple only for two names or more.
     getter = _COMPARED[cls] = attrgetter(*names) if len(names) > 1 else (
@@ -47,11 +54,74 @@ def _compared(cls: type):
     return getter
 
 
+class _FieldOptions(dict):
+    """The ``dataclasses.field`` options of one field of a ``_dataclass``."""
+
+
+_RECORDED = {}  # each class that _dataclass recorded: its fields' options by name
+_PENDING = []  # the recorded classes not declared yet, in declaration order
+_DECLARING = _thread.RLock()
+
+
+def _dataclass(cls: type) -> type:
+    """Record ``cls`` to be declared a dataclass on first introspection, with
+    each field's class attribute as after declaring: its plain default or none."""
+    options = _RECORDED[cls] = {}
+    for name in cls.__annotations__:
+        value = vars(cls).get(name)
+        if isinstance(value, _FieldOptions):
+            options[name] = value
+            if "default" in value:
+                setattr(cls, name, value["default"])
+            else:
+                delattr(cls, name)
+    cls.__match_args__ = tuple(cls.__annotations__)
+    _PENDING.append(cls)
+    return cls
+
+
+def _declare() -> None:
+    """Declare each pending class, once, in order.  A call made while this
+    thread declares returns at once: the decorator reads each class's bases."""
+    with _DECLARING:
+        if not _PENDING:
+            return
+        from dataclasses import dataclass, field
+        pending, _PENDING[:] = _PENDING[:], []
+        for cls in pending:
+            for name, options in _RECORDED[cls].items():
+                setattr(cls, name, field(**options))
+            dataclass(init=False, repr=False, eq=False)(cls)
+
+
+class _Declared:
+    """An attribute that the decorator sets: its first read declares the
+    pending classes, then it reads as if this descriptor were not there."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner):
+        _declare()
+        for cls in owner.__mro__:
+            value = vars(cls).get(self.name, self)
+            if value is not self:
+                return value.__get__(instance, owner) if hasattr(value, "__get__") else value
+        raise AttributeError(f"type object {owner.__name__!r} has no attribute {self.name!r}")
+
+
 class _Record:
-    """Base of the ``eq=False`` dataclasses: the generated ``__repr__``."""
+    """Base of the ``eq=False`` dataclasses: the generated ``__repr__``, and
+    what declares them."""
+
+    __dataclass_fields__ = _Declared()
+    __dataclass_params__ = _Declared()
+    if sys.version_info >= (3, 13):
+        __replace__ = _Declared()
 
     @reprlib.recursive_repr()
     def __repr__(self) -> str:
+        from dataclasses import fields
         shown = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self) if f.repr)
         return f"{self.__class__.__qualname__}({shown})"
 
@@ -67,22 +137,25 @@ class _EqRecord(_Record):
         return compared(self) == compared(other)
 
 
+def _refuse(cls: type, name: str, act: str) -> None:
+    # Any name on a recorded class or a dataclass subclass, only the field
+    # names on a plain subclass.
+    if cls in _RECORDED or "__dataclass_fields__" in vars(cls) or (
+            name in cls.__dataclass_fields__):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot {act} field {name!r}")
+
+
 class _FrozenRecord(_Record):
     """Base of the frozen dataclasses: the generated ``__setattr__`` and
-    ``__delattr__``.  They refuse any name on an instance of a declared
-    dataclass, which holds its own ``__dataclass_fields__``, and only the
-    field names on an instance of a plain subclass."""
+    ``__delattr__``, with the texts of their ``FrozenInstanceError``."""
 
     def __setattr__(self, name, value):
-        cls = self.__class__
-        if "__dataclass_fields__" in cls.__dict__ or name in cls.__dataclass_fields__:
-            raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        _refuse(self.__class__, name, "assign to")
         object.__setattr__(self, name, value)
 
     def __delattr__(self, name):
-        cls = self.__class__
-        if "__dataclass_fields__" in cls.__dict__ or name in cls.__dataclass_fields__:
-            raise FrozenInstanceError(f"cannot delete field {name!r}")
+        _refuse(self.__class__, name, "delete")
         object.__delattr__(self, name)
 
 
@@ -150,7 +223,7 @@ class GainKind(Enum):
     NEUTRAL = "neutral"
 
 
-@dataclass(init=False, repr=False, eq=False)
+@_dataclass
 class GainBehaviour(_HashRecord):
     """How a node transforms a propagating failure mode: a positive gain."""
 
@@ -187,7 +260,7 @@ class GainBehaviour(_HashRecord):
         return cls(GainKind.NEUTRAL, 1.0)
 
 
-@dataclass(init=False, repr=False, eq=False)
+@_dataclass
 class Lane(_EqRecord):
     """A swimlane on the human or machine side of the boundary."""
 
@@ -195,7 +268,7 @@ class Lane(_EqRecord):
     side: Side
     kind: LaneKind
     display_name: str
-    line: int | None = field(default=None, compare=False, repr=False)
+    line: int | None = _FieldOptions(default=None, compare=False, repr=False)
 
     def __init__(self, id, side, kind, display_name, line=None):
         self.id = id
@@ -205,7 +278,7 @@ class Lane(_EqRecord):
         self.line = line
 
 
-@dataclass(init=False, repr=False, eq=False)
+@_dataclass
 class ActionNode(_EqRecord):
     """An action at one decision-loop stage of a lane."""
 
@@ -214,11 +287,11 @@ class ActionNode(_EqRecord):
     stage: Stage
     label: str
     # Gain applied per mode-category token when a trace passes through.
-    response: dict[str, GainBehaviour] = field(default_factory=dict)
+    response: dict[str, GainBehaviour] = _FieldOptions(default_factory=dict)
     # Category tokens naming upstream failure mechanisms this node can introduce.
-    causes: list[str] = field(default_factory=list)
-    mitigation_ids: list[str] = field(default_factory=list)
-    line: int | None = field(default=None, compare=False, repr=False)
+    causes: list[str] = _FieldOptions(default_factory=list)
+    mitigation_ids: list[str] = _FieldOptions(default_factory=list)
+    line: int | None = _FieldOptions(default=None, compare=False, repr=False)
 
     def __init__(self, id, lane_id, stage, label, response=_FACTORY, causes=_FACTORY,
                  mitigation_ids=_FACTORY, line=None):
@@ -232,19 +305,19 @@ class ActionNode(_EqRecord):
         self.line = line
 
 
-@dataclass(init=False, repr=False, eq=False)
+@_dataclass
 class ActivityEdge(_EqRecord):
     """A directed flow between two nodes, optionally guarded and mitigated."""
 
     # Edge ids are derived (assigned in declaration order), never authored,
     # so they do not participate in equality.
-    id: str = field(compare=False)
+    id: str = _FieldOptions(compare=False)
     from_id: str
     to_id: str
     guard: str | None = None
     name: str | None = None
-    mitigation_ids: list[str] = field(default_factory=list)
-    line: int | None = field(default=None, compare=False, repr=False)
+    mitigation_ids: list[str] = _FieldOptions(default_factory=list)
+    line: int | None = _FieldOptions(default=None, compare=False, repr=False)
 
     def __init__(self, id, from_id, to_id, guard=None, name=None, mitigation_ids=_FACTORY,
                  line=None):
@@ -257,15 +330,15 @@ class ActivityEdge(_EqRecord):
         self.line = line
 
 
-@dataclass(init=False, repr=False, eq=False)
+@_dataclass
 class Ooda2Model(_EqRecord):
     """Two interlocking decision loops: lanes, staged nodes, directed edges."""
 
     name: str
-    lanes: list[Lane] = field(default_factory=list)
-    nodes: list[ActionNode] = field(default_factory=list)
-    edges: list[ActivityEdge] = field(default_factory=list)
-    line: int | None = field(default=None, compare=False, repr=False)
+    lanes: list[Lane] = _FieldOptions(default_factory=list)
+    nodes: list[ActionNode] = _FieldOptions(default_factory=list)
+    edges: list[ActivityEdge] = _FieldOptions(default_factory=list)
+    line: int | None = _FieldOptions(default=None, compare=False, repr=False)
 
     def __init__(self, name, lanes=_FACTORY, nodes=_FACTORY, edges=_FACTORY, line=None):
         self.name = name
@@ -316,7 +389,7 @@ class Severity(Enum):
     WARNING = "warning"
 
 
-@dataclass(init=False, repr=False, eq=False)
+@_dataclass
 class Diagnostic(_HashRecord):
     """One finding of ``validate``: severity, code, message and source line."""
 

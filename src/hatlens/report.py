@@ -18,14 +18,13 @@ run that writes neither never loads them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from .dsl import _quote  # a DOT id is quoted and escaped as a DSL string is
 from .mapping import FailureModeRow, FailureModeTable
 from .mitigations import Mitigation
-from .model import _FACTORY, Ooda2Model, _EqRecord
+from .model import _FACTORY, Ooda2Model, _EqRecord, _FieldOptions, _dataclass
 from .tracing import SecondOrderEffect, TraceDirection, TracePathway
 
 CSV_HEADER = ("I ID,SFM ID,Interaction Name,Machine Stage,Human Stage,Direction,"
@@ -36,14 +35,14 @@ class ReportError(ValueError):
     """Raised when asked to render mutually inconsistent inputs."""
 
 
-@dataclass(init=False, repr=False, eq=False)
+@_dataclass
 class ReportBundle(_EqRecord):
     """Everything one analysis run produced, ready for rendering."""
 
-    table: FailureModeTable = field(default_factory=lambda: FailureModeTable(rows=[]))
-    pathways: list[TracePathway] = field(default_factory=list)
-    second_order: list[SecondOrderEffect] = field(default_factory=list)
-    suggestions: list[tuple[FailureModeRow, Mitigation]] = field(default_factory=list)
+    table: FailureModeTable = _FieldOptions(default_factory=lambda: FailureModeTable(rows=[]))
+    pathways: list[TracePathway] = _FieldOptions(default_factory=list)
+    second_order: list[SecondOrderEffect] = _FieldOptions(default_factory=list)
+    suggestions: list[tuple[FailureModeRow, Mitigation]] = _FieldOptions(default_factory=list)
 
     def __init__(self, table=_FACTORY, pathways=_FACTORY, second_order=_FACTORY,
                  suggestions=_FACTORY):

@@ -34,7 +34,6 @@ output without understanding (misuse).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .interactions import Direction, Interaction, interaction_by_id
@@ -42,7 +41,7 @@ from .lenses import LensCatalog
 from .mapping import SpecialisedFailureMode
 from .mitigations import Mitigation, builtin_mitigations
 from .model import (ActionNode, ActivityEdge, Ooda2Model, UnknownIdError, _FrozenRecord,
-                    _HashRecord, _set)
+                    _HashRecord, _dataclass, _set)
 
 DEFAULT_MAX_DEPTH = 16
 DEFAULT_SECOND_ORDER_CATEGORIES = ("stability", "timely", "uncertainty")
@@ -70,7 +69,7 @@ def classify(total_gain: float) -> Classification:
     return _NEUTRAL
 
 
-@dataclass(init=False, repr=False, eq=False)
+@_dataclass
 class TracePathway(_FrozenRecord):
     """One maximal simple path from an interaction endpoint, with its gains."""
 
@@ -202,7 +201,7 @@ class InducedMode(Enum):
     MISUSE = "Misuse"
 
 
-@dataclass(init=False, repr=False, eq=False)
+@_dataclass
 class SecondOrderEffect(_HashRecord):
     """A disuse or misuse effect induced by one specialisation."""
 

@@ -156,7 +156,7 @@ class TestReportAndMap:
 
 class TestTrace:
     @pytest.mark.parametrize("argv", [
-        ("trace", MODEL, "--mit", MIT),
+        ("trace", MODEL, "--lens", LENS, "--mit", MIT),
         ("report", MODEL, "--lens", LENS, "--sfm", SFM, "--mit", MIT),
     ], ids=["trace", "report"])
     def test_dot_matches_bundled_pathways(self, capsys, argv):
@@ -169,16 +169,16 @@ class TestTrace:
 
     def test_dot_is_unchanged_by_unattached_mitigations(self, capsys):
         with_mit = invoke(
-            capsys, "trace", MODEL, "--mit", MIT, "--interaction", "3",
+            capsys, "trace", MODEL, "--lens", LENS, "--mit", MIT, "--interaction", "3",
             "--category", "timely", "--direction", "down", "--format", "dot")
         without = invoke(
-            capsys, "trace", MODEL, "--interaction", "3",
+            capsys, "trace", MODEL, "--lens", LENS, "--interaction", "3",
             "--category", "timely", "--direction", "down", "--format", "dot")
         assert with_mit == without
 
     def test_text_lists_each_pathway(self, capsys):
         code, out, err = invoke(
-            capsys, "trace", MODEL, "--interaction", "3",
+            capsys, "trace", MODEL, "--lens", LENS, "--interaction", "3",
             "--category", "timely", "--direction", "down")
         assert code == EXIT_OK
         assert err == ""
@@ -247,6 +247,23 @@ class TestTrace:
         assert err.startswith("usage: hatlens trace")
         assert err.endswith(
             f"hatlens trace: error: argument {flag}: invalid int value: '{value}'\n")
+
+    @pytest.mark.parametrize("command", ["trace", "report"])
+    def test_a_category_no_lens_defines_is_traced_with_a_warning(self, capsys, command):
+        # A misspelt token: the pathways of the category no node responds to.
+        argv = (command, MODEL, "--interaction", "3", "--direction", "down", "--format",
+                {"trace": "text", "report": "md"}[command])
+        typo = invoke(capsys, *argv, "--category", "stabilty")
+        unknown = invoke(capsys, *argv, "--category", "nothing")
+        assert typo[:2] == (EXIT_OK, unknown[1].replace("nothing", "stabilty"))
+        assert "(gain 1.0, Neutral)" in typo[1] and "Amplified" not in typo[1]
+        assert typo[2] == (
+            "warning: category 'stabilty' is not defined by the loaded lenses (defined: abuse, "
+            "accuracy, bias, disuse, misuse, robustness, stability, uncertainty, use, "
+            "variability); every step is Neutral\n")
+        # A lens that defines it, or a loaded mitigation that damps it: no warning.
+        assert invoke(capsys, *argv, "--category", "timely", "--lens", LENS)[2] == ""
+        assert invoke(capsys, *argv, "--category", "timely", "--mit", MIT)[2] == ""
 
     @pytest.mark.parametrize("command", ["trace", "report"])
     @pytest.mark.parametrize("category", ["", "Stability", "time-ly", "1st", "timely "])
@@ -806,11 +823,24 @@ class TestFilesAndUsage:
         (("trace", MODEL, *TRACE_BOTH, "--format", "text"), []),
         (("interactions", MODEL), ["csv"]),
         (("trace", MODEL, *TRACE_BOTH, "--format", "json", "-o", "out.json"), ["json"]),
-    ], ids=["import", "trace-text", "interactions", "trace-json"])
+        (("validate", MODEL), []),
+        (("map", MODEL), ["csv"]),
+        (("specialise", MODEL, "--lens", LENS, "--sfm", SFM), ["csv"]),
+        (("trace", MODEL, *TRACE_BOTH, "--format", "dot"), []),
+        (("mitigations", MODEL, "--lens", LENS, "--sfm", SFM, "--mit", MIT), ["csv"]),
+        *((("report", MODEL, "--lens", LENS, "--sfm", SFM, "--mit", MIT, *TRACE_BOTH,
+            "--format", form), loaded) for form, loaded in (
+                ("csv", ["csv"]), ("md", []), ("json", ["json"]), ("dot", []))),
+        (("lenses", "--lens", LENS), []),
+    ], ids=["import", "trace-text", "interactions", "trace-json", "validate", "map",
+            "specialise", "trace-dot", "mitigations", "report-csv", "report-md", "report-json",
+            "report-dot", "lenses"])
     def test_a_process_loads_json_and_csv_only_to_write_them(self, tmp_path, collecting,
                                                               argv, loaded):
         # In a fresh interpreter: the import leaves the collector as it found
-        # it, and a command loads json or csv only when it writes that format.
+        # it, a command loads json or csv only when it writes that format, and
+        # none loads dataclasses or the inspect it imports: the value types
+        # become dataclasses only when something introspects them.
         env = dict(os.environ, PYTHONPATH=str(FIXTURE_ROOT.parent.parent))
         script = ("import gc, sys\n"
                   f"(gc.enable if {collecting} else gc.disable)()\n"
@@ -818,7 +848,8 @@ class TestFilesAndUsage:
                   f"assert gc.isenabled() is {collecting}\n"
                   f"sys.argv = ['hatlens', *{argv or ()!r}]\n"
                   f"code = hatlens.cli.main() if {argv is not None} else 0\n"
-                  "print(sorted({'json', 'csv'} & set(sys.modules)), file=sys.stderr)\n"
+                  "print(sorted({'json', 'csv', 'dataclasses', 'inspect'} & set(sys.modules)),"
+                  " file=sys.stderr)\n"
                   "sys.exit(code)\n")
         result = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                                 capture_output=True, text=True, timeout=120)
