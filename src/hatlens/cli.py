@@ -348,8 +348,8 @@ def _build_parser(running: str | None = None) -> argparse.ArgumentParser:
             arg("--category", type=_category, metavar="TOKEN", required=required,
                 help="failure mode category driving gain lookups"),
             arg("--direction", choices=[*(d.value for d in TraceDirection), "both"],
-                required=required, default="both",
-                help="trace direction (default: both)"),
+                required=required, default=None if required else "both",
+                help="trace direction" if required else "trace direction (default: both)"),
             arg("--max-depth", type=_ascii_int, default=DEFAULT_MAX_DEPTH, metavar="N",
                 help="pathway length cap (default: %(default)s)"),
         ]

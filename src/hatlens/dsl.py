@@ -12,12 +12,17 @@ attributes and attribute prefixes in canonical order, which are optional,
 which are ids or references to ids, and the converters that parse and
 write each one.  That is the only statement table: ``_read`` parses and
 ``_write`` writes any statement by its declaration, so the two are
-mutually inverse on valid values by construction.  ``_read`` reads a line
-in one pass: one pattern lexes it, each token goes straight to its field
-(words and strings by position, attributes by name or prefix), one loop
-over the declaration reports missing fields, and only a diagnostic needs
-a column.  The ``parse_*`` functions add only the rules no declaration
-states: one model statement per file, no edge self-loops, ascending sfm ids.
+mutually inverse on valid values by construction.  Once per call,
+``_read`` turns each keyword's fields into slots: a field's attr, its
+parser, and the id sets it declares into and refers to.  It reads a line
+in one pass: one pattern lexes it, each token goes straight to its slot
+(words and strings by position, attributes by name or prefix), one set
+test finds every required field present (a loop over the declaration
+reports those missing), and only a diagnostic needs a column.  A
+reference that names an id already declared is taken as is: the
+declaration checked the same identifier pattern.  The ``parse_*``
+functions add only the rules no declaration states: one model statement
+per file, no edge self-loops, ascending sfm ids.
 ``docs/dsl-reference.md`` describes the formats for authors.
 
 Parsing is all-or-nothing: a parse either returns the value or raises
@@ -49,7 +54,6 @@ from .model import (
     Stage,
     _HashRecord,
     _dataclass,
-    _set,
 )
 
 _IDENT = re.compile("[a-z][a-z0-9_]*")
@@ -64,9 +68,10 @@ class ParseDiagnostic(_HashRecord):
     message: str
 
     def __init__(self, line, column, message):
-        _set(self, "line", line)
-        _set(self, "column", column)
-        _set(self, "message", message)
+        fields = vars(self)
+        fields["line"] = line
+        fields["column"] = column
+        fields["message"] = message
 
 
 class DslParseError(ValueError):
@@ -357,14 +362,21 @@ def _read(text: str, statements: dict[str, tuple[_Field, ...]],
     repeats."""
     read: dict[str, list[_Statement]] = {keyword: [] for keyword in statements}
     ids: dict[str, set] = {keyword: set() for keyword in statements}
-    plans = {}  # each keyword's fields as its tokens find them, then its required fields
+    plans = {}  # each keyword's slots as its tokens find them, then its required fields
     for keyword, fields in statements.items():
-        kinds = {kind: [field for field in fields if field.kind == kind]
-                 for kind in (_WORD, _STRING, _ATTR, _PREFIX)}
+        # A field's slot: its index key, its attr, its parser, the id set it
+        # declares into and the id set it refers to (or None), and the field.
+        slots = {kind: [(field.attr or field.key, field.attr, field.parse,
+                         ids[keyword] if field.unique else None,
+                         ids[field.refers] if field.refers else None, field)
+                        for field in fields if field.kind == kind]
+                 for kind in (_WORD, _STRING, _ATTR)}
+        required = [(field.attr or field.key, field) for field in fields
+                    if field.omit is _REQUIRED]
         plans[keyword] = (
-            kinds[_WORD], kinds[_STRING], {field.key: field for field in kinds[_ATTR]},
-            kinds[_PREFIX], [(field.attr or field.key, field) for field in fields
-                             if field.omit is _REQUIRED])
+            slots[_WORD], slots[_STRING], {slot[5].key: slot for slot in slots[_ATTR]},
+            [field for field in fields if field.kind == _PREFIX],
+            frozenset(name for name, _ in required), required)
     if "\r" in text:  # a line ends at LF, CRLF or CR, as in universal-newline reading
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     for line_no, line in enumerate(text.split("\n"), start=1):
@@ -401,31 +413,31 @@ def _read(text: str, statements: dict[str, tuple[_Field, ...]],
                 elif value:
                     seen.add(name)
             continue
-        words, strings, attrs, prefixes, required = plans[keyword]
+        words, strings, attrs, prefixes, names, required = plans[keyword]
         values, indexes = {}, {}  # field values, and token indexes (a fixed word's by key)
         words, strings = iter(words), iter(strings)  # a word or a string takes the next of these
         new_id = None  # the statement's id, once well-formed and not a duplicate
         blocked = False  # whether a field that blocks declaring it is missing or malformed
         columns = None  # each token's, once a diagnostic needs one
-        # Each token goes straight to its field, which parses it.
+        # Each token goes straight to its field's slot, whose parser reads it.
         for index, (_, name, value, string, _) in enumerate(tokens[1:], start=1):
-            field = None
+            slot = None
             try:
                 if not name:  # a quoted string
-                    field, token = next(strings, None), _unescape(string)
-                    if field is None:
+                    slot, token = next(strings, None), _unescape(string)
+                    if slot is None:
                         raise ValueError("unexpected quoted string")
                 elif not value:  # a word
-                    field, token = next(words, None), name
-                    if field is None:
+                    slot, token = next(words, None), name
+                    if slot is None:
                         raise ValueError(f"unexpected token '{name}'")
                 else:  # an attribute; its value starts with the "="
                     if name in seen:
                         raise ValueError(f"duplicate attribute '{name}'")
                     seen.add(name)
                     token = _unescape(value[2:-1]) if value[1:2] == '"' else value[1:]
-                    field = attrs.get(name)
-                    if field is None:  # a prefix field's, keyed there by the rest of its name
+                    slot = attrs.get(name)
+                    if slot is None:  # a prefix field's, keyed there by the rest of its name
                         prefix = next((prefix for prefix in prefixes
                                        if name.startswith(prefix.key)), None)
                         if prefix is None:
@@ -435,32 +447,39 @@ def _read(text: str, statements: dict[str, tuple[_Field, ...]],
                             raise ValueError(f"invalid {prefix.key[:-1]} category '{name}'")
                         values.setdefault(prefix.attr, {})[name] = prefix.parse(token)
                         continue
-                _, key, attr, parse, _, omit, unique, refers, blocks = field
-                value = parse(token)
-                if unique:
-                    if value in ids[keyword]:
-                        raise ValueError(f"duplicate {keyword} id '{value}'")
-                    new_id = value
-                if refers and value not in ids[refers]:
-                    raise ValueError(f"{keyword} references undeclared {refers} '{value}'")
+                key, attr, parse, declares, refers, field = slot
+                if refers is not None and token in refers:
+                    value = token  # a declared id, which passed the same _IDENT when declared
+                else:
+                    value = parse(token)
+                    if refers is not None:
+                        raise ValueError(
+                            f"{keyword} references undeclared {field.refers} '{value}'")
+                    if declares is not None:
+                        if value in declares:
+                            raise ValueError(f"duplicate {keyword} id '{value}'")
+                        new_id = value
             except ValueError as exc:
                 columns = columns or _columns(line)
                 diags.append(ParseDiagnostic(line_no, columns[index], str(exc)))
-                if field is None:  # no field takes the token
+                if slot is None:  # no field takes the token
                     continue
                 value = _BAD
-                blocked = blocked or (omit is _REQUIRED if blocks is None else blocks)
+                blocked = blocked or (field.omit is _REQUIRED if field.blocks is None
+                                      else field.blocks)
             if attr:
                 values[attr] = value
-            indexes[attr or key] = index
-        for name, field in required:  # in declared order
-            if name in indexes:
-                continue
-            what = f"the {field.key}= attribute" if field.kind == _ATTR else field.key
-            diags.append(ParseDiagnostic(line_no, at, f"{keyword} statement is missing {what}"))
-            if field.attr:
-                values[field.attr] = _BAD
-            blocked = blocked or field.blocks is not False
+            indexes[key] = index
+        if not names <= indexes.keys():
+            for name, field in required:  # in declared order
+                if name in indexes:
+                    continue
+                what = f"the {field.key}= attribute" if field.kind == _ATTR else field.key
+                diags.append(ParseDiagnostic(line_no, at,
+                                             f"{keyword} statement is missing {what}"))
+                if field.attr:
+                    values[field.attr] = _BAD
+                blocked = blocked or field.blocks is not False
         if new_id is not None and not blocked:
             ids[keyword].add(new_id)
         read[keyword].append(_Statement(line_no, line, values, indexes, diags))

@@ -21,7 +21,7 @@ from .interactions import extract_interactions, interaction_by_id
 from .lenses import builtin_catalog, merge_catalogs
 from .mapping import apply_specialisations, map_failure_modes
 from .mitigations import builtin_mitigations, suggest_mitigations
-from .model import _HashRecord, _dataclass, _set
+from .model import _HashRecord, _dataclass
 from .report import ReportBundle, emit_csv, emit_dot, emit_markdown, emit_second_order_json
 from .tracing import TraceDirection, derive_second_order, trace
 
@@ -43,13 +43,14 @@ class GoldenFixture(_HashRecord):
     expected: dict[str, Path]
 
     def __init__(self, name, root, model_path, lens_path, sfm_path, mitigation_path, expected):
-        _set(self, "name", name)
-        _set(self, "root", root)
-        _set(self, "model_path", model_path)
-        _set(self, "lens_path", lens_path)
-        _set(self, "sfm_path", sfm_path)
-        _set(self, "mitigation_path", mitigation_path)
-        _set(self, "expected", expected)
+        fields = vars(self)
+        fields["name"] = name
+        fields["root"] = root
+        fields["model_path"] = model_path
+        fields["lens_path"] = lens_path
+        fields["sfm_path"] = sfm_path
+        fields["mitigation_path"] = mitigation_path
+        fields["expected"] = expected
 
 
 def available_fixtures() -> list[str]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from enum import Enum
 
 from .model import (ActionNode, ActivityEdge, Ooda2Model, Side, Stage, UnknownIdError,
-                    _FrozenRecord, _dataclass, _set)
+                    _FrozenRecord, _dataclass)
 
 
 class Direction(Enum):
@@ -36,14 +36,15 @@ class Interaction(_FrozenRecord):
     edge: ActivityEdge
 
     def __init__(self, i_id, name, source, target, direction, machine_stage, human_stage, edge):
-        _set(self, "i_id", i_id)
-        _set(self, "name", name)
-        _set(self, "source", source)
-        _set(self, "target", target)
-        _set(self, "direction", direction)
-        _set(self, "machine_stage", machine_stage)
-        _set(self, "human_stage", human_stage)
-        _set(self, "edge", edge)
+        fields = vars(self)
+        fields["i_id"] = i_id
+        fields["name"] = name
+        fields["source"] = source
+        fields["target"] = target
+        fields["direction"] = direction
+        fields["machine_stage"] = machine_stage
+        fields["human_stage"] = human_stage
+        fields["edge"] = edge
 
 
 def extract_interactions(model: Ooda2Model) -> list[Interaction]:

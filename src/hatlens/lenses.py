@@ -12,8 +12,7 @@ from __future__ import annotations
 from enum import Enum
 
 from .interactions import Direction, Interaction
-from .model import (_FACTORY, UnknownIdError, _EqRecord, _FieldOptions, _HashRecord, _dataclass,
-                    _set)
+from .model import _FACTORY, UnknownIdError, _EqRecord, _FieldOptions, _HashRecord, _dataclass
 
 
 class Applicability(Enum):
@@ -40,14 +39,15 @@ class GenericFailureMode(_HashRecord):
 
     def __init__(self, id, lens_id, category, title, question, applicability, benign=False,
                  line=None):
-        _set(self, "id", id)
-        _set(self, "lens_id", lens_id)
-        _set(self, "category", category)
-        _set(self, "title", title)
-        _set(self, "question", question)
-        _set(self, "applicability", applicability)
-        _set(self, "benign", benign)
-        _set(self, "line", line)
+        fields = vars(self)
+        fields["id"] = id
+        fields["lens_id"] = lens_id
+        fields["category"] = category
+        fields["title"] = title
+        fields["question"] = question
+        fields["applicability"] = applicability
+        fields["benign"] = benign
+        fields["line"] = line
 
 
 @_dataclass
@@ -60,10 +60,11 @@ class Lens(_HashRecord):
     line: int | None = _FieldOptions(default=None, compare=False, repr=False)
 
     def __init__(self, id, name, modes=(), line=None):
-        _set(self, "id", id)
-        _set(self, "name", name)
-        _set(self, "modes", modes)
-        _set(self, "line", line)
+        fields = vars(self)
+        fields["id"] = id
+        fields["name"] = name
+        fields["modes"] = modes
+        fields["line"] = line
 
 
 @_dataclass

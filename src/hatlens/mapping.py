@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .interactions import Direction, Interaction
 from .lenses import GenericFailureMode, LensCatalog, applicable_modes
-from .model import _FACTORY, Stage, _EqRecord, _FieldOptions, _HashRecord, _dataclass, _set
+from .model import _FACTORY, Stage, _EqRecord, _FieldOptions, _HashRecord, _dataclass
 
 
 @_dataclass
@@ -25,11 +25,12 @@ class SpecialisedFailureMode(_HashRecord):
     line: int | None = _FieldOptions(default=None, compare=False, repr=False)
 
     def __init__(self, sfm_id, interaction_id, generic_mode_id, text, line=None):
-        _set(self, "sfm_id", sfm_id)
-        _set(self, "interaction_id", interaction_id)
-        _set(self, "generic_mode_id", generic_mode_id)
-        _set(self, "text", text)
-        _set(self, "line", line)
+        fields = vars(self)
+        fields["sfm_id"] = sfm_id
+        fields["interaction_id"] = interaction_id
+        fields["generic_mode_id"] = generic_mode_id
+        fields["text"] = text
+        fields["line"] = line
 
 
 @_dataclass
@@ -49,16 +50,17 @@ class FailureModeRow(_HashRecord):
 
     def __init__(self, i_id, sfm_id, interaction_name, machine_stage, human_stage, direction,
                  generic_mode_id, generic_mode_title, generic_mode_category, specialised_text):
-        _set(self, "i_id", i_id)
-        _set(self, "sfm_id", sfm_id)
-        _set(self, "interaction_name", interaction_name)
-        _set(self, "machine_stage", machine_stage)
-        _set(self, "human_stage", human_stage)
-        _set(self, "direction", direction)
-        _set(self, "generic_mode_id", generic_mode_id)
-        _set(self, "generic_mode_title", generic_mode_title)
-        _set(self, "generic_mode_category", generic_mode_category)
-        _set(self, "specialised_text", specialised_text)
+        fields = vars(self)
+        fields["i_id"] = i_id
+        fields["sfm_id"] = sfm_id
+        fields["interaction_name"] = interaction_name
+        fields["machine_stage"] = machine_stage
+        fields["human_stage"] = human_stage
+        fields["direction"] = direction
+        fields["generic_mode_id"] = generic_mode_id
+        fields["generic_mode_title"] = generic_mode_title
+        fields["generic_mode_category"] = generic_mode_category
+        fields["specialised_text"] = specialised_text
 
 
 @_dataclass
@@ -85,17 +87,9 @@ def map_failure_modes(interactions: list[Interaction], catalog: LensCatalog) -> 
                 mode for mode in applicable_modes(catalog, interaction) if not mode.benign]
         for mode in modes[interaction.direction]:
             rows.append(FailureModeRow(
-                i_id=interaction.i_id,
-                sfm_id=None,
-                interaction_name=interaction.name,
-                machine_stage=interaction.machine_stage,
-                human_stage=interaction.human_stage,
-                direction=interaction.direction,
-                generic_mode_id=mode.id,
-                generic_mode_title=mode.title,
-                generic_mode_category=mode.category,
-                specialised_text=None,
-            ))
+                interaction.i_id, None, interaction.name, interaction.machine_stage,
+                interaction.human_stage, interaction.direction, mode.id, mode.title,
+                mode.category, None))
     return FailureModeTable(rows=rows)
 
 

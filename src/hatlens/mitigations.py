@@ -11,7 +11,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from .model import _FieldOptions, _HashRecord, _dataclass, _set
+from .model import _FieldOptions, _HashRecord, _dataclass
 
 if TYPE_CHECKING:
     from .mapping import FailureModeRow, FailureModeTable
@@ -38,13 +38,14 @@ class Mitigation(_HashRecord):
 
     def __init__(self, id, name, categories, placement, detail, damping=DEFAULT_DAMPING,
                  line=None):
-        _set(self, "id", id)
-        _set(self, "name", name)
-        _set(self, "categories", categories)
-        _set(self, "placement", placement)
-        _set(self, "detail", detail)
-        _set(self, "damping", damping)
-        _set(self, "line", line)
+        fields = vars(self)
+        fields["id"] = id
+        fields["name"] = name
+        fields["categories"] = categories
+        fields["placement"] = placement
+        fields["detail"] = detail
+        fields["damping"] = damping
+        fields["line"] = line
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -108,8 +109,13 @@ def suggest_mitigations(
 ) -> list[tuple["FailureModeRow", Mitigation]]:
     """All (row, mitigation) pairs whose categories match, in table then catalog order."""
     pairs: list[tuple["FailureModeRow", Mitigation]] = []
+    matching: dict[str, list[Mitigation]] = {}  # each category's, found on its first row
     for row in table.rows:
-        for mitigation in catalog:
-            if row.generic_mode_category in mitigation.categories:
-                pairs.append((row, mitigation))
+        category = row.generic_mode_category
+        found = matching.get(category)
+        if found is None:
+            found = matching[category] = [mitigation for mitigation in catalog
+                                          if category in mitigation.categories]
+        for mitigation in found:
+            pairs.append((row, mitigation))
     return pairs

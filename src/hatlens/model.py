@@ -22,11 +22,13 @@ eq=False)``.  No CLI command introspects one, so none imports
 
 Nor does the decorator generate a method, which it would compile and
 ``exec`` in every process: the bases below hold one ``__repr__``, ``__eq__``,
-``__hash__`` and frozen guard for all, and each class writes an
-``__init__`` that sets a frozen class's fields with ``object.__setattr__``.
-They behave as the generated ones do (the same fields shown, compared and
-hashed, ``NotImplemented`` for another class, a recursion guard, the same
-errors), so only ``__dataclass_params__`` differs: ``frozen`` is False.
+``__hash__`` and frozen guard for all, and each class writes its own
+``__init__``.  They behave as the generated ones do (the same fields shown,
+compared and hashed, ``NotImplemented`` for another class, a recursion
+guard, the same errors), so only ``__dataclass_params__`` differs:
+``frozen`` is False.  A frozen class's ``__init__`` stores its fields, in
+field order, straight into the instance dict (``vars(self)``), past the
+guard, so the dict keeps the keys that the class's instances share.
 """
 
 from __future__ import annotations
@@ -76,6 +78,14 @@ def _dataclass(cls: type) -> type:
             else:
                 delattr(cls, name)
     cls.__match_args__ = tuple(cls.__annotations__)
+    if issubclass(cls, _FrozenRecord):
+        # Its __init__ stores the fields into vars(self).  On 3.10 such a
+        # store cannot grow the key table that the instance dicts share, and
+        # an instance of more than five fields would get a table of its own.
+        # So object.__setattr__, which can, fills the table first, in order.
+        primer = object.__new__(cls)
+        for name in cls.__annotations__:
+            object.__setattr__(primer, name, None)
     _PENDING.append(cls)
     return cls
 
@@ -175,7 +185,6 @@ class _Factory:
 
 
 _FACTORY = _Factory()
-_set = object.__setattr__  # how a frozen class's __init__ sets a field
 
 
 class Side(Enum):
@@ -231,8 +240,9 @@ class GainBehaviour(_HashRecord):
     coefficient: float
 
     def __init__(self, kind, coefficient):
-        _set(self, "kind", kind)
-        _set(self, "coefficient", coefficient)
+        fields = vars(self)
+        fields["kind"] = kind
+        fields["coefficient"] = coefficient
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -399,10 +409,11 @@ class Diagnostic(_HashRecord):
     line: int | None = None
 
     def __init__(self, severity, code, message, line=None):
-        _set(self, "severity", severity)
-        _set(self, "code", code)
-        _set(self, "message", message)
-        _set(self, "line", line)
+        fields = vars(self)
+        fields["severity"] = severity
+        fields["code"] = code
+        fields["message"] = message
+        fields["line"] = line
 
 
 def validate(model: Ooda2Model, strictness: Strictness = Strictness.LENIENT, *,

@@ -21,7 +21,7 @@ parallel edge would repeat the node sequence).  The on-path set is a
 another, pathways come out in lexicographic order of their node ids, with
 no sort.  ``trace`` builds each frozen ``TracePathway`` by copying a
 template attribute dict that holds the fields the trace's pathways share,
-not through ``__init__``, which sets the seven fields one call at a time.
+not through ``__init__``, which would store all seven fields each time.
 
 The loops are cyclic by design; the simple-path restriction is what makes
 enumeration finite.  Consequences of a failure repeating over many loop
@@ -41,7 +41,7 @@ from .lenses import LensCatalog
 from .mapping import SpecialisedFailureMode
 from .mitigations import Mitigation, builtin_mitigations
 from .model import (ActionNode, ActivityEdge, Ooda2Model, UnknownIdError, _FrozenRecord,
-                    _HashRecord, _dataclass, _set)
+                    _HashRecord, _dataclass)
 
 DEFAULT_MAX_DEPTH = 16
 DEFAULT_SECOND_ORDER_CATEGORIES = ("stability", "timely", "uncertainty")
@@ -83,13 +83,14 @@ class TracePathway(_FrozenRecord):
 
     def __init__(self, origin, mode_category, direction, nodes, step_gains, total_gain,
                  classification):
-        _set(self, "origin", origin)
-        _set(self, "mode_category", mode_category)
-        _set(self, "direction", direction)
-        _set(self, "nodes", nodes)
-        _set(self, "step_gains", step_gains)
-        _set(self, "total_gain", total_gain)
-        _set(self, "classification", classification)
+        fields = vars(self)
+        fields["origin"] = origin
+        fields["mode_category"] = mode_category
+        fields["direction"] = direction
+        fields["nodes"] = nodes
+        fields["step_gains"] = step_gains
+        fields["total_gain"] = total_gain
+        fields["classification"] = classification
 
     def node_ids(self) -> tuple[str, ...]:
         return tuple(node.id for node in self.nodes)
@@ -210,9 +211,10 @@ class SecondOrderEffect(_HashRecord):
     rationale: str
 
     def __init__(self, origin_sfm_id, induced_mode, rationale):
-        _set(self, "origin_sfm_id", origin_sfm_id)
-        _set(self, "induced_mode", induced_mode)
-        _set(self, "rationale", rationale)
+        fields = vars(self)
+        fields["origin_sfm_id"] = origin_sfm_id
+        fields["induced_mode"] = induced_mode
+        fields["rationale"] = rationale
 
 
 _INDUCED = (
@@ -234,12 +236,20 @@ def derive_second_order(
     mode falls in one of the trigger ``categories`` yields exactly two
     effects, in sfm order.
     """
+    # Each id's first interaction and mode, as the lookups find them; a
+    # missing id goes to the lookup, which raises its UnknownIdError.
+    interactions_by_id = {interaction.i_id: interaction for interaction in reversed(interactions)}
+    modes_by_id = {mode.id: mode for mode in reversed(catalog.modes())}
     effects: list[SecondOrderEffect] = []
     for sfm in sfms:
-        interaction = interaction_by_id(interactions, sfm.interaction_id)
+        interaction = interactions_by_id.get(sfm.interaction_id)
+        if interaction is None:
+            interaction = interaction_by_id(interactions, sfm.interaction_id)
         if interaction.direction is not Direction.MACHINE_TO_HUMAN:
             continue
-        mode = catalog.mode_by_id(sfm.generic_mode_id)
+        mode = modes_by_id.get(sfm.generic_mode_id)
+        if mode is None:
+            mode = catalog.mode_by_id(sfm.generic_mode_id)
         if mode.category not in categories:
             continue
         for induced_mode, rationale in _INDUCED:

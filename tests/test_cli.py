@@ -789,6 +789,19 @@ class TestFilesAndUsage:
             assert code == EXIT_OK
             assert out.splitlines()[0] == f"usage: hatlens {command} {usage}"
 
+    @pytest.mark.parametrize("command, help_text", [
+        # trace requires the flag, so no default applies; report's defaults to both.
+        ("trace", "trace direction"),
+        ("report", "trace direction (default: both)"),
+    ])
+    def test_direction_help_states_a_default_only_where_the_flag_is_optional(
+            self, capsys, command, help_text):
+        code, out, err = invoke(capsys, command, "--help")
+        assert code == EXIT_OK
+        options = " ".join(out.split())  # the help of each option, however it wraps
+        assert re.findall(r"--direction \{up,down,both\} ([^-]*) --max-depth N", options) == [
+            help_text]
+
     @pytest.mark.parametrize("argv", [
         ("--help",), (), ("frobnicate", MODEL), ("--strict", "trace"),
         *((command, "--help") for command in SUBCOMMANDS),

@@ -14,6 +14,7 @@ import copy
 import inspect
 import math
 import pickle
+import sys
 from dataclasses import (
     MISSING,
     FrozenInstanceError,
@@ -603,3 +604,23 @@ def test_every_public_dataclass_has_its_own_docstring():
                  if getattr(hatlens, name).__doc__ in (None, name + str(
                      inspect.signature(getattr(hatlens, name))).replace(" -> None", ""))]
     assert generated == []
+
+
+@pytest.mark.parametrize("name", FROZEN)
+def test_a_frozen_value_s_dict_holds_its_fields_in_order_with_the_shared_keys(name):
+    """A frozen ``__init__`` fills the instance dict directly.  Its keys come
+    in field order, and it keeps the keys that the class's instances share:
+    its size equals that of a twin whose fields were set one by one."""
+    value = _values()[name]
+    names = [f.name for f in fields(value)]
+    assert list(vars(value)) == names
+    twin = object.__new__(type(value))
+    for field_name in names:
+        object.__setattr__(twin, field_name, getattr(value, field_name))
+    # Both sizes are taken now: the size of a dict of shared keys can change
+    # as the class makes more instances.
+    assert sys.getsizeof(vars(value)) == sys.getsizeof(vars(twin))
+    for field_name in names:
+        with pytest.raises(FrozenInstanceError, match=rf"^cannot assign to field '{field_name}'$"):
+            setattr(value, field_name, None)
+    assert list(vars(value)) == names and vars(value) == vars(twin)

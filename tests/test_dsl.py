@@ -306,6 +306,24 @@ def test_undeclared_references():
     assert diag.message == "edge references undeclared node 'zz'"
 
 
+@pytest.mark.parametrize("reference, expected", [
+    ("lane=h000", "h000"),
+    ('lane="h000"', "h000"),
+    ("lane=h001", (3, 8, "node references undeclared lane 'h001'")),
+    ('lane="H0"', (3, 8, "invalid lane reference 'H0'")),
+])
+def test_a_reference_reads_as_the_id_it_names_or_is_reported(reference, expected):
+    # A reference to a declared id is taken as is; any other goes through the
+    # reference parser, which reports it.
+    text = ('model "Demo"\nlane h000 side=human kind=operator "Human"\n'
+            f'node a {reference} stage=act "A"\n')
+    if isinstance(expected, str):
+        assert parse_model(text).nodes[0].lane_id == expected
+    else:
+        diag = sole_diagnostic(parse_model, text)
+        assert (diag.line, diag.column, diag.message) == expected
+
+
 def test_self_loop_is_rejected():
     text = MODEL_PREFIX + "edge a -> a\n"
     diag = sole_diagnostic(parse_model, text)
