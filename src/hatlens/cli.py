@@ -23,7 +23,6 @@ import os
 import stat
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Sequence
 
 from .dsl import (
@@ -57,18 +56,10 @@ EXIT_FINDINGS = 1
 EXIT_USAGE = 2
 
 
-class _CliError(Exception):
-    """Internal control flow: abort the subcommand with an exit code."""
-
-    def __init__(self, code: int):
-        super().__init__(code)
-        self.code = code
-
-
 def _fail(message: str) -> None:
     """Stop the command as a usage error, with ``message``."""
     print(f"error: {message}", file=sys.stderr)
-    raise _CliError(EXIT_USAGE)
+    sys.exit(EXIT_USAGE)
 
 
 def _read(path: str) -> str:
@@ -89,7 +80,7 @@ def _parse_file(path: str, parser):
         for diag in exc.diagnostics:
             print(f"{path}:{diag.line}:{diag.column}: error: {diag.message}",
                   file=sys.stderr)
-        raise _CliError(EXIT_USAGE) from None
+        sys.exit(EXIT_USAGE)
 
 
 def load_catalogs(lens_paths: Sequence[str | Path] = (),
@@ -97,8 +88,9 @@ def load_catalogs(lens_paths: Sequence[str | Path] = (),
                   builtin_lenses: bool = True) -> tuple[LensCatalog, list[Mitigation]]:
     """The lens and mitigation catalogs of a run: the builtins (the builtin
     lenses only if ``builtin_lenses``) followed by each file in order.  A file
-    that does not parse stops the run; one that repeats a lens, mode or
-    mitigation id raises ``CatalogError``."""
+    that cannot be read or parsed prints its diagnostics and raises
+    ``SystemExit(2)``; one that repeats a lens, mode or mitigation id raises
+    ``CatalogError``."""
     catalog = builtin_catalog() if builtin_lenses else LensCatalog(lenses=[])
     for path in lens_paths:
         catalog = merge_catalogs(catalog, _parse_file(path, parse_lens_catalog))
@@ -127,7 +119,7 @@ def _inputs(args) -> tuple[LensCatalog, list[Mitigation], Ooda2Model]:
         print(f"{args.model}:{line}: {diag.severity.value}: {diag.code}: "
               f"{diag.message}", file=sys.stderr)
     if has_errors(diagnostics):
-        raise _CliError(EXIT_FINDINGS)
+        sys.exit(EXIT_FINDINGS)
     return catalog, mitigations, model
 
 
@@ -166,9 +158,7 @@ def _to_stdout(write) -> None:
         raise OSError(errno.EBADF, os.strerror(errno.EBADF))
     if hasattr(out, "buffer") and codecs.lookup(out.encoding).name != "utf-8":
         out.flush()
-        binary = out.buffer
-        out = SimpleNamespace(write=lambda text: binary.write(text.encode("utf-8")),
-                              flush=binary.flush)
+        out = codecs.getwriter("utf-8")(out.buffer)
     write(out)
     out.flush()
 
@@ -400,16 +390,13 @@ def run(argv: list[str] | None = None) -> int:
     try:
         if argv is None:
             argv = sys.argv[1:]
-        try:
-            args = _build_parser(argv[0] if argv else None).parse_args(argv)
-        except SystemExit as exc:
-            return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        args = _build_parser(argv[0] if argv else None).parse_args(argv)
         args.func(args)
     except (CatalogError, SpecialisationError, UnknownIdError, ReportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FINDINGS
-    except _CliError as exc:
-        return exc.code
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     finally:
         if collecting:
             gc.enable()

@@ -3,7 +3,8 @@
 All formats share one lexical shape: one statement per line, tokens
 separated by spaces or tabs, ``"``-quoted strings (with ``\\"`` and ``\\\\``
 escapes), ``key=value`` attributes, blank lines and lines starting with
-``#`` ignored.  Input may use LF, CRLF or CR line endings; output is LF.
+``#`` ignored.  Input may use LF, CRLF or CR line endings and start with a
+byte-order mark; output is LF and has none.
 
 Each statement keyword is declared once, as a tuple of ``_Field``s in
 ``_MODEL`` (``.hat``), ``_LENS`` (``.lens``), ``_SFM`` (``.sfm``) and
@@ -377,6 +378,7 @@ def _read(text: str, statements: dict[str, tuple[_Field, ...]],
             slots[_WORD], slots[_STRING], {slot[5].key: slot for slot in slots[_ATTR]},
             [field for field in fields if field.kind == _PREFIX],
             frozenset(name for name, _ in required), required)
+    text = text.removeprefix("\ufeff")  # a byte-order mark, as Notepad saves UTF-8
     if "\r" in text:  # a line ends at LF, CRLF or CR, as in universal-newline reading
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     for line_no, line in enumerate(text.split("\n"), start=1):

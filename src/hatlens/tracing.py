@@ -19,9 +19,7 @@ with its number and the step gain of the first-declared edge to it (a
 parallel edge would repeat the node sequence).  The on-path set is a
 ``bytearray`` indexed by those numbers.  As no maximal path is a prefix of
 another, pathways come out in lexicographic order of their node ids, with
-no sort.  ``trace`` builds each frozen ``TracePathway`` by copying a
-template attribute dict that holds the fields the trace's pathways share,
-not through ``__init__``, which would store all seven fields each time.
+no sort.
 
 The loops are cyclic by design; the simple-path restriction is what makes
 enumeration finite.  Consequences of a failure repeating over many loop
@@ -155,9 +153,6 @@ def trace(
     on_path[0] = 1
     pending = [iter(list_children(start) if max_depth > 1 else ())]
     leaf = True
-    # Each pathway's attribute dict is a copy of this one, keeping the class's shared keys.
-    shared = vars(TracePathway(interaction, mode_category, direction, (), (), 1, _NEUTRAL))
-    new, set_attribute = object.__new__, object.__setattr__
     pathways = []
     while pending:
         for at, node, gain in pending[-1]:
@@ -173,14 +168,9 @@ def trace(
                         f"interaction {interaction.i_id} [{mode_category}, {direction.value}]: "
                         f"the total gain of pathway {' -> '.join(n.id for n in path)} "
                         f"is not finite ({total_gain!r})")
-                fields = shared.copy()
-                fields["nodes"] = tuple(path)
-                fields["step_gains"] = tuple(step_gains)
-                fields["total_gain"] = total_gain
-                fields["classification"] = classify(total_gain)
-                pathway = new(TracePathway)
-                set_attribute(pathway, "__dict__", fields)
-                pathways.append(pathway)
+                pathways.append(TracePathway(interaction, mode_category, direction,
+                                             tuple(path), tuple(step_gains), total_gain,
+                                             classify(total_gain)))
             on_path[numbers.pop()] = 0
             path.pop()
             del step_gains[-1:]  # the start node has no step gain to drop

@@ -236,7 +236,9 @@ class TestTrace:
 
     @pytest.mark.parametrize("flag, value", [
         ("--interaction", "٣"), ("--interaction", "0_3"), ("--max-depth", "٢"),
-    ])
+        # More digits than int() converts (sys.get_int_max_str_digits()).
+        ("--interaction", "1" * 5000), ("--max-depth", "1" * 5000),
+    ], ids=lambda value: f"{len(value)}-digits" if len(value) > 100 else None)
     def test_numbers_take_ascii_digits_only(self, capsys, flag, value):
         numbers = {"--interaction": "3", "--max-depth": "2", flag: value}
         code, out, err = invoke(
@@ -489,6 +491,24 @@ class TestLenses:
         assert out == ""
         assert err.startswith("error: duplicate lens id 'atc'")
 
+    def test_a_mode_repeated_across_lens_files_is_rejected_with_its_lines(self, capsys,
+                                                                          tmp_path):
+        first, second = tmp_path / "a.lens", tmp_path / "b.lens"
+        first.write_text('lens alpha "Alpha"\n'
+                         'mode drift lens=alpha direction=m2h category=stability "Drift" '
+                         'question="Does it drift?"\n',
+                         encoding="utf-8")
+        second.write_text('lens beta "Beta"\n'
+                          '\n'
+                          'mode drift lens=beta direction=h2m category=timely "Drift too" '
+                          'question="Does it drift too?"\n',
+                          encoding="utf-8")
+        code, out, err = invoke(capsys, "lenses", "--lens", str(first), "--lens", str(second))
+        assert code == EXIT_FINDINGS
+        assert out == ""
+        assert err == ("error: duplicate mode id 'drift': declared in lens 'alpha' (line 2) "
+                       "and again in lens 'beta' (line 3)\n")
+
     def test_duplicate_mitigation_file_is_rejected(self, capsys):
         code, out, err = invoke(
             capsys, "mitigations", MODEL, "--mit", MIT, "--mit", MIT)
@@ -639,6 +659,24 @@ class TestFilesAndUsage:
         assert err.startswith(f"error: cannot read {path}:")
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("validate", "atc.hat", "--lens", "atc.lens", "--mit", "atc.mit", "--strict"),
+        ("report", "atc.hat", "--lens", "atc.lens", "--sfm", "atc.sfm", "--mit", "atc.mit",
+         "--format", "md"),
+    ], ids=["validate", "report-md"])
+    def test_files_saved_with_a_byte_order_mark_read_as_without_it(self, capsys, tmp_path,
+                                                                  argv):
+        for name in ("atc.hat", "atc.lens", "atc.sfm", "atc.mit"):
+            text = (ATC / name).read_text(encoding="utf-8")
+            (tmp_path / name).write_text("\ufeff" + text, encoding="utf-8")
+
+        def argv_in(folder):
+            return [str(folder / word) if word.startswith("atc.") else word for word in argv]
+
+        plain = invoke(capsys, *argv_in(ATC))
+        assert plain[0] == EXIT_OK
+        assert invoke(capsys, *argv_in(tmp_path)) == plain
 
     def test_output_flag_writes_the_stdout_payload(self, capsys, tmp_path):
         _, expected, _ = invoke(

@@ -199,6 +199,27 @@ def test_crlf_blank_lines_comments_and_tabs_are_accepted():
     assert model.lanes[0].kind is LaneKind.OPERATOR
 
 
+@pytest.mark.parametrize("relative, parse", [
+    ("atc/atc.hat", parse_model),
+    ("atc/atc.lens", parse_lens_catalog),
+    ("atc/atc.sfm", parse_sfm_bindings),
+    ("atc/atc.mit", parse_mitigation_catalog),
+])
+def test_a_leading_byte_order_mark_is_ignored(relative, parse):
+    text = (FIXTURE_ROOT / relative).read_text(encoding="utf-8")
+    assert parse("\ufeff" + text) == parse(text)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("\ufeff\ufeff" + MODEL_PREFIX, 1),
+    (MODEL_PREFIX + "\ufeffedge a -> b\n", 6),
+])
+def test_a_byte_order_mark_elsewhere_is_an_unknown_keyword(text, line):
+    diag = sole_diagnostic(parse_model, text)
+    assert (diag.line, diag.column) == (line, 1)
+    assert diag.message.startswith("unknown keyword '\ufeff")
+
+
 def test_unterminated_string_points_at_the_opening_quote():
     diag = sole_diagnostic(parse_model, 'model "Demo')
     assert (diag.line, diag.column, diag.message) == (1, 7, "unterminated string")
