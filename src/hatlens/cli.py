@@ -216,17 +216,24 @@ def _cmd_map(args) -> None:
     _write(args, emit_csv(table))
 
 
-def _cmd_trace(args) -> None:
-    catalog, mitigations, model = _inputs(args)
-    interactions = extract_interactions(model)
-    pathways = _trace_pathways(args, model, interactions, catalog, mitigations)
+def _render(args, model: Ooda2Model, bundle: ReportBundle) -> None:
+    """Write ``bundle``, or the part of it that ``args.format`` shows."""
     if args.format == "json":
-        bundle = ReportBundle(pathways=pathways)
         _output(args, lambda out: write_json(bundle, out))
     elif args.format == "text":
-        _write(args, "".join(f"{pathway_label(pathway)}\n" for pathway in pathways))
+        _write(args, "".join(f"{pathway_label(pathway)}\n" for pathway in bundle.pathways))
+    elif args.format == "csv":
+        _write(args, emit_csv(bundle.table))
+    elif args.format == "md":
+        _write(args, emit_markdown(bundle))
     else:
-        _write(args, emit_dot(model, pathways))
+        _write(args, emit_dot(model, bundle.pathways))
+
+
+def _cmd_trace(args) -> None:
+    catalog, mitigations, model = _inputs(args)
+    pathways = _trace_pathways(args, model, extract_interactions(model), catalog, mitigations)
+    _render(args, model, ReportBundle(pathways=pathways))
 
 
 def _cmd_mitigations(args) -> None:
@@ -247,24 +254,14 @@ def _cmd_report(args) -> None:
     catalog, mitigations, model = _inputs(args)
     interactions = extract_interactions(model)
     table, sfms = _build_table(args, interactions, catalog)
-    pathways: list[TracePathway] = []
-    if args.interaction is not None:
-        pathways = _trace_pathways(args, model, interactions, catalog, mitigations)
+    pathways = ([] if args.interaction is None
+                else _trace_pathways(args, model, interactions, catalog, mitigations))
     # The table has every sfm's interaction and mode, so no lookup can fail.
-    second_order = derive_second_order(sfms, interactions, catalog)
-    suggestions = suggest_mitigations(table, mitigations)
-    bundle = ReportBundle(table=table, pathways=pathways,
-                          second_order=second_order, suggestions=suggestions)
-    if args.format == "csv":
-        _write(args, emit_csv(table))
-    elif args.format == "md":
-        _write(args, emit_markdown(bundle))
-    elif args.format == "json":
-        _output(args, lambda out: write_json(bundle, out))
-    else:
-        if not pathways:
-            _fail("--format dot needs --interaction and --category")
-        _write(args, emit_dot(model, pathways))
+    bundle = ReportBundle(table, pathways, derive_second_order(sfms, interactions, catalog),
+                          suggest_mitigations(table, mitigations))
+    if args.format == "dot" and not pathways:
+        _fail("--format dot needs --interaction and --category")
+    _render(args, model, bundle)
 
 
 def _cmd_lenses(args) -> None:

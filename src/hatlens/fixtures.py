@@ -108,19 +108,17 @@ def regenerate(fixture: GoldenFixture) -> dict[str, str]:
             else parse_sfm_bindings(fixture.sfm_path.read_text(encoding="utf-8")))
     interactions = extract_interactions(model)
     table = apply_specialisations(map_failure_modes(interactions, catalog), sfms)
-    second_order = derive_second_order(sfms, interactions, catalog)
-
-    def sfm4_pathways() -> list:  # the README's: interaction 3, timely, down
-        origin = next(row for row in table.rows if row.sfm_id == 4)
-        return trace(model, interaction_by_id(interactions, origin.i_id),
-                     origin.generic_mode_category, TraceDirection.DOWNSTREAM,
-                     mitigation_catalog=mitigations)
-
+    # The README's report: SFM 4's interaction and category, downstream.
+    origin = next((row for row in table.rows if row.sfm_id == 4), None)
+    pathways = [] if origin is None else trace(
+        model, interaction_by_id(interactions, origin.i_id), origin.generic_mode_category,
+        TraceDirection.DOWNSTREAM, mitigation_catalog=mitigations)
+    bundle = ReportBundle(table, pathways, derive_second_order(sfms, interactions, catalog),
+                          suggest_mitigations(table, mitigations))
     recipes = {
-        "table.csv": lambda: emit_csv(table),
-        "pathway_sfm4.dot": lambda: emit_dot(model, sfm4_pathways()),
-        "second_order.json": lambda: emit_second_order_json(second_order),
-        "report.md": lambda: emit_markdown(ReportBundle(
-            table, sfm4_pathways(), second_order, suggest_mitigations(table, mitigations))),
+        "table.csv": lambda: emit_csv(bundle.table),
+        "pathway_sfm4.dot": lambda: emit_dot(model, bundle.pathways),
+        "second_order.json": lambda: emit_second_order_json(bundle.second_order),
+        "report.md": lambda: emit_markdown(bundle),
     }
     return {name: recipes[name]() for name in fixture.expected if name in recipes}

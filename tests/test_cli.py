@@ -167,6 +167,22 @@ class TestTrace:
         assert err == ""
         assert out == golden("pathway_sfm4.dot")
 
+    @pytest.mark.parametrize("direction", ["down", "both"])
+    def test_trace_and_report_render_the_same_pathways(self, capsys, direction):
+        flags = ("--lens", LENS, "--mit", MIT, "--interaction", "3", "--category", "timely",
+                 "--direction", direction, "--format")
+        trace = {fmt: invoke(capsys, "trace", MODEL, *flags, fmt)
+                 for fmt in ("text", "json", "dot")}
+        report = {fmt: invoke(capsys, "report", MODEL, "--sfm", SFM, *flags, fmt)
+                  for fmt in ("md", "json", "dot")}
+        assert {code for code, _, _ in [*trace.values(), *report.values()]} == {EXIT_OK}
+        assert report["dot"][1] == trace["dot"][1]
+        assert (json.loads(report["json"][1])["pathways"]
+                == json.loads(trace["json"][1])["pathways"])
+        section = report["md"][1].split("## Pathways\n\n")[1].split("\n\n")[0]
+        assert [line.removeprefix("- ") for line in section.splitlines()] \
+            == trace["text"][1].splitlines()
+
     def test_dot_is_unchanged_by_unattached_mitigations(self, capsys):
         with_mit = invoke(
             capsys, "trace", MODEL, "--lens", LENS, "--mit", MIT, "--interaction", "3",
@@ -278,7 +294,7 @@ class TestTrace:
         assert err.endswith(f"hatlens {command}: error: argument --category: "
                             f"invalid category token: {category!r}\n")
 
-    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("fmt", ["text", "json", "dot"])
     def test_a_gain_product_that_overflows_is_a_usage_error(self, capsys, tmp_path, fmt):
         path = tmp_path / "loud.hat"
         path.write_text(
@@ -362,18 +378,22 @@ class TestCallsAndCollector:
         ("trace", MODEL, *TRACE_BOTH, "--format", "text"),
         ("trace", MODEL, *TRACE_BOTH, "--format", "json"),
         ("trace", MODEL, *TRACE_BOTH, "--format", "dot"),
-        ("report", MODEL, "--lens", LENS, "--sfm", SFM, "--mit", MIT, *TRACE_BOTH,
-         "--format", "json"),
-    ], ids=["trace-text", "trace-json", "trace-dot", "report-json"])
+        *(("report", MODEL, "--lens", LENS, "--sfm", SFM, "--mit", MIT, *TRACE_BOTH,
+           "--format", fmt) for fmt in ("json", "csv", "md", "dot")),
+    ], ids=["trace-text", "trace-json", "trace-dot", "report-json", "report-csv",
+            "report-md", "report-dot"])
     def test_trace_runs_through_the_imported_names(self, capsys, monkeypatch, argv):
         expected = invoke(capsys, *argv)
         assert expected[0] == EXIT_OK
+        writers = {"text": "pathway_label", "json": "write_json", "csv": "emit_csv",
+                   "md": "emit_markdown", "dot": "emit_dot"}
         calls: list[str] = []
-        _counting(monkeypatch, calls, "parse_model", "validate", "trace", "write_json")
+        _counting(monkeypatch, calls, "parse_model", "validate", "trace", *writers.values())
         assert invoke(capsys, *argv) == expected
-        json_out = argv[-1] == "json"
+        # Each format reaches only its own writer: once, or once per pathway.
+        writes = len(expected[1].splitlines()) if argv[-1] == "text" else 1
         assert sorted(calls) == sorted(
-            ["parse_model", "validate", "trace", "trace"] + ["write_json"] * json_out)
+            ["parse_model", "validate", "trace", "trace"] + [writers[argv[-1]]] * writes)
 
     @pytest.mark.parametrize("argv", [
         ("trace", MODEL, *TRACE_BOTH, "--format", "json"),

@@ -14,6 +14,7 @@ import sys
 
 import pytest
 
+import hatlens.fixtures as fixtures
 from hatlens import (
     Strictness,
     available_fixtures,
@@ -68,6 +69,17 @@ def test_goldens_regenerate_byte_identically(name):
     for golden_name, text in regenerated.items():
         on_disk = fixture.expected[golden_name].read_text(encoding="utf-8")
         assert text == on_disk, f"{name}/{golden_name} drifted"
+
+
+@pytest.mark.parametrize("name, traces", [("atc", 1), ("minimal", 0)])
+def test_regenerate_traces_at_most_once(monkeypatch, name, traces):
+    # One report bundle feeds every golden: SFM 4's pathways, when there is one.
+    calls = []
+    original = fixtures.trace
+    monkeypatch.setattr(fixtures, "trace", lambda *args, **kwargs: (
+        calls.append(args) or original(*args, **kwargs)))
+    regenerate(load_fixture(name))
+    assert len(calls) == traces
 
 
 def test_regenerate_raises_library_errors_and_prints_nothing(tmp_path, capsys):
