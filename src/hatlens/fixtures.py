@@ -18,10 +18,10 @@ from .dsl import (
     parse_sfm_bindings,
 )
 from .interactions import extract_interactions, interaction_by_id
-from .lenses import builtin_catalog, merge_catalogs
-from .mapping import apply_specialisations, map_failure_modes
-from .mitigations import builtin_mitigations, suggest_mitigations
-from .model import _HashRecord, _dataclass
+from .lenses import LensCatalog, builtin_catalog, merge_catalogs
+from .mapping import SpecialisedFailureMode, apply_specialisations, map_failure_modes
+from .mitigations import Mitigation, builtin_mitigations, suggest_mitigations
+from .model import Ooda2Model, _HashRecord, _dataclass
 from .report import ReportBundle, emit_csv, emit_dot, emit_markdown, emit_second_order_json
 from .tracing import TraceDirection, derive_second_order, trace
 
@@ -58,7 +58,8 @@ def available_fixtures() -> list[str]:
 
 
 def load_fixture(name: str) -> GoldenFixture:
-    """Locate a bundled fixture and check that every input parses cleanly."""
+    """Locate a bundled fixture and check that its inputs load: every file
+    parses, and its lens catalog merges with the builtin one."""
     root = _ROOT / name
     model_path = root / f"{name}.hat"
     if not model_path.is_file():
@@ -81,31 +82,27 @@ def load_fixture(name: str) -> GoldenFixture:
             if path.suffix in _GOLDEN_SUFFIXES and path.name != "README.md"
         },
     )
-    parse_model(model_path.read_text(encoding="utf-8"))
-    if fixture.lens_path is not None:
-        parse_lens_catalog(fixture.lens_path.read_text(encoding="utf-8"))
-    if fixture.sfm_path is not None:
-        parse_sfm_bindings(fixture.sfm_path.read_text(encoding="utf-8"))
-    if fixture.mitigation_path is not None:
-        parse_mitigation_catalog(fixture.mitigation_path.read_text(encoding="utf-8"))
+    _inputs(fixture)
     for path in fixture.expected.values():
         path.read_text(encoding="utf-8")
     return fixture
 
 
+def _inputs(fixture: GoldenFixture) -> tuple[
+        Ooda2Model, LensCatalog, list[Mitigation], list[SpecialisedFailureMode]]:
+    """The model, lens catalog, mitigations and bindings: builtins, then the fixture's."""
+    def read(path: Path | None, parse, absent):
+        return absent if path is None else parse(path.read_text(encoding="utf-8"))
+
+    lenses = read(fixture.lens_path, parse_lens_catalog, LensCatalog())
+    return (read(fixture.model_path, parse_model, None), merge_catalogs(builtin_catalog(), lenses),
+            builtin_mitigations() + read(fixture.mitigation_path, parse_mitigation_catalog, []),
+            read(fixture.sfm_path, parse_sfm_bindings, []))
+
+
 def regenerate(fixture: GoldenFixture) -> dict[str, str]:
-    """Recompute every golden output from the fixture's inputs, with the
-    builtin lenses and mitigations followed by the fixture's own."""
-    model = parse_model(fixture.model_path.read_text(encoding="utf-8"))
-    catalog, mitigations = builtin_catalog(), builtin_mitigations()
-    if fixture.lens_path is not None:
-        catalog = merge_catalogs(
-            catalog, parse_lens_catalog(fixture.lens_path.read_text(encoding="utf-8")))
-    if fixture.mitigation_path is not None:
-        mitigations += parse_mitigation_catalog(
-            fixture.mitigation_path.read_text(encoding="utf-8"))
-    sfms = ([] if fixture.sfm_path is None
-            else parse_sfm_bindings(fixture.sfm_path.read_text(encoding="utf-8")))
+    """Recompute every golden output from the fixture's inputs."""
+    model, catalog, mitigations, sfms = _inputs(fixture)
     interactions = extract_interactions(model)
     table = apply_specialisations(map_failure_modes(interactions, catalog), sfms)
     # The README's report: SFM 4's interaction and category, downstream.

@@ -1,4 +1,5 @@
-"""Shared helpers: fixture locations and a seeded random model generator.
+"""Shared helpers: fixture locations, the ATC inputs, a reachability oracle
+and a seeded random model generator.
 
 The generator builds arbitrary but always-valid models (builtin-known
 category and mitigation tokens, non-empty labels, no self loops) whose
@@ -24,15 +25,11 @@ from hatlens import (
     Side,
     SpecialisedFailureMode,
     Stage,
-    builtin_catalog,
-    builtin_mitigations,
+    TraceDirection,
     extract_interactions,
-    merge_catalogs,
-    parse_lens_catalog,
-    parse_mitigation_catalog,
-    parse_model,
-    parse_sfm_bindings,
+    load_fixture,
 )
+from hatlens.fixtures import _inputs
 
 FIXTURE_ROOT = Path(__file__).resolve().parent.parent / "src" / "hatlens" / "fixtures"
 
@@ -68,15 +65,7 @@ class TowerInputs:
 
 
 def tower_inputs() -> TowerInputs:
-    root = FIXTURE_ROOT / "atc"
-    model = parse_model((root / "atc.hat").read_text(encoding="utf-8"))
-    catalog = merge_catalogs(
-        builtin_catalog(),
-        parse_lens_catalog((root / "atc.lens").read_text(encoding="utf-8")),
-    )
-    sfms = parse_sfm_bindings((root / "atc.sfm").read_text(encoding="utf-8"))
-    mitigations = builtin_mitigations() + parse_mitigation_catalog(
-        (root / "atc.mit").read_text(encoding="utf-8"))
+    model, catalog, mitigations, sfms = _inputs(load_fixture("atc"))
     return TowerInputs(
         model=model,
         interactions=extract_interactions(model),
@@ -84,6 +73,29 @@ def tower_inputs() -> TowerInputs:
         sfms=sfms,
         mitigations=mitigations,
     )
+
+
+def trace_adjacency(model: Ooda2Model, direction: TraceDirection) -> dict[str, set[str]]:
+    """Each node's neighbours one edge away in the trace direction."""
+    adjacency: dict[str, set[str]] = {}
+    for edge in model.edges:
+        here, there = ((edge.from_id, edge.to_id) if direction is TraceDirection.DOWNSTREAM
+                       else (edge.to_id, edge.from_id))
+        adjacency.setdefault(here, set()).add(there)
+    return adjacency
+
+
+def reachable_within(model: Ooda2Model, start: str, max_depth: int,
+                     direction: TraceDirection) -> set[str]:
+    """Breadth-first reachability oracle: the nodes within ``max_depth - 1``
+    hops of ``start`` in the trace direction, which a trace's pathways cover."""
+    adjacency = trace_adjacency(model, direction)
+    seen = {start}
+    frontier = {start}
+    for _ in range(max_depth - 1):
+        frontier = {there for here in frontier for there in adjacency.get(here, ())} - seen
+        seen |= frontier
+    return seen
 
 
 def random_label(rng: random.Random) -> str:

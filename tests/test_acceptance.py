@@ -48,7 +48,7 @@ from hatlens import (
     trace,
 )
 
-from conftest import FIXTURE_ROOT, random_model, tower_inputs
+from conftest import FIXTURE_ROOT, random_model, reachable_within, tower_inputs
 
 CSV_HEADER_LINE = (
     "I ID,SFM ID,Interaction Name,Machine Stage,Human Stage,Direction,"
@@ -127,29 +127,6 @@ def _chain_model(gains, category: str,
             id=f"e{index + 1}", from_id=previous, to_id=node_id))
         previous = node_id
     return Ooda2Model(name="Chain", lanes=lanes, nodes=nodes, edges=edges)
-
-
-def _reachable_within(model: Ooda2Model, start: str, max_depth: int,
-                      direction: TraceDirection) -> set[str]:
-    """Breadth-first reachability oracle: nodes within max_depth - 1 hops."""
-    adjacency: dict[str, set[str]] = {}
-    for edge in model.edges:
-        if direction is TraceDirection.DOWNSTREAM:
-            adjacency.setdefault(edge.from_id, set()).add(edge.to_id)
-        else:
-            adjacency.setdefault(edge.to_id, set()).add(edge.from_id)
-    seen = {start}
-    frontier = {start}
-    for _ in range(max_depth - 1):
-        frontier = {
-            successor
-            for node_id in frontier
-            for successor in adjacency.get(node_id, set())
-        } - seen
-        if not frontier:
-            break
-        seen |= frontier
-    return seen
 
 
 def test_acceptance_1_scenario_table_rows():
@@ -366,7 +343,7 @@ def test_acceptance_6_oracle_equivalence():
                     covered = set()
                     for pathway in pathways:
                         covered.update(pathway.node_ids())
-                    assert covered == _reachable_within(
+                    assert covered == reachable_within(
                         model, start, max_depth, direction)
         assert checked >= 1000
         assert traced >= 1000

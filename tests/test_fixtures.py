@@ -16,6 +16,8 @@ import pytest
 
 import hatlens.fixtures as fixtures
 from hatlens import (
+    CatalogError,
+    DslParseError,
     Strictness,
     available_fixtures,
     extract_interactions,
@@ -26,8 +28,9 @@ from hatlens import (
     regenerate,
     validate,
 )
+from hatlens.cli import load_catalogs
 
-from conftest import FIXTURE_ROOT, tower_inputs
+from conftest import FIXTURE_ROOT
 
 
 def test_available_fixtures():
@@ -90,16 +93,40 @@ def test_regenerate_raises_library_errors_and_prints_nothing(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("name", available_fixtures())
+def test_the_fixture_loader_and_the_cli_build_the_same_catalogs(name):
+    fixture = load_fixture(name)
+    _, catalog, mitigations, _ = fixtures._inputs(fixture)
+    lens_paths = [fixture.lens_path] if fixture.lens_path else []
+    mit_paths = [fixture.mitigation_path] if fixture.mitigation_path else []
+    assert (catalog, mitigations) == load_catalogs(lens_paths, mit_paths)
+
+
+def test_load_fixture_refuses_inputs_that_do_not_load(monkeypatch, tmp_path):
+    model = (FIXTURE_ROOT / "minimal" / "minimal.hat").read_text(encoding="utf-8")
+    inputs = {
+        "malformed": {".hat": model + "edge watch ->\n"},
+        "remerged": {".hat": model, ".lens": (
+            'lens again "Again"\nmode accuracy lens=again direction=m2h '
+            'category=accuracy "Accuracy again" question="Again?"\n')},
+    }
+    for name, files in inputs.items():
+        (tmp_path / name).mkdir()
+        for suffix, text in files.items():
+            (tmp_path / name / f"{name}{suffix}").write_text(text, encoding="utf-8")
+    monkeypatch.setattr(fixtures, "_ROOT", tmp_path)
+    assert available_fixtures() == ["malformed", "remerged"]
+    with pytest.raises(DslParseError, match="missing its target node id"):
+        load_fixture("malformed")
+    # The lens file parses; it is the merge with the builtins that fails.
+    with pytest.raises(CatalogError, match="duplicate mode id 'accuracy'"):
+        load_fixture("remerged")
+
+
+@pytest.mark.parametrize("name", available_fixtures())
 def test_fixture_models_validate_clean_under_strict(name):
-    if name == "atc":
-        tower = tower_inputs()
-        diagnostics = validate(tower.model, Strictness.STRICT,
-                               lens_catalog=tower.catalog,
-                               mitigation_catalog=tower.mitigations)
-    else:
-        fixture = load_fixture(name)
-        model = parse_model(fixture.model_path.read_text(encoding="utf-8"))
-        diagnostics = validate(model, Strictness.STRICT)
+    model, catalog, mitigations, _ = fixtures._inputs(load_fixture(name))
+    diagnostics = validate(model, Strictness.STRICT, lens_catalog=catalog,
+                           mitigation_catalog=mitigations)
     assert not has_errors(diagnostics)
     assert diagnostics == []
 

@@ -28,14 +28,15 @@ import math
 import random
 import re
 import sys
-from collections import Counter, deque
+from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import (
-    BUILTIN_CATEGORIES, add_parallel_edges, pinned_corpus, random_model, tower_inputs,
+    BUILTIN_CATEGORIES, add_parallel_edges, pinned_corpus, random_model, reachable_within,
+    tower_inputs, trace_adjacency,
 )
 from hatlens import (
     Classification,
@@ -312,29 +313,6 @@ def test_a_node_id_declared_twice_traces_as_its_last_declaration():
         [(("w", "x"), ("Watch", "Digest again"), (1.0,), "1.0", "Neutral")]]
 
 
-def _adjacency(model, downstream):
-    adjacency = {}
-    for edge in model.edges:
-        key, value = ((edge.from_id, edge.to_id) if downstream
-                      else (edge.to_id, edge.from_id))
-        adjacency.setdefault(key, set()).add(value)
-    return adjacency
-
-
-def _bfs_within(adjacency, start, edge_limit):
-    distance = {start: 0}
-    queue = deque([start])
-    while queue:
-        here = queue.popleft()
-        if distance[here] == edge_limit:
-            continue
-        for there in adjacency.get(here, ()):
-            if there not in distance:
-                distance[there] = distance[here] + 1
-                queue.append(there)
-    return set(distance)
-
-
 def _brute_force_pathways(model, start, downstream, category, max_depth):
     """(node ids, step gains, repr of the total gain) of every maximal simple
     path, by plain recursion over the first-declared edge of each node pair.
@@ -387,7 +365,7 @@ def test_pathways_are_simple_maximal_sorted_and_cover_bfs_reachability():
             for direction in (TraceDirection.DOWNSTREAM, TraceDirection.UPSTREAM):
                 downstream = direction is TraceDirection.DOWNSTREAM
                 start = (interaction.target if downstream else interaction.source).id
-                adjacency = _adjacency(model, downstream)
+                adjacency = trace_adjacency(model, direction)
                 for max_depth in (1, 2, 3, DEFAULT_MAX_DEPTH):
                     pathways = trace(model, interaction, "stability", direction,
                                      max_depth=max_depth)
@@ -411,7 +389,7 @@ def test_pathways_are_simple_maximal_sorted_and_cover_bfs_reachability():
                         if len(nodes) < max_depth:
                             successors = adjacency.get(nodes[-1], set())
                             assert successors <= set(nodes), "pathway is not maximal"
-                    assert covered == _bfs_within(adjacency, start, max_depth - 1), (
+                    assert covered == reachable_within(model, start, max_depth, direction), (
                         f"seed {seed}: coverage mismatch at depth {max_depth}"
                     )
     assert checked >= 100
