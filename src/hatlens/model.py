@@ -453,7 +453,10 @@ def validate(model: Ooda2Model, strictness: Strictness = Strictness.LENIENT, *,
         return True
 
     def check_mitigations(element, what: str) -> None:
-        for mit_id in element.mitigation_ids:
+        for mit_id in element.mitigation_ids and dict.fromkeys(element.mitigation_ids):
+            if element.mitigation_ids.count(mit_id) > 1:
+                report("DUPLICATE_ID", f"{what} '{element.id}' lists mitigation '{mit_id}' twice",
+                       element)
             mitigation = known_mitigations.get(mit_id)
             if mitigation is None:
                 report("UNKNOWN_MITIGATION",

@@ -11,15 +11,10 @@ total gain is ``math.prod`` of its step gains, so the int 1 for a pathway
 of one node.  The classification compares the total against exactly 1; a
 product that overflows to infinity is an error, not a classification.
 
-Enumeration is one depth-first walk over an explicit stack, so
-``max_depth`` alone bounds the depth, not the recursion limit.  As a trace
-may reach few of a model's nodes, the walk numbers each node when it first
-reaches it and lists its children on its first visit: sorted by id, each
-with its number and the step gain of the first-declared edge to it (a
-parallel edge would repeat the node sequence).  The on-path set is a
-``bytearray`` indexed by those numbers.  As no maximal path is a prefix of
-another, pathways come out in lexicographic order of their node ids, with
-no sort.
+Enumeration is one depth-first walk over an explicit stack, so ``max_depth``
+alone bounds the depth, not the recursion limit.  The on-path set is a
+``bytearray`` indexed by ``_step_graph``'s node numbers.  As no maximal path
+is a prefix of another, pathways come out in lexicographic order, no sort.
 
 The loops are cyclic by design; the simple-path restriction is what makes
 enumeration finite.  Consequences of a failure repeating over many loop
@@ -94,6 +89,47 @@ class TracePathway(_FrozenRecord):
         return tuple(node.id for node in self.nodes)
 
 
+def _step_graph(model, interaction, mode_category, direction, mitigation_catalog):
+    """``(start, children, list_children)``.  As a trace may reach few nodes,
+    each is numbered on first reach (the start is 0), and ``list_children(at,
+    tip)`` lists node ``at``'s children into ``children[at]`` (``None`` before):
+    sorted by id, each with its number and the step gain of the first-declared
+    edge to it (a parallel edge would repeat the node sequence)."""
+    mitigations = {mit.id: mit for mit in (builtin_mitigations() if mitigation_catalog is None
+                                           else mitigation_catalog)}
+    nodes = model.nodes_by_id()
+
+    downstream = direction is TraceDirection.DOWNSTREAM
+    arcs: dict[str, list[ActivityEdge]] = {}
+    for edge in model.edges:
+        arcs.setdefault(edge.from_id if downstream else edge.to_id, []).append(edge)
+
+    start = interaction.target if downstream else interaction.source
+    index = {start.id: 0}  # each reached id's number; all but the start's are keys of nodes
+    children: list[list[tuple[int, ActionNode, float]] | None] = [None] * (len(nodes) + 1)
+
+    def list_children(at: int, tip: ActionNode) -> list[tuple[int, ActionNode, float]]:
+        arrivals: dict[str, ActivityEdge] = {}
+        for edge in arcs.get(tip.id, ()):
+            arrivals.setdefault(edge.to_id if downstream else edge.from_id, edge)
+        listed = children[at] = []
+        for next_id in sorted(arrivals):
+            try:
+                node = nodes[next_id]
+            except KeyError:
+                raise UnknownIdError(f"model '{model.name}' has no node '{next_id}', which "
+                                     f"edge '{arrivals[next_id].id}' names") from None
+            behaviour = node.response.get(mode_category)
+            gain = behaviour.coefficient if behaviour is not None else 1.0
+            for mit_id in (*node.mitigation_ids, *arrivals[next_id].mitigation_ids):
+                mitigation = mitigations.get(mit_id)
+                if mitigation is not None and mode_category in mitigation.categories:
+                    gain *= mitigation.damping
+            listed.append((index.setdefault(next_id, len(index)), node, gain))
+        return listed
+    return start, children, list_children
+
+
 def trace(
     model: Ooda2Model,
     interaction: Interaction,
@@ -113,45 +149,15 @@ def trace(
     """
     if max_depth < 1:
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
-    mitigations = {mit.id: mit for mit in (builtin_mitigations() if mitigation_catalog is None
-                                           else mitigation_catalog)}
-    nodes = model.nodes_by_id()
-
-    downstream = direction is TraceDirection.DOWNSTREAM
-    arcs: dict[str, list[ActivityEdge]] = {}
-    for edge in model.edges:
-        arcs.setdefault(edge.from_id if downstream else edge.to_id, []).append(edge)
-
-    start = interaction.target if downstream else interaction.source
-    index = {start.id: 0}  # each reached id's number; all but the start's are keys of nodes
-    children: list[list[tuple[int, ActionNode, float]] | None] = [None] * (len(nodes) + 1)
-    on_path = bytearray(len(nodes) + 1)
-
-    def list_children(tip: ActionNode) -> list[tuple[int, ActionNode, float]]:
-        arrivals: dict[str, ActivityEdge] = {}
-        for edge in arcs.get(tip.id, ()):
-            arrivals.setdefault(edge.to_id if downstream else edge.from_id, edge)
-        listed = []
-        for next_id in sorted(arrivals):
-            try:
-                node = nodes[next_id]
-            except KeyError:
-                raise UnknownIdError(f"model '{model.name}' has no node '{next_id}', which "
-                                     f"edge '{arrivals[next_id].id}' names") from None
-            behaviour = node.response.get(mode_category)
-            gain = behaviour.coefficient if behaviour is not None else 1.0
-            for mit_id in (*node.mitigation_ids, *arrivals[next_id].mitigation_ids):
-                mitigation = mitigations.get(mit_id)
-                if mitigation is not None and mode_category in mitigation.categories:
-                    gain *= mitigation.damping
-            listed.append((index.setdefault(next_id, len(index)), node, gain))
-        return listed
+    start, children, list_children = _step_graph(model, interaction, mode_category, direction,
+                                                 mitigation_catalog)
+    on_path = bytearray(len(children))
 
     # The path as parallel lists, an iterator over each path node's remaining
     # children, and ``leaf``: set by a push, so that the next pop emits.
     numbers, path, step_gains = [0], [start], []
     on_path[0] = 1
-    pending = [iter(list_children(start) if max_depth > 1 else ())]
+    pending = [iter(list_children(0, start) if max_depth > 1 else ())]
     leaf = True
     pathways = []
     while pending:
@@ -181,7 +187,7 @@ def trace(
         step_gains.append(gain)
         listed = children[at] if len(path) < max_depth else ()
         if listed is None:
-            listed = children[at] = list_children(node)
+            listed = list_children(at, node)
         pending.append(iter(listed))
         leaf = True
     return pathways

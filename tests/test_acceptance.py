@@ -32,9 +32,7 @@ from hatlens import (
     derive_second_order,
     emit_csv,
     extract_interactions,
-    load_fixture,
     map_failure_modes,
-    merge_catalogs,
     node_lookup,
     node_side,
     parse_lens_catalog,

@@ -633,6 +633,33 @@ class TestValidate:
         assert out == ""
         assert "error: UNKNOWN_MITIGATION" in err
 
+    def test_a_mitigation_listed_twice_stops_every_model_command(self, capsys, tmp_path):
+        # Listed twice, hysteresis would damp the step to b twice: a gain of
+        # 0.5, Mitigated, where listing it once gives 1.0, Neutral.
+        text = ('model "Twice"\n'
+                'lane h side=human kind=operator "Operator"\n'
+                'lane m side=machine kind=autonomy "Bot"\n'
+                'node s lane=m stage=act "Publish"\n'
+                'node a lane=h stage=observe "Watch"\n'
+                'node b lane=h stage=orient "Digest" response.stability=amplify:2.0 '
+                'mitigation=hysteresis,hysteresis\n'
+                'edge s -> a\n'
+                'edge a -> b\n')
+        twice, once, sfm = tmp_path / "twice.hat", tmp_path / "once.hat", tmp_path / "none.sfm"
+        twice.write_text(text, encoding="utf-8")
+        once.write_text(text.replace("hysteresis,hysteresis", "hysteresis"), encoding="utf-8")
+        sfm.write_text("", encoding="utf-8")
+        trace = ("--interaction", "1", "--category", "stability", "--direction", "down")
+        diagnostic = (f"{twice}:6: error: DUPLICATE_ID: "
+                      "node 'b' lists mitigation 'hysteresis' twice\n")
+        for command, *flags in (("validate",), ("validate", "--strict"), ("interactions",),
+                                ("map",), ("specialise", "--sfm", str(sfm)), ("trace", *trace),
+                                ("mitigations",), ("report", "--format", "md", *trace)):
+            assert invoke(capsys, command, str(twice), *flags) == (
+                EXIT_FINDINGS, "", diagnostic), (command, *flags)
+        assert invoke(capsys, "trace", str(once), *trace) == (
+            EXIT_OK, "interaction 1 [stability, down]: a -> b (gain 1.0, Neutral)\n", "")
+
     def test_no_builtin_rejects_builtin_categories(self, capsys, tmp_path):
         # The ATC lens has the categories of the model's responses but not
         # the robustness of its cause= tags.

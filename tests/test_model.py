@@ -152,6 +152,24 @@ def test_unknown_mitigation_on_node_and_edge_is_error():
     assert len(diags) == 2
 
 
+def test_a_mitigation_listed_twice_on_a_node_or_edge_is_one_duplicate_id_error():
+    # Each listing would damp the step again, so a repeat is an error,
+    # reported once per id however often it repeats.
+    model = _two_lane_model()
+    model.nodes[1].mitigation_ids.extend(
+        ["hysteresis", "magic", "hysteresis", "magic", "hysteresis"])
+    model.edges[0].mitigation_ids.extend(["odd_margin", "odd_margin"])
+    err, warning = Severity.ERROR, Severity.WARNING
+    assert validate(model) == [
+        Diagnostic(err, "DUPLICATE_ID", "node 'b' lists mitigation 'hysteresis' twice"),
+        Diagnostic(err, "DUPLICATE_ID", "node 'b' lists mitigation 'magic' twice"),
+        Diagnostic(err, "UNKNOWN_MITIGATION", "node 'b' references unknown mitigation 'magic'"),
+        Diagnostic(err, "DUPLICATE_ID", "edge 'e1' lists mitigation 'odd_margin' twice"),
+        Diagnostic(warning, "MITIGATION_PLACEMENT",
+                   "edge 'e1' references mitigation 'odd_margin', whose placement is node"),
+    ]
+
+
 def test_known_category_from_supplied_catalog_passes():
     from hatlens import GenericFailureMode, Applicability, Lens, LensCatalog
 

@@ -259,7 +259,7 @@ def test_a_chain_longer_than_the_recursion_limit_is_one_pathway():
     assert (pathway.total_gain, pathway.classification) == (1.0, Classification.NEUTRAL)
 
 
-def _traced(model, interaction):
+def _traced(model, interaction, **options):
     """Each direction's pathways as (ids, labels, step gains, total repr,
     classification), or the type and text of the exception it raised."""
     outcomes = []
@@ -267,7 +267,8 @@ def _traced(model, interaction):
         try:
             outcomes.append([(p.node_ids(), tuple(node.label for node in p.nodes), p.step_gains,
                               repr(p.total_gain), p.classification.value)
-                             for p in trace(model, interaction, "stability", direction)])
+                             for p in trace(model, interaction, "stability", direction,
+                                            **options)])
         except Exception as exc:  # the type is part of the outcome
             outcomes.append((type(exc).__name__, str(exc)))
     return outcomes
@@ -293,6 +294,36 @@ def test_an_endpoint_missing_from_the_model_still_traces_from_the_interaction_s_
         node for node in model.nodes if node.id != "w"]), interaction) == [
         upstream, ("UnknownIdError", f"model '{model.name}' has no node 'w', "
                    "which edge 'back' names")]
+
+
+def test_an_edge_to_an_undeclared_node_fails_only_a_trace_that_lists_its_tail():
+    # A node's children are listed on its first visit, so an edge to an
+    # undeclared node is harmless while no trace lists the edge's tail: a
+    # node the trace never reaches, or one it reaches only as the last node
+    # of a max_depth path.
+    model = chain_model(
+        'node x lane=h stage=orient "Digest" response.stability=amplify:2.0',
+        'node y lane=h stage=decide "Choose"',
+        'node z lane=h stage=act "Idle"',
+        'node pre lane=m stage=orient "Assemble" response.stability=dampen:0.5',
+        'node pre2 lane=m stage=observe "Sense"',
+        "edge pre2 -> pre", "edge pre -> src", "edge src -> w", "edge w -> x", "edge x -> y")
+    interaction = single_interaction(model)
+
+    def strayed(*ends):
+        return dataclasses.replace(model, edges=[*model.edges, *(
+            dataclasses.replace(model.edges[0], id=f"stray{n}", from_id=tail, to_id=head)
+            for n, (tail, head) in enumerate(ends))])
+
+    full = _traced(model, interaction)
+    assert [[p[0] for p in pathways] for pathways in full] == [
+        [("src", "pre", "pre2")], [("w", "x", "y")]]
+    assert _traced(strayed(("z", "ghost"), ("ghost", "z")), interaction) == full
+    at_the_cap = strayed(("y", "ghost"), ("ghost", "pre2"))
+    assert _traced(at_the_cap, interaction, max_depth=3) == full
+    assert _traced(at_the_cap, interaction, max_depth=4) == [
+        ("UnknownIdError", f"model '{model.name}' has no node 'ghost', which edge '{edge}' names")
+        for edge in ("stray1", "stray0")]
 
 
 def test_a_node_id_declared_twice_traces_as_its_last_declaration():
