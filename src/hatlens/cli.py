@@ -182,9 +182,10 @@ def _trace_pathways(args, model: Ooda2Model, interactions: list[Interaction],
     for direction in TraceDirection:  # upstream first
         if args.direction in (direction.value, "both"):
             try:
-                pathways.extend(trace(model, interaction, args.category, direction,
-                                      max_depth=args.max_depth,
-                                      mitigation_catalog=mitigations))
+                found = trace(model, interaction, args.category, direction,
+                              max_depth=args.max_depth, mitigation_catalog=mitigations)
+                # One direction's ``Pathways`` passes as is; both make a plain list.
+                pathways = pathways + found if pathways else found
             except ValueError as exc:
                 _fail(str(exc))
     defined = {mode.category for mode in catalog.modes()}

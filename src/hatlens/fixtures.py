@@ -18,7 +18,7 @@ from .dsl import (
     parse_sfm_bindings,
 )
 from .interactions import extract_interactions, interaction_by_id
-from .lenses import LensCatalog, builtin_catalog, merge_catalogs
+from .lenses import CatalogError, LensCatalog, builtin_catalog, merge_catalogs
 from .mapping import SpecialisedFailureMode, apply_specialisations, map_failure_modes
 from .mitigations import Mitigation, builtin_mitigations, suggest_mitigations
 from .model import Ooda2Model, _HashRecord, _dataclass
@@ -95,9 +95,13 @@ def _inputs(fixture: GoldenFixture) -> tuple[
         return absent if path is None else parse(path.read_text(encoding="utf-8"))
 
     lenses = read(fixture.lens_path, parse_lens_catalog, LensCatalog())
+    mitigations, path = [], fixture.mitigation_path
+    for mit in builtin_mitigations() + read(path, parse_mitigation_catalog, []):
+        if any(mit.id == known.id for known in mitigations):  # as ``cli.load_catalogs`` does
+            raise CatalogError(f"duplicate mitigation id '{mit.id}' from {path}")
+        mitigations.append(mit)
     return (read(fixture.model_path, parse_model, None), merge_catalogs(builtin_catalog(), lenses),
-            builtin_mitigations() + read(fixture.mitigation_path, parse_mitigation_catalog, []),
-            read(fixture.sfm_path, parse_sfm_bindings, []))
+            mitigations, read(fixture.sfm_path, parse_sfm_bindings, []))
 
 
 def regenerate(fixture: GoldenFixture) -> dict[str, str]:

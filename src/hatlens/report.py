@@ -10,6 +10,8 @@ joins them into a string, and ``write_json`` writes the same bytes to a
 text file object in batches, so a large trace never exists as one string.
 Each node id and gain in a piece costs one cached lookup; the caches are
 keyed so that no value gets the spelling of another that equals it.
+``trace``'s own result, unedited, costs less: each pathway keeps the spelled
+nodes and step gains of the one before up to its fork, and looks up the rest.
 
 ``csv`` and ``json`` are imported by the functions that write them, so a
 run that writes neither never loads them.
@@ -18,6 +20,7 @@ run that writes neither never loads them.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from types import SimpleNamespace
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -25,7 +28,7 @@ from .dsl import _quote  # a DOT id is quoted and escaped as a DSL string is
 from .mapping import FailureModeRow, FailureModeTable
 from .mitigations import Mitigation
 from .model import _FACTORY, Ooda2Model, _EqRecord, _FieldOptions, _dataclass
-from .tracing import SecondOrderEffect, TraceDirection, TracePathway
+from .tracing import Pathways, SecondOrderEffect, TraceDirection, TracePathway
 
 CSV_HEADER = ("I ID,SFM ID,Interaction Name,Machine Stage,Human Stage,Direction,"
               "Generic Failure Mode,Specialised Failure Mode")
@@ -159,13 +162,18 @@ def _pathways_json(pathways: Sequence[TracePathway]) -> Iterator[str]:
     new objects, so only the non-zero floats among them are cached."""
     import json
     from json.encoder import encode_basestring
-    strings = _Spellings(encode_basestring)
-    names, steps, held = {}, {}, []  # ``held`` keeps each gain keyed in ``steps`` alive
+    strings = _Spellings(encode_basestring)  # node ids and classifications
+    steps, held = {}, []  # ``held`` keeps each gain keyed in ``steps`` alive
     totals = _Spellings(lambda f: float.__repr__(f) if math.isfinite(f) else json.dumps(f))
     opening, comma, closing = "[\n        ", ",\n        ", "\n      ]"
     separator = "[\n    "
+    # The previous pathway's spelled nodes and step gains: in ``trace``'s own
+    # result, unedited, a pathway keeps those before its fork; elsewhere none.
+    spelled_nodes, spelled_gains = [], []
+    own = isinstance(pathways, Pathways) and tuple(pathways) == pathways.walked
+    forks = pathways.forks if own else repeat(0)
     head_of = None
-    for pathway in pathways:
+    for pathway, fork in zip(pathways, forks):
         # The pathways of one trace share their first three members.
         of = (pathway.origin, pathway.mode_category, pathway.direction)
         if of != head_of:
@@ -174,15 +182,17 @@ def _pathways_json(pathways: Sequence[TracePathway]) -> Iterator[str]:
                     f'\n      "category": {json.dumps(pathway.mode_category, ensure_ascii=False)},'
                     f'\n      "direction": {json.dumps(pathway.direction.value)},'
                     '\n      "nodes": ')
-        try:
-            nodes = comma.join([names[node.id] for node in pathway.nodes])
-            gains = comma.join([steps[id(gain)] for gain in pathway.step_gains])
-        except KeyError:  # a node id or gain object met for the first time
-            names.update({node.id: encode_basestring(node.id) for node in pathway.nodes})
-            held += pathway.step_gains
-            steps.update({id(gain): json.dumps(gain) for gain in pathway.step_gains})
-            nodes = comma.join([names[node.id] for node in pathway.nodes])
-            gains = comma.join([steps[id(gain)] for gain in pathway.step_gains])
+        kept = fork and fork - 1  # the start node has no step gain
+        del spelled_nodes[fork:], spelled_gains[kept:]
+        for node in pathway.nodes[fork:]:  # a loop costs less than a comprehension's call
+            spelled_nodes.append(strings[node.id])
+        for gain in pathway.step_gains[kept:]:
+            try:
+                spelled_gains.append(steps[id(gain)])
+            except KeyError:  # a gain object met for the first time
+                held.append(gain)
+                spelled_gains.append(steps.setdefault(id(gain), json.dumps(gain)))
+        nodes, gains = comma.join(spelled_nodes), comma.join(spelled_gains)
         total = totals[t] if type(t := pathway.total_gain) is float and t else json.dumps(t)
         # An empty array is "[]"; ``_value_`` is a plain attribute, ``.value`` a property.
         yield (f"{separator}{head}{opening if nodes else '['}{nodes}"

@@ -15,6 +15,8 @@ Enumeration is one depth-first walk over an explicit stack, so ``max_depth``
 alone bounds the depth, not the recursion limit.  The on-path set is a
 ``bytearray`` indexed by ``_step_graph``'s node numbers.  As no maximal path
 is a prefix of another, pathways come out in lexicographic order, no sort.
+The walk also records each pathway's fork: how many leading nodes it
+repeats from the one before, so a writer can spell only the nodes after it.
 
 The loops are cyclic by design; the simple-path restriction is what makes
 enumeration finite.  Consequences of a failure repeating over many loop
@@ -89,6 +91,15 @@ class TracePathway(_FrozenRecord):
         return tuple(node.id for node in self.nodes)
 
 
+class Pathways(list):
+    """``trace``'s result: a list that also carries ``forks``, where
+    ``forks[i]`` is how many leading nodes pathway ``i`` repeats from pathway
+    ``i - 1`` (0 for the first), and ``walked``, the pathways as the walk
+    emitted them; ``forks`` holds only while the list still holds ``walked``."""
+
+    walked, forks = (), ()
+
+
 def _step_graph(model, interaction, mode_category, direction, mitigation_catalog):
     """``(start, children, list_children)``.  As a trace may reach few nodes,
     each is numbered on first reach (the start is 0), and ``list_children(at,
@@ -154,12 +165,14 @@ def trace(
     on_path = bytearray(len(children))
 
     # The path as parallel lists, an iterator over each path node's remaining
-    # children, and ``leaf``: set by a push, so that the next pop emits.
+    # children, and ``leaf``: set by a push, so that the next pop emits.  As a
+    # pop right after a push emits, the path is shortest since the last pathway
+    # at the first push after it: the next pathway's fork is its length then.
     numbers, path, step_gains = [0], [start], []
     on_path[0] = 1
     pending = [iter(list_children(0, start) if max_depth > 1 else ())]
     leaf = True
-    pathways = []
+    pathways, forks = Pathways(), [0]
     while pending:
         for at, node, gain in pending[-1]:
             if not on_path[at]:
@@ -181,6 +194,9 @@ def trace(
             path.pop()
             del step_gains[-1:]  # the start node has no step gain to drop
             continue
+        if not leaf:
+            leaf = True
+            forks.append(len(path))
         on_path[at] = 1
         numbers.append(at)
         path.append(node)
@@ -189,7 +205,7 @@ def trace(
         if listed is None:
             listed = list_children(at, node)
         pending.append(iter(listed))
-        leaf = True
+    pathways.walked, pathways.forks = tuple(pathways), forks
     return pathways
 
 

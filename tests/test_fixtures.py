@@ -108,18 +108,25 @@ def test_load_fixture_refuses_inputs_that_do_not_load(monkeypatch, tmp_path):
         "remerged": {".hat": model, ".lens": (
             'lens again "Again"\nmode accuracy lens=again direction=m2h '
             'category=accuracy "Accuracy again" question="Again?"\n')},
+        "redeclared": {".hat": model, ".mit": (
+            'mitigation hysteresis category=stability placement=node damping=0.5 "Again" '
+            'detail="Again."\n')},
     }
     for name, files in inputs.items():
         (tmp_path / name).mkdir()
         for suffix, text in files.items():
             (tmp_path / name / f"{name}{suffix}").write_text(text, encoding="utf-8")
     monkeypatch.setattr(fixtures, "_ROOT", tmp_path)
-    assert available_fixtures() == ["malformed", "remerged"]
+    assert available_fixtures() == ["malformed", "redeclared", "remerged"]
     with pytest.raises(DslParseError, match="missing its target node id"):
         load_fixture("malformed")
     # The lens file parses; it is the merge with the builtins that fails.
     with pytest.raises(CatalogError, match="duplicate mode id 'accuracy'"):
         load_fixture("remerged")
+    # As the CLI does, a mitigation may not redeclare a builtin's id.
+    with pytest.raises(CatalogError,
+                       match=r"^duplicate mitigation id 'hysteresis' from .*redeclared\.mit$"):
+        load_fixture("redeclared")
 
 
 @pytest.mark.parametrize("name", available_fixtures())

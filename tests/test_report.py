@@ -11,12 +11,15 @@ file.
 
 from __future__ import annotations
 
+import copy
 import csv
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import math
+import pickle
 import random
 import re
 import tracemalloc
@@ -524,6 +527,29 @@ def test_json_spells_every_number_and_empty_array_as_the_json_module_does():
                 emit_json(bad)
             with pytest.raises(TypeError, match=f"^{re.escape(str(expected.value))}$"):
                 write_json(bad, io.StringIO())
+
+
+def test_json_spells_an_edited_or_copied_trace_result_node_by_node():
+    # Only ``trace``'s own result, unedited, is spelled from its forks; a
+    # sorted, shortened, lengthened, copied or listed one writes every node.
+    checked = 0
+    for seed in range(40):
+        rng = random.Random(7000 + seed)
+        model = add_parallel_edges(random_model(rng), rng)
+        for interaction, category in itertools.product(extract_interactions(model)[:2],
+                                                       BUILTIN_CATEGORIES):
+            result = trace(model, interaction, category, TraceDirection.DOWNSTREAM)
+            assert result == list(result) and list(result) == result
+            edited = [copy.copy(result) for _ in range(3)]
+            edited[0].sort(key=lambda pathway: pathway.total_gain)
+            del edited[1][len(result) // 2]
+            edited[2].append(result[0])
+            for pathways in (*edited, copy.deepcopy(result), pickle.loads(pickle.dumps(result)),
+                             list(result)):
+                bundle = ReportBundle(pathways=pathways)
+                assert emit_json(bundle) == _json_module_bytes(bundle), f"seed {seed}"
+            checked += edited[0] != result
+    assert checked >= 20, "too few traces that sorting reorders"
 
 
 class _BuiltOnEachAccess(Sequence):

@@ -31,7 +31,7 @@ import sys
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -444,6 +444,32 @@ def test_traced_pathways_equal_ones_built_through_the_dataclass():
                     assert repr(pathway) == repr(built)
                     checked += 1
     assert checked >= 100
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       category=st.sampled_from(BUILTIN_CATEGORIES),
+       max_depth=st.integers(min_value=1, max_value=16))
+def test_trace_records_where_each_pathway_forks_from_the_one_before(seed, category, max_depth):
+    rng = random.Random(seed)
+    model = add_parallel_edges(random_model(rng), rng)
+    for interaction in extract_interactions(model)[:2]:
+        for direction in TraceDirection:
+            result = trace(model, interaction, category, direction, max_depth=max_depth,
+                           mitigation_catalog=builtin_mitigations())
+            assert result.walked == tuple(result)
+            assert len(result.forks) == len(result) and result.forks[0] == 0
+            for before, pathway, fork in zip(result, result[1:], result.forks[1:]):
+                shared = 0
+                while (shared < min(len(before.nodes), len(pathway.nodes))
+                       and before.nodes[shared] is pathway.nodes[shared]):
+                    shared += 1
+                assert fork == shared >= 1
+                assert all(earlier is later for earlier, later in
+                           zip(before.step_gains[:fork - 1], pathway.step_gains[:fork - 1]))
+            # The writer spells the nodes after each fork alone, to the same bytes.
+            assert emit_json(ReportBundle(pathways=result)) == emit_json(
+                ReportBundle(pathways=list(result)))
 
 
 def test_traced_pathways_stay_frozen_and_replaceable():
