@@ -62,25 +62,13 @@ def _fail(message: str) -> None:
     sys.exit(EXIT_USAGE)
 
 
-def _read(path: str) -> str:
+def _parse_file(path: str | Path, parser):
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
-    except OSError as exc:
-        _fail(f"cannot read {path}: {exc.strerror or exc}")
-    except UnicodeDecodeError as exc:
-        _fail(f"cannot read {path}: {exc}")
-
-
-def _parse_file(path: str, parser):
-    text = _read(path)
-    try:
-        return parser(text)
-    except DslParseError as exc:
-        for diag in exc.diagnostics:
-            print(f"{path}:{diag.line}:{diag.column}: error: {diag.message}",
-                  file=sys.stderr)
-        sys.exit(EXIT_USAGE)
+            return parser(handle.read())
+    except (OSError, UnicodeDecodeError, DslParseError) as exc:
+        exc.filename = path
+        raise
 
 
 def load_catalogs(lens_paths: Sequence[str | Path] = (),
@@ -88,8 +76,8 @@ def load_catalogs(lens_paths: Sequence[str | Path] = (),
                   builtin_lenses: bool = True) -> tuple[LensCatalog, list[Mitigation]]:
     """The lens and mitigation catalogs of a run: the builtins (the builtin
     lenses only if ``builtin_lenses``) followed by each file in order.  A file
-    that cannot be read or parsed prints its diagnostics and raises
-    ``SystemExit(2)``; one that repeats a lens, mode or mitigation id raises
+    that cannot be read or parsed raises its ``OSError``, ``UnicodeDecodeError``
+    or ``DslParseError``; one that repeats a lens, mode or mitigation id raises
     ``CatalogError``."""
     catalog = builtin_catalog() if builtin_lenses else LensCatalog(lenses=[])
     for path in lens_paths:
@@ -379,7 +367,7 @@ def run(argv: list[str] | None = None) -> int:
     """Execute one CLI invocation; returns the process exit code.  A library
     finding (conflicting catalogs, a binding that does not apply, an unknown
     id, pathways that do not fit the model) prints ``error: <message>`` and
-    returns 1."""
+    returns 1.  An input that cannot be read or parsed prints its error and returns 2."""
     # A command's data is acyclic and lives until the command ends, and so
     # does the parser, so the cyclic collector would only walk them again and
     # again: it is paused while the arguments are parsed and the command runs.
@@ -393,6 +381,16 @@ def run(argv: list[str] | None = None) -> int:
     except (CatalogError, SpecialisationError, UnknownIdError, ReportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FINDINGS
+    except DslParseError as exc:
+        for diag in exc.diagnostics:
+            print(f"{exc.filename}:{diag.line}:{diag.column}: error: {diag.message}",
+                  file=sys.stderr)
+        return EXIT_USAGE
+    except (OSError, UnicodeDecodeError) as exc:
+        # Only a read gets here: ``_output`` fails every write as ``cannot write``.
+        reason = getattr(exc, "strerror", None) or exc
+        print(f"error: cannot read {exc.filename}: {reason}", file=sys.stderr)
+        return EXIT_USAGE
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     finally:

@@ -11,16 +11,12 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .dsl import (
-    parse_lens_catalog,
-    parse_mitigation_catalog,
-    parse_model,
-    parse_sfm_bindings,
-)
+from .cli import _parse_file, load_catalogs
+from .dsl import parse_model, parse_sfm_bindings
 from .interactions import extract_interactions, interaction_by_id
-from .lenses import CatalogError, LensCatalog, builtin_catalog, merge_catalogs
+from .lenses import LensCatalog
 from .mapping import SpecialisedFailureMode, apply_specialisations, map_failure_modes
-from .mitigations import Mitigation, builtin_mitigations, suggest_mitigations
+from .mitigations import Mitigation, suggest_mitigations
 from .model import Ooda2Model, _HashRecord, _dataclass
 from .report import ReportBundle, emit_csv, emit_dot, emit_markdown, emit_second_order_json
 from .tracing import TraceDirection, derive_second_order, trace
@@ -90,18 +86,13 @@ def load_fixture(name: str) -> GoldenFixture:
 
 def _inputs(fixture: GoldenFixture) -> tuple[
         Ooda2Model, LensCatalog, list[Mitigation], list[SpecialisedFailureMode]]:
-    """The model, lens catalog, mitigations and bindings: builtins, then the fixture's."""
-    def read(path: Path | None, parse, absent):
-        return absent if path is None else parse(path.read_text(encoding="utf-8"))
-
-    lenses = read(fixture.lens_path, parse_lens_catalog, LensCatalog())
-    mitigations, path = [], fixture.mitigation_path
-    for mit in builtin_mitigations() + read(path, parse_mitigation_catalog, []):
-        if any(mit.id == known.id for known in mitigations):  # as ``cli.load_catalogs`` does
-            raise CatalogError(f"duplicate mitigation id '{mit.id}' from {path}")
-        mitigations.append(mit)
-    return (read(fixture.model_path, parse_model, None), merge_catalogs(builtin_catalog(), lenses),
-            mitigations, read(fixture.sfm_path, parse_sfm_bindings, []))
+    """The model, lens catalog, mitigations and bindings, loaded as the CLI loads them."""
+    catalog, mitigations = load_catalogs(
+        [fixture.lens_path] if fixture.lens_path else [],
+        [fixture.mitigation_path] if fixture.mitigation_path else [])
+    model = _parse_file(fixture.model_path, parse_model)
+    return model, catalog, mitigations, (
+        [] if fixture.sfm_path is None else _parse_file(fixture.sfm_path, parse_sfm_bindings))
 
 
 def regenerate(fixture: GoldenFixture) -> dict[str, str]:

@@ -539,6 +539,20 @@ class TestLenses:
         with pytest.raises(CatalogError, match="duplicate mitigation id 'hmi_summary'"):
             cli.load_catalogs(mit_paths=[MIT, MIT])
 
+    def test_the_library_loader_raises_read_and_parse_errors_and_prints_nothing(
+            self, capsys, tmp_path):
+        # Raised, not printed and turned into SystemExit: ``run`` reports them.
+        missing = tmp_path / "gone.lens"
+        with pytest.raises(FileNotFoundError) as reading:
+            cli.load_catalogs([LENS, missing])
+        assert reading.value.filename == missing
+        malformed = tmp_path / "broken.mit"
+        malformed.write_text("mitigation x\n", encoding="utf-8")
+        with pytest.raises(DslParseError, match="missing the category= attribute") as parsing:
+            cli.load_catalogs([LENS], [MIT, str(malformed)])
+        assert parsing.value.filename == str(malformed)
+        assert capsys.readouterr() == ("", "")
+
 
 class TestValidate:
     def test_clean_model_is_silent(self, capsys):
@@ -706,6 +720,52 @@ class TestFilesAndUsage:
         assert err.startswith(f"error: cannot read {path}:")
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("failure", ["missing", "directory", "not-utf8", "malformed"])
+    @pytest.mark.parametrize("flag", ["model", "--lens", "--mit", "--sfm"])
+    def test_every_input_file_fails_with_its_path_and_exit_2(self, capsys, tmp_path, flag,
+                                                            failure):
+        suffix, command, malformed, messages = {
+            "model": (".hat", ["validate"], "# no model statement\nlane\n", [
+                "lane statement is missing its id",
+                "lane statement is missing the side= attribute",
+                "lane statement is missing the kind= attribute",
+                "lane statement is missing its quoted display name"]),
+            "--lens": (".lens", ["validate", MODEL], "# one lens\nlens\n", [
+                "lens statement is missing its id",
+                "lens statement is missing its quoted name"]),
+            "--mit": (".mit", ["validate", MODEL, "--lens", LENS],
+                      "# one mitigation\nmitigation x category=use\n", [
+                "mitigation statement is missing the placement= attribute",
+                "mitigation statement is missing its quoted name",
+                "mitigation statement is missing the detail= attribute"]),
+            "--sfm": (".sfm", ["specialise", MODEL, "--lens", LENS],
+                      "# one binding\nsfm 1 mode=timely\n", [
+                "sfm statement is missing the interaction= attribute",
+                "sfm statement is missing its quoted text"]),
+        }[flag]
+        path = tmp_path / f"input{suffix}"
+        undecodable = b'# caf\xe9\n'
+        if failure == "directory":
+            path.mkdir()
+        elif failure == "not-utf8":
+            path.write_bytes(undecodable)
+        elif failure == "malformed":
+            path.write_text(malformed, encoding="utf-8")
+        argv = [*command, str(path)] if flag == "model" else [*command, flag, str(path)]
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "Traceback" not in err
+        if failure == "malformed":
+            assert err == "".join(f"{path}:2:1: error: {message}\n" for message in messages)
+            return
+        if failure == "not-utf8":
+            with pytest.raises(UnicodeDecodeError) as decoding:
+                undecodable.decode("utf-8")
+            reason = str(decoding.value)
+        else:
+            reason = os.strerror(errno.ENOENT if failure == "missing" else errno.EISDIR)
+        assert err == f"error: cannot read {path}: {reason}\n"
 
     @pytest.mark.parametrize("argv", [
         ("validate", "atc.hat", "--lens", "atc.lens", "--mit", "atc.mit", "--strict"),

@@ -28,6 +28,7 @@ from hatlens import (
     regenerate,
     validate,
 )
+from hatlens import cli
 from hatlens.cli import load_catalogs
 
 from conftest import FIXTURE_ROOT
@@ -101,10 +102,24 @@ def test_the_fixture_loader_and_the_cli_build_the_same_catalogs(name):
     assert (catalog, mitigations) == load_catalogs(lens_paths, mit_paths)
 
 
-def test_load_fixture_refuses_inputs_that_do_not_load(monkeypatch, tmp_path):
+def test_a_fixture_loads_its_catalogs_once_through_the_cli_s_loader(monkeypatch):
+    assert fixtures.load_catalogs is cli.load_catalogs
+    calls = []
+    monkeypatch.setattr(fixtures, "load_catalogs", lambda *args, **kwargs: (
+        calls.append(args) or cli.load_catalogs(*args, **kwargs)))
+    fixture = load_fixture("atc")
+    assert calls == [([fixture.lens_path], [fixture.mitigation_path])]
+    calls.clear()
+    regenerate(fixture)
+    assert calls == [([fixture.lens_path], [fixture.mitigation_path])]
+
+
+def test_load_fixture_refuses_inputs_that_do_not_load(monkeypatch, tmp_path, capsys):
     model = (FIXTURE_ROOT / "minimal" / "minimal.hat").read_text(encoding="utf-8")
     inputs = {
         "malformed": {".hat": model + "edge watch ->\n"},
+        "badlens": {".hat": model, ".lens": "# one lens\nlens\n"},
+        "badsfm": {".hat": model, ".sfm": "# one binding\nsfm 1 mode=timely\n"},
         "remerged": {".hat": model, ".lens": (
             'lens again "Again"\nmode accuracy lens=again direction=m2h '
             'category=accuracy "Accuracy again" question="Again?"\n')},
@@ -117,9 +132,13 @@ def test_load_fixture_refuses_inputs_that_do_not_load(monkeypatch, tmp_path):
         for suffix, text in files.items():
             (tmp_path / name / f"{name}{suffix}").write_text(text, encoding="utf-8")
     monkeypatch.setattr(fixtures, "_ROOT", tmp_path)
-    assert available_fixtures() == ["malformed", "redeclared", "remerged"]
+    assert available_fixtures() == ["badlens", "badsfm", "malformed", "redeclared", "remerged"]
     with pytest.raises(DslParseError, match="missing its target node id"):
         load_fixture("malformed")
+    for name, suffix in [("badlens", ".lens"), ("badsfm", ".sfm")]:
+        with pytest.raises(DslParseError, match="^2:1: ") as parsing:
+            load_fixture(name)
+        assert parsing.value.filename == tmp_path / name / f"{name}{suffix}"
     # The lens file parses; it is the merge with the builtins that fails.
     with pytest.raises(CatalogError, match="duplicate mode id 'accuracy'"):
         load_fixture("remerged")
@@ -127,6 +146,7 @@ def test_load_fixture_refuses_inputs_that_do_not_load(monkeypatch, tmp_path):
     with pytest.raises(CatalogError,
                        match=r"^duplicate mitigation id 'hysteresis' from .*redeclared\.mit$"):
         load_fixture("redeclared")
+    assert capsys.readouterr() == ("", "")
 
 
 @pytest.mark.parametrize("name", available_fixtures())
