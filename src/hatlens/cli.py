@@ -56,9 +56,17 @@ EXIT_FINDINGS = 1
 EXIT_USAGE = 2
 
 
+def _say(line: str) -> None:
+    """Print ``line`` to standard error if it can: a lost diagnostic must not
+    change the exit code or stop the run.  ``print(file=None)`` writes to stdout."""
+    if sys.stderr is not None:
+        with contextlib.suppress(OSError):
+            print(line, file=sys.stderr)
+
+
 def _fail(message: str) -> None:
     """Stop the command as a usage error, with ``message``."""
-    print(f"error: {message}", file=sys.stderr)
+    _say(f"error: {message}")
     sys.exit(EXIT_USAGE)
 
 
@@ -104,8 +112,7 @@ def _inputs(args) -> tuple[LensCatalog, list[Mitigation], Ooda2Model]:
                            mitigation_catalog=mitigations)
     for diag in diagnostics:
         line = diag.line if diag.line is not None else 0
-        print(f"{args.model}:{line}: {diag.severity.value}: {diag.code}: "
-              f"{diag.message}", file=sys.stderr)
+        _say(f"{args.model}:{line}: {diag.severity.value}: {diag.code}: {diag.message}")
     if has_errors(diagnostics):
         sys.exit(EXIT_FINDINGS)
     return catalog, mitigations, model
@@ -172,7 +179,7 @@ def _trace_pathways(args, model: Ooda2Model, interactions: list[Interaction],
             try:
                 found = trace(model, interaction, args.category, direction,
                               max_depth=args.max_depth, mitigation_catalog=mitigations)
-                # One direction's ``Pathways`` passes as is; both make a plain list.
+                # Up + down keeps both walks' forks (``Pathways.__add__``).
                 pathways = pathways + found if pathways else found
             except ValueError as exc:
                 _fail(str(exc))
@@ -181,9 +188,8 @@ def _trace_pathways(args, model: Ooda2Model, interactions: list[Interaction],
             args.category in mitigation.categories for mitigation in mitigations):
         # No node responds to it (validate refuses such a response) and no
         # mitigation damps it, so the trace measured nothing.
-        print(f"warning: category '{args.category}' is not defined by the loaded lenses "
-              f"(defined: {', '.join(sorted(defined))}); every step is Neutral",
-              file=sys.stderr)
+        _say(f"warning: category '{args.category}' is not defined by the loaded lenses "
+             f"(defined: {', '.join(sorted(defined))}); every step is Neutral")
     return pathways
 
 
@@ -379,17 +385,16 @@ def run(argv: list[str] | None = None) -> int:
         args = _build_parser(argv[0] if argv else None).parse_args(argv)
         args.func(args)
     except (CatalogError, SpecialisationError, UnknownIdError, ReportError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}")
         return EXIT_FINDINGS
     except DslParseError as exc:
         for diag in exc.diagnostics:
-            print(f"{exc.filename}:{diag.line}:{diag.column}: error: {diag.message}",
-                  file=sys.stderr)
+            _say(f"{exc.filename}:{diag.line}:{diag.column}: error: {diag.message}")
         return EXIT_USAGE
     except (OSError, UnicodeDecodeError) as exc:
         # Only a read gets here: ``_output`` fails every write as ``cannot write``.
         reason = getattr(exc, "strerror", None) or exc
-        print(f"error: cannot read {exc.filename}: {reason}", file=sys.stderr)
+        _say(f"error: cannot read {exc.filename}: {reason}")
         return EXIT_USAGE
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
@@ -413,8 +418,7 @@ def main(argv: list[str] | None = None) -> int:
         # write; only the help text can get here unreported.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         if code == EXIT_OK:
-            print(f"error: cannot write standard output: {exc.strerror or exc}",
-                  file=sys.stderr)
+            _say(f"error: cannot write standard output: {exc.strerror or exc}")
             code = EXIT_USAGE
     if argv is None:
         # The process ends next: its shutdown collections would re-walk the

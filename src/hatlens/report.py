@@ -5,13 +5,12 @@ byte-identical output.  CSV carries the failure-mode table alone, Markdown
 and JSON carry a full ``ReportBundle``, DOT renders a model with one or
 more trace pathways highlighted.
 
-JSON is produced as a stream of pieces, one per pathway: ``emit_json``
-joins them into a string, and ``write_json`` writes the same bytes to a
-text file object in batches, so a large trace never exists as one string.
-Each node id and gain in a piece costs one cached lookup; the caches are
-keyed so that no value gets the spelling of another that equals it.
-``trace``'s own result, unedited, costs less: each pathway keeps the spelled
-nodes and step gains of the one before up to its fork, and looks up the rest.
+JSON is produced as a stream of pieces, the pathways in batches of some
+64 KiB: ``emit_json`` joins them, and ``write_json`` writes each to a text
+file, so a large trace never exists as one string.  Each array element is
+spelled once with the text before it, and cached by a key that no other
+value equal to it shares.  ``trace``'s own result, unedited, costs less: a
+pathway keeps the spelled elements of the one before up to its fork.
 
 ``csv`` and ``json`` are imported by the functions that write them, so a
 run that writes neither never loads them.
@@ -154,54 +153,63 @@ class _Spellings(dict):
 
 
 def _pathways_json(pathways: Sequence[TracePathway]) -> Iterator[str]:
-    """The pathways array, in pieces, exactly as ``json.dumps(..., indent=2)``
-    writes it one level deep (``indent`` makes ``json`` use its pure-Python
-    encoder), or raising what it raises.  Gains are cached by identity, as a
-    trace shares one gain object per edge: by value, ``1``, ``True``, ``-0.0``
-    or ``Decimal("1.25")`` would get an equal float's spelling.  Totals are
-    new objects, so only the non-zero floats among them are cached."""
+    """The pathways array, in batches of some 64 KiB, exactly as ``json.dumps(...,
+    indent=2)`` writes it one level deep (``indent`` makes ``json`` use its
+    pure-Python encoder), or raising what it raises.  Node ids and gains are
+    cached as an array's first element and as a later one; gains by identity,
+    as a trace shares one gain object per edge: by value, ``1``, ``True``,
+    ``-0.0`` or ``Decimal("1.25")`` would get an equal float's spelling.
+    Totals are new objects, so only the non-zero floats among them are cached."""
     import json
     from json.encoder import encode_basestring
-    strings = _Spellings(encode_basestring)  # node ids and classifications
-    steps, held = {}, []  # ``held`` keeps each gain keyed in ``steps`` alive
-    totals = _Spellings(lambda f: float.__repr__(f) if math.isfinite(f) else json.dumps(f))
     opening, comma, closing = "[\n        ", ",\n        ", "\n      ]"
+    ids = _Spellings(lambda text: (opening + (s := encode_basestring(text)), comma + s))
+    steps = {}  # each gain's forms and the gain, kept alive so that no other gets its id
+    totals = _Spellings(lambda f: float.__repr__(f) if math.isfinite(f) else json.dumps(f))
+    between, empty = f'{closing},\n      "step_gains": ', '[],\n      "step_gains": '
     separator = "[\n    "
     # The previous pathway's spelled nodes and step gains: in ``trace``'s own
     # result, unedited, a pathway keeps those before its fork; elsewhere none.
-    spelled_nodes, spelled_gains = [], []
+    spelled_nodes, spelled_gains, batch = [], [], []
     own = isinstance(pathways, Pathways) and tuple(pathways) == pathways.walked
     forks = pathways.forks if own else repeat(0)
     head_of = None
     for pathway, fork in zip(pathways, forks):
-        # The pathways of one trace share their first three members.
-        of = (pathway.origin, pathway.mode_category, pathway.direction)
-        if of != head_of:
+        # Past a fork the trace is the same, and so are the first three members.
+        if not fork and (of := (pathway.origin, pathway.mode_category,
+                                pathway.direction)) != head_of:
             head_of = of
-            head = (f'{{\n      "interaction_id": {json.dumps(pathway.origin.i_id)},'
-                    f'\n      "category": {json.dumps(pathway.mode_category, ensure_ascii=False)},'
-                    f'\n      "direction": {json.dumps(pathway.direction.value)},'
-                    '\n      "nodes": ')
+            head = (f'{{\n      "interaction_id": {json.dumps(pathway.origin.i_id)},\n      '
+                    f'"category": {json.dumps(pathway.mode_category, ensure_ascii=False)},\n'
+                    f'      "direction": {json.dumps(pathway.direction.value)},\n      "nodes": ')
         kept = fork and fork - 1  # the start node has no step gain
         del spelled_nodes[fork:], spelled_gains[kept:]
+        form = fork > 0  # a kept element is the array's first
         for node in pathway.nodes[fork:]:  # a loop costs less than a comprehension's call
-            spelled_nodes.append(strings[node.id])
+            spelled_nodes.append(ids[node.id][form])
+            form = 1
+        form = kept > 0
         for gain in pathway.step_gains[kept:]:
             try:
-                spelled_gains.append(steps[id(gain)])
+                spelled_gains.append(steps[id(gain)][form])
             except KeyError:  # a gain object met for the first time
-                held.append(gain)
-                spelled_gains.append(steps.setdefault(id(gain), json.dumps(gain)))
-        nodes, gains = comma.join(spelled_nodes), comma.join(spelled_gains)
+                steps[id(gain)] = opening + (s := json.dumps(gain)), comma + s, gain
+                spelled_gains.append(steps[id(gain)][form])
+            form = 1
         total = totals[t] if type(t := pathway.total_gain) is float and t else json.dumps(t)
-        # An empty array is "[]"; ``_value_`` is a plain attribute, ``.value`` a property.
-        yield (f"{separator}{head}{opening if nodes else '['}{nodes}"
-               f"{closing if nodes else ']'},\n      \"step_gains\": "
-               f"{opening if gains else '['}{gains}{closing if gains else ']'},"
-               f'\n      "total_gain": {total},'
-               f'\n      "classification": {strings[pathway.classification._value_]}\n    }}')
+        batch.append(separator + head)
+        batch += spelled_nodes
+        batch.append(between if spelled_nodes else empty)
+        batch += spelled_gains
+        # An empty array is "[]".  ``_value_`` is a plain attribute, and needs no JSON escape.
+        batch.append(f'{closing if spelled_gains else "[]"},\n      "total_gain": {total},'
+                     f'\n      "classification": "{pathway.classification._value_}"\n    }}')
         separator = ",\n    "
-    yield "[]" if head_of is None else "\n  ]"
+        if len(batch) > 3000:  # some 64 KiB where ids are short
+            yield "".join(batch)
+            batch.clear()
+    batch.append("[]" if head_of is None else "\n  ]")
+    yield "".join(batch)
 
 
 def _nested(value) -> str:
@@ -213,8 +221,8 @@ def _nested(value) -> str:
 
 def _json_pieces(bundle: ReportBundle) -> Iterator[str]:
     """The bundle's JSON document, in pieces, with a fixed key order (schema
-    shipped in docs/).  The pathways come one piece each, so no caller needs
-    the whole document in memory."""
+    shipped in docs/).  The pathways come in batches of some 64 KiB, so no
+    caller needs the whole document in memory."""
     yield '{\n  "failure_modes": '
     yield _nested([
         {
@@ -254,18 +262,10 @@ def emit_json(bundle: ReportBundle) -> str:
 
 
 def write_json(bundle: ReportBundle, out: TextIO) -> None:
-    """Write ``emit_json(bundle)`` to the text file ``out``, in writes of
-    about 64 KiB, without holding the whole document in memory."""
-    batch: list[str] = []
-    size = 0
+    """Write ``emit_json(bundle)`` to the text file ``out`` without holding the
+    whole document in memory: the pathways go in batches of some 64 KiB."""
     for piece in _json_pieces(bundle):
-        batch.append(piece)
-        size += len(piece)
-        if size >= 65536:
-            out.write("".join(batch))
-            batch.clear()
-            size = 0
-    out.write("".join(batch))
+        out.write(piece)
 
 
 def emit_second_order_json(effects: Sequence[SecondOrderEffect]) -> str:

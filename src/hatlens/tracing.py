@@ -95,9 +95,17 @@ class Pathways(list):
     """``trace``'s result: a list that also carries ``forks``, where
     ``forks[i]`` is how many leading nodes pathway ``i`` repeats from pathway
     ``i - 1`` (0 for the first), and ``walked``, the pathways as the walk
-    emitted them; ``forks`` holds only while the list still holds ``walked``."""
+    emitted them; ``forks`` holds only while the list still holds ``walked``.
+    Two unedited ones add up to one that keeps both; other sums are lists."""
 
     walked, forks = (), ()
+
+    def __add__(self, other):
+        joined = list.__add__(self, other)
+        if isinstance(other, Pathways) and all(p.walked == tuple(p) for p in (self, other)):
+            joined = Pathways(joined)
+            joined.walked, joined.forks = self.walked + other.walked, [*self.forks, *other.forks]
+        return joined
 
 
 def _step_graph(model, interaction, mode_category, direction, mitigation_catalog):

@@ -836,6 +836,40 @@ class TestFilesAndUsage:
         assert (result.returncode, result.stderr) == (
             EXIT_USAGE, f"error: cannot write standard output: {reason}\n")
 
+    @pytest.mark.parametrize("stderr", ["full", "closed"])
+    @pytest.mark.parametrize("argv, code, lines", [
+        (("validate", str(ATC / "no-such.hat")), EXIT_USAGE, 0),
+        (("trace", MODEL, "--interaction", "99", "--category", "timely", "--direction", "up"),
+         EXIT_FINDINGS, 0),
+        (("specialise", MODEL, "--sfm", SFM), EXIT_FINDINGS, 0),
+        (("trace", MODEL, "--interaction", "3", "--category", "timely", "--direction", "up"),
+         EXIT_OK, 6),
+    ], ids=["missing-file", "unknown-interaction", "bad-binding", "warned"])
+    def test_an_unwritable_stderr_changes_no_exit_code_and_no_data(self, stderr, argv, code,
+                                                                    lines):
+        # The warned trace prints a warning before its data; losing it must
+        # not lose the data.
+        env = dict(os.environ, PYTHONPATH=str(FIXTURE_ROOT.parent.parent))
+        with open(os.devnull if stderr == "closed" else "/dev/full", "w") as sink:
+            result = subprocess.run(
+                [sys.executable, "-m", "hatlens.cli", *argv], stdout=subprocess.PIPE,
+                stderr=sink, text=True, timeout=120, env=env,
+                preexec_fn=(lambda: os.close(2)) if stderr == "closed" else None)
+        assert result.returncode == code
+        assert len(result.stdout.splitlines()) == lines
+        assert all(line.startswith("interaction 3 [timely, up]: hmi_recommend -> ")
+                   for line in result.stdout.splitlines())
+
+    def test_no_stderr_at_all_sends_no_diagnostic_to_stdout(self, capsys, monkeypatch):
+        argv = ["trace", MODEL, "--interaction", "3", "--category", "timely", "--direction", "up"]
+        expected = invoke(capsys, *argv)
+        assert expected[0] == EXIT_OK and expected[2].startswith("warning: category 'timely'")
+        monkeypatch.setattr(sys, "stderr", None)
+        assert run(argv) == EXIT_OK
+        assert capsys.readouterr().out == expected[1]
+        assert run(["validate", str(ATC / "no-such.hat")]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
     def test_stdout_in_another_encoding_gets_the_bytes_of_the_output_file(
             self, capsys, monkeypatch, tmp_path):
         target = tmp_path / "out.lens"

@@ -83,6 +83,7 @@ from hatlens import (
 )
 from hatlens.dsl import _quote
 from hatlens.report import csv_text, pathway_label
+from hatlens.tracing import Pathways
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "report-schema.json"
 
@@ -550,6 +551,100 @@ def test_json_spells_an_edited_or_copied_trace_result_node_by_node():
                 assert emit_json(bundle) == _json_module_bytes(bundle), f"seed {seed}"
             checked += edited[0] != result
     assert checked >= 20, "too few traces that sorting reorders"
+
+
+def _complete_model(size):
+    """A machine node feeding a human node that leads into ``size`` nodes with
+    an edge from each to every other: ``size!`` pathways downstream."""
+    inner = [f"k{index}" for index in range(size)]
+    return parse_model("".join(f"{line}\n" for line in (
+        'model "Complete"',
+        'lane h side=human kind=operator "Human"',
+        'lane m side=machine kind=autonomy "Machine"',
+        'node src lane=m stage=decide "Recommend"',
+        'node w lane=h stage=observe "Watch"',
+        *(f'node {node} lane=h stage=orient "Weigh" response.stability=amplify:{1.25 + index / 4}'
+          for index, node in enumerate(inner)),
+        "edge src -> w",
+        *(f"edge w -> {node}" for node in inner),
+        *(f"edge {first} -> {second}" for first in inner for second in inner
+          if first != second),
+    )))
+
+
+class _CountingSink:
+    writes = written = 0
+
+    def write(self, text):
+        self.writes += 1
+        self.written += len(text)
+
+
+def test_write_json_writes_a_trace_s_own_result_in_batches():
+    model = _complete_model(7)
+    (interaction,) = extract_interactions(model)
+    pathways = trace(model, interaction, "stability", TraceDirection.DOWNSTREAM)
+    assert len(pathways) == 5040 and pathways.walked == tuple(pathways)
+    bundle = ReportBundle(pathways=pathways)
+    sink = _CountingSink()
+    tracemalloc.start()
+    try:
+        write_json(bundle, sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    expected = _json_module_bytes(bundle)
+    assert sink.written == len(expected) > 1_000_000
+    assert 1 < sink.writes < len(pathways) / 20
+    assert peak < sink.written / 4
+    assert emit_json(bundle) == expected
+
+
+def test_json_of_a_dead_end_trace_and_of_no_pathways():
+    model = parse_model('model "Stub"\n'
+                        'lane h side=human kind=operator "Human"\n'
+                        'lane m side=machine kind=autonomy "Machine"\n'
+                        'node src lane=m stage=decide "Recommend"\n'
+                        'node w lane=h stage=observe "Watch"\n'
+                        'edge src -> w\n')
+    (interaction,) = extract_interactions(model)
+    up, down = (trace(model, interaction, "stability", direction)
+                for direction in TraceDirection)
+    assert [(pathway.node_ids(), pathway.step_gains) for pathway in up + down] == [
+        (("src",), ()), (("w",), ())]
+    for pathways in (up, down, up + down, Pathways(), []):
+        bundle = ReportBundle(pathways=pathways)
+        out = io.StringIO()
+        write_json(bundle, out)
+        assert emit_json(bundle) == out.getvalue() == _json_module_bytes(bundle)
+    assert '"nodes": [\n        "w"\n      ],\n      "step_gains": [],' in emit_json(
+        ReportBundle(pathways=down))
+
+
+def test_a_sum_of_trace_results_keeps_their_forks_only_while_unedited():
+    checked = 0
+    for seed in range(40):
+        rng = random.Random(7100 + seed)
+        model = add_parallel_edges(random_model(rng), rng)
+        for interaction in extract_interactions(model)[:1]:
+            up, down = (trace(model, interaction, "stability", direction)
+                        for direction in TraceDirection)
+            joined = up + down
+            assert type(joined) is Pathways and joined == [*up, *down]
+            assert (joined.walked, joined.forks) == ((*up, *down), [*up.forks, *down.forks])
+            edited = copy.copy(down)
+            edited.append(up[0])
+            growing = copy.copy(up)
+            growing += down  # extends ``up``'s list past the walk it records
+            summed = [up + list(down), list(up) + down, up + edited, edited + up, growing,
+                      joined + [up[0]], copy.copy(joined)]
+            summed[-1].reverse()
+            for pathways in (joined, *summed):
+                bundle = ReportBundle(pathways=pathways)
+                assert emit_json(bundle) == _json_module_bytes(bundle), f"seed {seed}"
+            assert [type(pathways) for pathways in summed[:4]] == [list] * 4
+            checked += 1
+    assert checked >= 20
 
 
 class _BuiltOnEachAccess(Sequence):

@@ -454,12 +454,17 @@ def test_trace_records_where_each_pathway_forks_from_the_one_before(seed, catego
     rng = random.Random(seed)
     model = add_parallel_edges(random_model(rng), rng)
     for interaction in extract_interactions(model)[:2]:
-        for direction in TraceDirection:
-            result = trace(model, interaction, category, direction, max_depth=max_depth,
-                           mitigation_catalog=builtin_mitigations())
+        up, down = (trace(model, interaction, category, direction, max_depth=max_depth,
+                          mitigation_catalog=builtin_mitigations())
+                    for direction in TraceDirection)
+        # Up + down keeps both walks' forks: the second walk starts at fork 0.
+        for result, starts in ((up, [0]), (down, [0]), (up + down, [0, len(up)])):
             assert result.walked == tuple(result)
-            assert len(result.forks) == len(result) and result.forks[0] == 0
+            assert len(result.forks) == len(result)
+            assert [index for index, fork in enumerate(result.forks) if not fork] == starts
             for before, pathway, fork in zip(result, result[1:], result.forks[1:]):
+                if not fork:
+                    continue
                 shared = 0
                 while (shared < min(len(before.nodes), len(pathway.nodes))
                        and before.nodes[shared] is pathway.nodes[shared]):
