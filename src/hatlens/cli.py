@@ -1,10 +1,9 @@
 """Command-line front end wiring the five analysis steps together.
 
 Subcommands mirror the pipeline: ``validate`` a model, list its
-``interactions``, ``map`` generic failure modes onto them, ``specialise``
-the table with a bindings file, ``trace`` propagation pathways,
-``mitigations`` to match catalog entries against the table, ``report`` to
-render everything, and ``lenses`` to inspect or export catalogs.
+``interactions``, ``trace`` propagation pathways, ``report`` everything,
+and inspect or export catalogs with ``lenses``.  ``map`` and ``specialise``
+(with ``--sfm``) print the report's CSV table, ``mitigations`` its suggestions.
 
 Exit codes: 0 success, 1 analysis findings at error severity, 2 usage or
 parse failure.  Diagnostics go to standard error; data goes to standard
@@ -162,14 +161,6 @@ def _write(args, text: str) -> None:
     _output(args, lambda out: out.write(text))
 
 
-def _build_table(args, interactions: list[Interaction], catalog: LensCatalog):
-    table = map_failure_modes(interactions, catalog)
-    if not args.sfm:
-        return table, []
-    sfms = _parse_file(args.sfm, parse_sfm_bindings)
-    return apply_specialisations(table, sfms), sfms
-
-
 def _trace_pathways(args, model: Ooda2Model, interactions: list[Interaction],
                     catalog: LensCatalog, mitigations: list[Mitigation]) -> list[TracePathway]:
     interaction = interaction_by_id(interactions, args.interaction)
@@ -193,6 +184,19 @@ def _trace_pathways(args, model: Ooda2Model, interactions: list[Interaction],
     return pathways
 
 
+def _bundle(args) -> tuple[Ooda2Model, ReportBundle]:
+    """The model, and the report of its table, ``--sfm`` and trace flags."""
+    catalog, mitigations, model = _inputs(args)
+    interactions = extract_interactions(model)
+    sfms = _parse_file(args.sfm, parse_sfm_bindings) if args.sfm else []
+    table = apply_specialisations(map_failure_modes(interactions, catalog), sfms)
+    pathways = ([] if args.interaction is None
+                else _trace_pathways(args, model, interactions, catalog, mitigations))
+    # The table has every sfm's interaction and mode, so no lookup can fail.
+    return model, ReportBundle(table, pathways, derive_second_order(sfms, interactions, catalog),
+                               suggest_mitigations(table, mitigations))
+
+
 def _cmd_interactions(args) -> None:
     _, _, model = _inputs(args)
     rows = [
@@ -203,12 +207,6 @@ def _cmd_interactions(args) -> None:
     _write(args, csv_text(
         ["I ID", "Interaction Name", "Machine Stage", "Human Stage", "Direction"],
         rows))
-
-
-def _cmd_map(args) -> None:
-    catalog, _, model = _inputs(args)
-    table, _ = _build_table(args, extract_interactions(model), catalog)
-    _write(args, emit_csv(table))
 
 
 def _render(args, model: Ooda2Model, bundle: ReportBundle) -> None:
@@ -232,12 +230,10 @@ def _cmd_trace(args) -> None:
 
 
 def _cmd_mitigations(args) -> None:
-    catalog, mitigations, model = _inputs(args)
-    table, _ = _build_table(args, extract_interactions(model), catalog)
     rows = [
         [row.i_id, "" if row.sfm_id is None else row.sfm_id,
          row.generic_mode_category, mitigation.id, mitigation.name]
-        for row, mitigation in suggest_mitigations(table, mitigations)
+        for row, mitigation in _bundle(args)[1].suggestions
     ]
     _write(args, csv_text(
         ["I ID", "SFM ID", "Category", "Mitigation ID", "Mitigation Name"], rows))
@@ -246,15 +242,8 @@ def _cmd_mitigations(args) -> None:
 def _cmd_report(args) -> None:
     if (args.interaction is None) != (args.category is None):
         _fail("--interaction and --category must be given together")
-    catalog, mitigations, model = _inputs(args)
-    interactions = extract_interactions(model)
-    table, sfms = _build_table(args, interactions, catalog)
-    pathways = ([] if args.interaction is None
-                else _trace_pathways(args, model, interactions, catalog, mitigations))
-    # The table has every sfm's interaction and mode, so no lookup can fail.
-    bundle = ReportBundle(table, pathways, derive_second_order(sfms, interactions, catalog),
-                          suggest_mitigations(table, mitigations))
-    if args.format == "dot" and not pathways:
+    model, bundle = _bundle(args)
+    if args.format == "dot" and not bundle.pathways:
         _fail("--format dot needs --interaction and --category")
     _render(args, model, bundle)
 
@@ -287,11 +276,18 @@ def _category(text: str) -> str:
     return text
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # argparse's text, through ``_say``: argparse's prints usage to stdout if stderr is None.
+        _say(f"{self.format_usage()}{self.prog}: error: {message}")
+        sys.exit(EXIT_USAGE)
+
+
 def _build_parser(running: str | None = None) -> argparse.ArgumentParser:
     """The CLI's parser: with only the subparser of ``running`` when that
     names a subcommand (the top-level usage names none, so no help or error
     text changes), and with all of them otherwise."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hatlens",
         description="Left-shift risk analysis for human-autonomy teaming: "
                     "model activity flows, extract cross-boundary interactions, "
@@ -349,8 +345,8 @@ def _build_parser(running: str | None = None) -> argparse.ArgumentParser:
         ("validate", _inputs, "check a model and print diagnostics", [model]),
         ("interactions", _cmd_interactions, "list boundary-crossing interactions as CSV",
          [model, output]),
-        ("map", _cmd_map, "map generic failure modes onto interactions", [model, output]),
-        ("specialise", _cmd_map, "map failure modes and apply a bindings file",
+        ("map", _cmd_report, "map generic failure modes onto interactions", [model, output]),
+        ("specialise", _cmd_report, "map failure modes and apply a bindings file",
          [model, sfm(True), output]),
         ("trace", _cmd_trace, "enumerate propagation pathways",
          [model, trace_flags(True), trace_format, output]),
@@ -365,7 +361,9 @@ def _build_parser(running: str | None = None) -> argparse.ArgumentParser:
         sub = subparsers.add_parser(name, help=help_text)
         for names, options in (call for group in groups for call in group):
             sub.add_argument(*names, **options)
-        sub.set_defaults(func=command, sfm=None)
+        # format only here: a parser default would override trace's --format default.
+        sub.set_defaults(func=command, sfm=None, interaction=None, category=None,
+                         **({"format": "csv"} if name in ("map", "specialise") else {}))
     return parser
 
 

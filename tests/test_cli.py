@@ -7,6 +7,7 @@ against the bundled golden files where one exists.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import csv
 import errno
@@ -86,15 +87,35 @@ class TestReportAndMap:
         assert err == ""
         assert out == golden("table.csv")
 
-    def test_map_equals_report_csv_without_sfm(self, capsys):
-        code_map, out_map, _ = invoke(capsys, "map", MODEL, "--lens", LENS)
+    # Without bindings: three machine-to-human interactions with eleven
+    # applicable modes each, one human-to-machine interaction with three.
+    @pytest.mark.parametrize("command, sfm, rows", [
+        ("map", (), 1 + 3 * 11 + 3),
+        ("specialise", ("--sfm", SFM), len(golden("table.csv").splitlines())),
+    ], ids=["map", "specialise"])
+    def test_map_and_specialise_equal_report_csv(self, capsys, command, sfm, rows):
+        code_map, out_map, _ = invoke(capsys, command, MODEL, "--lens", LENS, *sfm)
         code_rep, out_rep, _ = invoke(
-            capsys, "report", MODEL, "--lens", LENS, "--format", "csv")
+            capsys, "report", MODEL, "--lens", LENS, *sfm, "--format", "csv")
         assert code_map == code_rep == EXIT_OK
         assert out_map == out_rep
-        # Three machine-to-human interactions with eleven applicable modes
-        # each, one human-to-machine interaction with three.
-        assert len(out_map.splitlines()) == 1 + 3 * 11 + 3
+        assert len(out_map.splitlines()) == rows
+
+    @pytest.mark.parametrize("sfm", [(), ("--sfm", SFM)], ids=["generic", "specialised"])
+    def test_mitigations_rows_are_the_report_s_suggestions_in_order(self, capsys, sfm):
+        argv = (MODEL, "--lens", LENS, "--mit", MIT, *sfm)
+        code, out, err = invoke(capsys, "mitigations", *argv)
+        assert (code, err) == (EXIT_OK, "")
+        code, report, err = invoke(capsys, "report", *argv, "--format", "json")
+        assert (code, err) == (EXIT_OK, "")
+        suggestions = json.loads(report)["mitigation_suggestions"]
+        header, *rows = csv.reader(io.StringIO(out))
+        assert header == ["I ID", "SFM ID", "Category", "Mitigation ID", "Mitigation Name"]
+        assert rows == [
+            [str(entry["i_id"]), "" if entry["sfm_id"] is None else str(entry["sfm_id"]),
+             entry["category"], entry["mitigation_id"], entry["mitigation_name"]]
+            for entry in suggestions]
+        assert any(row[1] for row in rows) == bool(sfm)
 
     def test_map_minimal_matches_bundled_table(self, capsys):
         code, out, err = invoke(capsys, "map", MINIMAL)
@@ -394,6 +415,24 @@ class TestCallsAndCollector:
         writes = len(expected[1].splitlines()) if argv[-1] == "text" else 1
         assert sorted(calls) == sorted(
             ["parse_model", "validate", "trace", "trace"] + [writers[argv[-1]]] * writes)
+
+    @pytest.mark.parametrize("argv", [
+        ("map", MODEL, "--lens", LENS),
+        ("specialise", MODEL, "--lens", LENS, "--sfm", SFM),
+        ("mitigations", MODEL, "--lens", LENS, "--mit", MIT),
+        ("mitigations", MODEL, "--lens", LENS, "--sfm", SFM, "--mit", MIT),
+        *(("report", MODEL, "--lens", LENS, "--sfm", SFM, "--mit", MIT, *trace_flags,
+           "--format", fmt) for trace_flags, fmt in (((), "csv"), (TRACE_BOTH, "md"))),
+    ], ids=["map", "specialise", "mitigations", "mitigations-sfm", "report-csv",
+            "report-md-trace"])
+    def test_table_commands_map_and_specialise_once(self, capsys, monkeypatch, argv):
+        # One pipeline builds the table of every command that shows one.
+        expected = invoke(capsys, *argv)
+        assert expected[0] == EXIT_OK
+        calls: list[str] = []
+        _counting(monkeypatch, calls, "map_failure_modes", "apply_specialisations")
+        assert invoke(capsys, *argv) == expected
+        assert calls == ["map_failure_modes", "apply_specialisations"]
 
     @pytest.mark.parametrize("argv", [
         ("trace", MODEL, *TRACE_BOTH, "--format", "json"),
@@ -869,6 +908,22 @@ class TestFilesAndUsage:
         assert capsys.readouterr().out == expected[1]
         assert run(["validate", str(ATC / "no-such.hat")]) == EXIT_USAGE
         assert capsys.readouterr().out == ""
+        # argparse's own usage errors too; its help still goes to stdout.
+        assert run(["trace"]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+        assert run(["trace", "-h"]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: hatlens trace ")
+
+    @pytest.mark.parametrize("argv", [
+        (), ("trace",), ("frobnicate",), ("map", MODEL, "--bogus"),
+        ("trace", MODEL, "--interaction", "٣", "--category", "timely", "--direction", "up"),
+    ], ids=["none", "trace", "unknown-command", "unknown-flag", "bad-int"])
+    def test_usage_errors_print_argparse_s_own_bytes(self, capsys, monkeypatch, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("usage: hatlens") and ": error: " in err
+        monkeypatch.setattr(cli._Parser, "error", argparse.ArgumentParser.error)
+        assert invoke(capsys, *argv) == (code, out, err)
 
     def test_stdout_in_another_encoding_gets_the_bytes_of_the_output_file(
             self, capsys, monkeypatch, tmp_path):
