@@ -214,7 +214,7 @@ def _render(args, model: Ooda2Model, bundle: ReportBundle) -> None:
     if args.format == "json":
         _output(args, lambda out: write_json(bundle, out))
     elif args.format == "text":
-        _write(args, "".join(f"{pathway_label(pathway)}\n" for pathway in bundle.pathways))
+        _output(args, lambda out: out.writelines(f"{pathway_label(p)}\n" for p in bundle.pathways))
     elif args.format == "csv":
         _write(args, emit_csv(bundle.table))
     elif args.format == "md":

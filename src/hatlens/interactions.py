@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .model import (ActionNode, ActivityEdge, Ooda2Model, Side, Stage, UnknownIdError,
-                    _FrozenRecord, _dataclass)
+from .model import (ActionNode, ActivityEdge, Ooda2Model, Side, Stage, _FrozenRecord, _dataclass,
+                    _first)
 
 
 class Direction(Enum):
@@ -82,7 +82,4 @@ def extract_interactions(model: Ooda2Model) -> list[Interaction]:
 
 def interaction_by_id(interactions: list[Interaction], i_id: int) -> Interaction:
     """Return the interaction numbered ``i_id`` or raise UnknownIdError."""
-    for interaction in interactions:
-        if interaction.i_id == i_id:
-            return interaction
-    raise UnknownIdError(f"no interaction {i_id}")
+    return _first(interactions, "i_id", i_id, f"no interaction {i_id}")

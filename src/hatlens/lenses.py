@@ -12,7 +12,7 @@ from __future__ import annotations
 from enum import Enum
 
 from .interactions import Direction, Interaction
-from .model import _FACTORY, UnknownIdError, _EqRecord, _FieldOptions, _HashRecord, _dataclass
+from .model import _FACTORY, _EqRecord, _FieldOptions, _HashRecord, _dataclass, _first
 
 
 class Applicability(Enum):
@@ -80,16 +80,10 @@ class LensCatalog(_EqRecord):
         return [mode for lens in self.lenses for mode in lens.modes]
 
     def lens_by_id(self, lens_id: str) -> Lens:
-        for lens in self.lenses:
-            if lens.id == lens_id:
-                return lens
-        raise UnknownIdError(f"catalog has no lens '{lens_id}'")
+        return _first(self.lenses, "id", lens_id, f"catalog has no lens '{lens_id}'")
 
     def mode_by_id(self, mode_id: str) -> GenericFailureMode:
-        for mode in self.modes():
-            if mode.id == mode_id:
-                return mode
-        raise UnknownIdError(f"catalog has no mode '{mode_id}'")
+        return _first(self.modes(), "id", mode_id, f"catalog has no mode '{mode_id}'")
 
 
 class CatalogError(ValueError):

@@ -368,20 +368,22 @@ class UnknownIdError(LookupError):
     """A lookup by id found nothing."""
 
 
+def _first(items, key: str, wanted, message: str):
+    """The first of ``items`` whose ``key`` is ``wanted``, else UnknownIdError(``message``)."""
+    for item in items:
+        if getattr(item, key) == wanted:
+            return item
+    raise UnknownIdError(message)
+
+
 def node_lookup(model: Ooda2Model, node_id: str) -> ActionNode:
     """Return the node declared with ``node_id`` or raise UnknownIdError."""
-    for node in model.nodes:
-        if node.id == node_id:
-            return node
-    raise UnknownIdError(f"model '{model.name}' has no node '{node_id}'")
+    return _first(model.nodes, "id", node_id, f"model '{model.name}' has no node '{node_id}'")
 
 
 def lane_lookup(model: Ooda2Model, lane_id: str) -> Lane:
     """Return the lane declared with ``lane_id`` or raise UnknownIdError."""
-    for lane in model.lanes:
-        if lane.id == lane_id:
-            return lane
-    raise UnknownIdError(f"model '{model.name}' has no lane '{lane_id}'")
+    return _first(model.lanes, "id", lane_id, f"model '{model.name}' has no lane '{lane_id}'")
 
 
 def node_side(model: Ooda2Model, node: ActionNode) -> Side:

@@ -13,7 +13,7 @@ product that overflows to infinity is an error, not a classification.
 
 Enumeration is one depth-first walk over an explicit stack, so ``max_depth``
 alone bounds the depth, not the recursion limit.  The on-path set is a
-``bytearray`` indexed by ``_step_graph``'s node numbers.  As no maximal path
+``bytearray`` indexed by a node's place in ``model.nodes``.  As no maximal path
 is a prefix of another, pathways come out in lexicographic order, no sort.
 The walk also records each pathway's fork: how many leading nodes it
 repeats from the one before, so a writer can spell only the nodes after it.
@@ -108,24 +108,22 @@ class Pathways(list):
         return joined
 
 
-def _step_graph(model, interaction, mode_category, direction, mitigation_catalog):
-    """``(start, children, list_children)``.  As a trace may reach few nodes,
-    each is numbered on first reach (the start is 0), and ``list_children(at,
-    tip)`` lists node ``at``'s children into ``children[at]`` (``None`` before):
-    sorted by id, each with its number and the step gain of the first-declared
-    edge to it (a parallel edge would repeat the node sequence)."""
+def _step_graph(model, mode_category, direction, mitigation_catalog):
+    """``(index, children, list_children)``: the step-gain table of one model, category
+    and direction.  ``index`` numbers each node id by its place in ``model.nodes`` (a
+    duplicated id by its last; ``len(model.nodes)`` is free for an endpoint the model
+    lacks).  ``list_children(at, tip)`` lists node ``at``'s children into ``children[at]``
+    (``None`` before): sorted by id, each with its number and the step gain of the
+    first-declared edge to it (a parallel edge would repeat the node sequence)."""
     mitigations = {mit.id: mit for mit in (builtin_mitigations() if mitigation_catalog is None
                                            else mitigation_catalog)}
-    nodes = model.nodes_by_id()
+    index = {node.id: at for at, node in enumerate(model.nodes)}
+    children: list[list[tuple[int, ActionNode, float]] | None] = [None] * (len(model.nodes) + 1)
 
     downstream = direction is TraceDirection.DOWNSTREAM
     arcs: dict[str, list[ActivityEdge]] = {}
     for edge in model.edges:
         arcs.setdefault(edge.from_id if downstream else edge.to_id, []).append(edge)
-
-    start = interaction.target if downstream else interaction.source
-    index = {start.id: 0}  # each reached id's number; all but the start's are keys of nodes
-    children: list[list[tuple[int, ActionNode, float]] | None] = [None] * (len(nodes) + 1)
 
     def list_children(at: int, tip: ActionNode) -> list[tuple[int, ActionNode, float]]:
         arrivals: dict[str, ActivityEdge] = {}
@@ -133,20 +131,20 @@ def _step_graph(model, interaction, mode_category, direction, mitigation_catalog
             arrivals.setdefault(edge.to_id if downstream else edge.from_id, edge)
         listed = children[at] = []
         for next_id in sorted(arrivals):
-            try:
-                node = nodes[next_id]
-            except KeyError:
+            number = index.get(next_id)
+            if number is None:
                 raise UnknownIdError(f"model '{model.name}' has no node '{next_id}', which "
-                                     f"edge '{arrivals[next_id].id}' names") from None
+                                     f"edge '{arrivals[next_id].id}' names")
+            node = model.nodes[number]
             behaviour = node.response.get(mode_category)
             gain = behaviour.coefficient if behaviour is not None else 1.0
             for mit_id in (*node.mitigation_ids, *arrivals[next_id].mitigation_ids):
                 mitigation = mitigations.get(mit_id)
                 if mitigation is not None and mode_category in mitigation.categories:
                     gain *= mitigation.damping
-            listed.append((index.setdefault(next_id, len(index)), node, gain))
+            listed.append((number, node, gain))
         return listed
-    return start, children, list_children
+    return index, children, list_children
 
 
 def trace(
@@ -168,17 +166,19 @@ def trace(
     """
     if max_depth < 1:
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
-    start, children, list_children = _step_graph(model, interaction, mode_category, direction,
+    index, children, list_children = _step_graph(model, mode_category, direction,
                                                  mitigation_catalog)
+    start = interaction.target if direction is TraceDirection.DOWNSTREAM else interaction.source
+    first = index.get(start.id, len(model.nodes))
     on_path = bytearray(len(children))
 
     # The path as parallel lists, an iterator over each path node's remaining
     # children, and ``leaf``: set by a push, so that the next pop emits.  As a
     # pop right after a push emits, the path is shortest since the last pathway
     # at the first push after it: the next pathway's fork is its length then.
-    numbers, path, step_gains = [0], [start], []
-    on_path[0] = 1
-    pending = [iter(list_children(0, start) if max_depth > 1 else ())]
+    numbers, path, step_gains = [first], [start], []
+    on_path[first] = 1
+    pending = [iter(list_children(first, start) if max_depth > 1 else ())]
     leaf = True
     pathways, forks = Pathways(), [0]
     while pending:

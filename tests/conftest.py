@@ -28,6 +28,7 @@ from hatlens import (
     TraceDirection,
     extract_interactions,
     load_fixture,
+    parse_model,
 )
 from hatlens.fixtures import _inputs
 
@@ -195,6 +196,25 @@ def add_parallel_edges(model: Ooda2Model, rng: random.Random) -> Ooda2Model:
             mitigation_ids=rng.sample(BUILTIN_MITIGATION_IDS, 1),
         ))
     return replace(model, edges=edges)
+
+
+def complete_model(size):
+    """A machine node feeding a human node that leads into ``size`` nodes with
+    an edge from each to every other: ``size!`` pathways downstream."""
+    inner = [f"k{index}" for index in range(size)]
+    return parse_model("".join(f"{line}\n" for line in (
+        'model "Complete"',
+        'lane h side=human kind=operator "Human"',
+        'lane m side=machine kind=autonomy "Machine"',
+        'node src lane=m stage=decide "Recommend"',
+        'node w lane=h stage=observe "Watch"',
+        *(f'node {node} lane=h stage=orient "Weigh" response.stability=amplify:{1.25 + index / 4}'
+          for index, node in enumerate(inner)),
+        "edge src -> w",
+        *(f"edge w -> {node}" for node in inner),
+        *(f"edge {first} -> {second}" for first in inner for second in inner
+          if first != second),
+    )))
 
 
 def pinned_corpus():

@@ -25,12 +25,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hatlens import (
-    CatalogError, DslParseError, builtin_catalog, parse_lens_catalog, parse_model,
+    CatalogError, DslParseError, TraceDirection, builtin_catalog, extract_interactions,
+    parse_lens_catalog, parse_model, serialize_model, trace,
 )
 from hatlens import cli
 from hatlens.cli import EXIT_FINDINGS, EXIT_OK, EXIT_USAGE, main, run
+from hatlens.report import pathway_label
 
-from conftest import FIXTURE_ROOT
+from conftest import FIXTURE_ROOT, complete_model
 
 ATC = FIXTURE_ROOT / "atc"
 MODEL = str(ATC / "atc.hat")
@@ -229,6 +231,26 @@ class TestTrace:
             " -> hmi_receive -> hmi_format -> hmi_recommend"
             " (gain 1.0, Neutral)\n"
         )
+
+    def test_text_is_written_line_by_line(self, monkeypatch, tmp_path):
+        model = complete_model(7)
+        (tmp_path / "complete.hat").write_text(serialize_model(model), encoding="utf-8")
+
+        class Recording(io.StringIO):
+            def write(self, piece):
+                writes.append(piece)
+                return super().write(piece)
+
+        writes = []
+        monkeypatch.setattr(sys, "stdout", Recording())
+        assert run(["trace", str(tmp_path / "complete.hat"), "--interaction", "1",
+                    "--category", "stability", "--direction", "down"]) == EXIT_OK
+        lines = [f"{pathway_label(pathway)}\n" for pathway in trace(
+            model, extract_interactions(model)[0], "stability", TraceDirection.DOWNSTREAM)]
+        assert len(lines) == 5040
+        assert sys.stdout.getvalue() == "".join(lines)
+        assert all(piece.count("\n") <= 1 for piece in writes)
+        assert max(map(len, writes)) == max(map(len, lines))
 
     def test_both_directions_prints_upstream_first(self, capsys):
         code, out, err = invoke(

@@ -8,6 +8,7 @@ against ``extract_interactions`` over hundreds of random models.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -114,6 +115,9 @@ def test_interaction_by_id_lookup_and_error():
     assert interaction_by_id(interactions, 2).direction is Direction.HUMAN_TO_MACHINE
     with pytest.raises(UnknownIdError, match=r"^no interaction 7$"):
         interaction_by_id(interactions, 7)
+    # An id declared twice finds its first declaration.
+    twice = [*interactions, dataclasses.replace(interactions[0], i_id=2)]
+    assert interaction_by_id(twice, 2) is interactions[1]
 
 
 def test_bundled_tower_model_interactions():

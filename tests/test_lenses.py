@@ -105,6 +105,13 @@ def test_lookup_errors():
         catalog.lens_by_id("optics")
     with pytest.raises(UnknownIdError, match="catalog has no mode 'overload'"):
         catalog.mode_by_id("overload")
+    # An id declared twice finds its first declaration.
+    machine, disuse = catalog.lenses[0], catalog.mode_by_id("disuse")
+    twice = LensCatalog(lenses=[*catalog.lenses, Lens(id="machine", name="again", modes=(
+        GenericFailureMode(id="disuse", lens_id="machine", category="disuse", title="again",
+                           question="again?", applicability=Applicability.M2H),))])
+    assert twice.lens_by_id("machine") is machine
+    assert twice.mode_by_id("disuse") is disuse
 
 
 def _extra_lens(lens_id="timeliness", mode_id="timely"):

@@ -1,6 +1,7 @@
 """Model construction rules and validation diagnostics."""
 
 import ast
+import dataclasses
 import inspect
 import random
 import re
@@ -409,6 +410,13 @@ def test_node_lookup_finds_every_declared_node():
     recommend = node_lookup(parsed, "hmi_recommend")
     assert recommend.stage is Stage.DECIDE
     assert recommend.label == "Recommend new landing sequence"
+    # An id declared twice finds its first declaration.
+    lane = parsed.lanes[0]
+    twice = dataclasses.replace(parsed, nodes=[
+        *parsed.nodes, dataclasses.replace(recommend, label="again")], lanes=[
+        *parsed.lanes, dataclasses.replace(lane, display_name="again")])
+    assert node_lookup(twice, "hmi_recommend") is recommend
+    assert lane_lookup(twice, lane.id) is lane
 
 
 def test_lookups_raise_unknown_id_error():

@@ -38,6 +38,7 @@ from conftest import (
     BUILTIN_CATEGORIES,
     FIXTURE_ROOT,
     add_parallel_edges,
+    complete_model,
     pinned_corpus,
     random_label,
     random_model,
@@ -553,25 +554,6 @@ def test_json_spells_an_edited_or_copied_trace_result_node_by_node():
     assert checked >= 20, "too few traces that sorting reorders"
 
 
-def _complete_model(size):
-    """A machine node feeding a human node that leads into ``size`` nodes with
-    an edge from each to every other: ``size!`` pathways downstream."""
-    inner = [f"k{index}" for index in range(size)]
-    return parse_model("".join(f"{line}\n" for line in (
-        'model "Complete"',
-        'lane h side=human kind=operator "Human"',
-        'lane m side=machine kind=autonomy "Machine"',
-        'node src lane=m stage=decide "Recommend"',
-        'node w lane=h stage=observe "Watch"',
-        *(f'node {node} lane=h stage=orient "Weigh" response.stability=amplify:{1.25 + index / 4}'
-          for index, node in enumerate(inner)),
-        "edge src -> w",
-        *(f"edge w -> {node}" for node in inner),
-        *(f"edge {first} -> {second}" for first in inner for second in inner
-          if first != second),
-    )))
-
-
 class _CountingSink:
     writes = written = 0
 
@@ -581,7 +563,7 @@ class _CountingSink:
 
 
 def test_write_json_writes_a_trace_s_own_result_in_batches():
-    model = _complete_model(7)
+    model = complete_model(7)
     (interaction,) = extract_interactions(model)
     pathways = trace(model, interaction, "stability", TraceDirection.DOWNSTREAM)
     assert len(pathways) == 5040 and pathways.walked == tuple(pathways)

@@ -63,6 +63,7 @@ from hatlens import (
     trace,
 )
 from hatlens.report import pathway_label
+from hatlens.tracing import _step_graph
 
 CHAIN_PREFIX = (
     'model "Chain"\n'
@@ -344,10 +345,10 @@ def test_a_node_id_declared_twice_traces_as_its_last_declaration():
         [(("w", "x"), ("Watch", "Digest again"), (1.0,), "1.0", "Neutral")]]
 
 
-def _brute_force_pathways(model, start, downstream, category, max_depth):
-    """(node ids, step gains, repr of the total gain) of every maximal simple
-    path, by plain recursion over the first-declared edge of each node pair.
-    The repr tells the int 1 of a one-node path from 1.0."""
+def _brute_force_steps(model, downstream, category):
+    """The first-declared edge of each node pair, in trace direction, and the
+    step gain of each such pair: the far end's response, damped by the builtin
+    mitigations on the far end and on that edge."""
     first_edge = {}
     for edge in model.edges:
         pair = (edge.from_id, edge.to_id) if downstream else (edge.to_id, edge.from_id)
@@ -363,6 +364,14 @@ def _brute_force_pathways(model, start, downstream, category, max_depth):
                 gain *= mitigations[mit_id].damping
         return gain
 
+    return first_edge, step_gain
+
+
+def _brute_force_pathways(model, start, downstream, category, max_depth):
+    """(node ids, step gains, repr of the total gain) of every maximal simple
+    path, by plain recursion over the first-declared edge of each node pair.
+    The repr tells the int 1 of a one-node path from 1.0."""
+    first_edge, step_gain = _brute_force_steps(model, downstream, category)
     found = []
 
     def walk(path):
@@ -424,6 +433,37 @@ def test_pathways_are_simple_maximal_sorted_and_cover_bfs_reachability():
                         f"seed {seed}: coverage mismatch at depth {max_depth}"
                     )
     assert checked >= 100
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_one_step_graph_numbers_and_lists_every_node_without_an_interaction(seed):
+    rng = random.Random(seed)
+    model = add_parallel_edges(random_model(rng), rng)
+    # One id declared a second time, before or after the first: the last one counts.
+    again = dataclasses.replace(rng.choice(model.nodes), label="again", response={
+        category: GainBehaviour.amplify(3.0) for category in BUILTIN_CATEGORIES})
+    nodes = list(model.nodes)
+    nodes.insert(rng.randint(0, len(nodes)), again)
+    model = dataclasses.replace(model, nodes=nodes)
+    last = {node.id: at for at, node in enumerate(nodes)}
+    assert len(last) == len(nodes) - 1
+    for category in BUILTIN_CATEGORIES:
+        for direction in TraceDirection:
+            first_edge, step_gain = _brute_force_steps(
+                model, direction is TraceDirection.DOWNSTREAM, category)
+            index, children, list_children = _step_graph(model, category, direction, None)
+            assert index == last
+            assert children == [None] * (len(nodes) + 1)
+            # Any node, in any order, whether a trace from some endpoint reaches it or not.
+            for node_id in rng.sample(sorted(last), len(last)):
+                at = last[node_id]
+                listed = list_children(at, nodes[at])
+                assert listed is children[at]
+                assert [(number, node.id, gain) for number, node, gain in listed] == [
+                    (last[there], there, step_gain(node_id, there))
+                    for there in sorted(there for here, there in first_edge if here == node_id)]
+                assert all(node is nodes[number] for number, node, _ in listed)
 
 
 FIELDS = [field.name for field in dataclasses.fields(TracePathway)]
