@@ -214,7 +214,11 @@ def _render(args, model: Ooda2Model, bundle: ReportBundle) -> None:
     if args.format == "json":
         _output(args, lambda out: write_json(bundle, out))
     elif args.format == "text":
-        _output(args, lambda out: out.writelines(f"{pathway_label(p)}\n" for p in bundle.pathways))
+        def lines(out) -> None:
+            # One write a line: a codecs writer's ``writelines`` joins them all first.
+            for pathway in bundle.pathways:
+                out.write(f"{pathway_label(pathway)}\n")
+        _output(args, lines)
     elif args.format == "csv":
         _write(args, emit_csv(bundle.table))
     elif args.format == "md":

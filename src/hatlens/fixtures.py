@@ -11,19 +11,20 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .cli import _parse_file, load_catalogs
+from .cli import _build_parser, _bundle, _parse_file, load_catalogs
 from .dsl import parse_model, parse_sfm_bindings
-from .interactions import extract_interactions, interaction_by_id
 from .lenses import LensCatalog
-from .mapping import SpecialisedFailureMode, apply_specialisations, map_failure_modes
-from .mitigations import Mitigation, suggest_mitigations
+from .mapping import SpecialisedFailureMode
+from .mitigations import Mitigation
 from .model import Ooda2Model, _HashRecord, _dataclass
-from .report import ReportBundle, emit_csv, emit_dot, emit_markdown, emit_second_order_json
-from .tracing import TraceDirection, derive_second_order, trace
+from .report import emit_csv, emit_dot, emit_markdown, emit_second_order_json
 
 _ROOT = Path(__file__).parent / "fixtures"
 
 _GOLDEN_SUFFIXES = (".csv", ".dot", ".json", ".md")
+
+# The trace of each fixture's report: the README's last quick-start command.
+_TRACE_FLAGS = {"atc": [("--interaction", "3"), ("--category", "timely"), ("--direction", "down")]}
 
 
 @_dataclass
@@ -87,26 +88,21 @@ def load_fixture(name: str) -> GoldenFixture:
 def _inputs(fixture: GoldenFixture) -> tuple[
         Ooda2Model, LensCatalog, list[Mitigation], list[SpecialisedFailureMode]]:
     """The model, lens catalog, mitigations and bindings, loaded as the CLI loads them."""
-    catalog, mitigations = load_catalogs(
-        [fixture.lens_path] if fixture.lens_path else [],
-        [fixture.mitigation_path] if fixture.mitigation_path else [])
+    lens, mit = ([path] if path else [] for path in (fixture.lens_path, fixture.mitigation_path))
+    catalog, mitigations = load_catalogs(lens, mit)
     model = _parse_file(fixture.model_path, parse_model)
     return model, catalog, mitigations, (
         [] if fixture.sfm_path is None else _parse_file(fixture.sfm_path, parse_sfm_bindings))
 
 
 def regenerate(fixture: GoldenFixture) -> dict[str, str]:
-    """Recompute every golden output from the fixture's inputs."""
-    model, catalog, mitigations, sfms = _inputs(fixture)
-    interactions = extract_interactions(model)
-    table = apply_specialisations(map_failure_modes(interactions, catalog), sfms)
-    # The README's report: SFM 4's interaction and category, downstream.
-    origin = next((row for row in table.rows if row.sfm_id == 4), None)
-    pathways = [] if origin is None else trace(
-        model, interaction_by_id(interactions, origin.i_id), origin.generic_mode_category,
-        TraceDirection.DOWNSTREAM, mitigation_catalog=mitigations)
-    bundle = ReportBundle(table, pathways, derive_second_order(sfms, interactions, catalog),
-                          suggest_mitigations(table, mitigations))
+    """Every golden, from the README's ``hatlens report`` command on the fixture's files
+    and trace flags, run through ``hatlens.cli``: it validates the model as that command does."""
+    argv = ["report", str(fixture.model_path), "--format", "md"]
+    for flag, value in [("--lens", fixture.lens_path), ("--mit", fixture.mitigation_path),
+                        ("--sfm", fixture.sfm_path), *_TRACE_FLAGS.get(fixture.name, [])]:
+        argv += [flag, str(value)] if value else []
+    model, bundle = _bundle(_build_parser("report").parse_args(argv))
     recipes = {
         "table.csv": lambda: emit_csv(bundle.table),
         "pathway_sfm4.dot": lambda: emit_dot(model, bundle.pathways),

@@ -252,6 +252,29 @@ class TestTrace:
         assert all(piece.count("\n") <= 1 for piece in writes)
         assert max(map(len, writes)) == max(map(len, lines))
 
+    def test_text_streams_into_a_stdout_in_another_encoding(self, monkeypatch, tmp_path):
+        # Such a stdout gets the ``-o`` file's bytes through a codecs writer,
+        # whose ``writelines`` would build the whole text as one string.
+        (tmp_path / "complete.hat").write_text(serialize_model(complete_model(7)),
+                                               encoding="utf-8")
+        argv = ["trace", str(tmp_path / "complete.hat"), "--interaction", "1",
+                "--category", "stability", "--direction", "down"]
+        assert run([*argv, "-o", str(tmp_path / "out.txt")]) == EXIT_OK
+
+        class Recording(io.BytesIO):
+            def write(self, piece):
+                writes.append(len(piece))
+                return super().write(piece)
+
+        writes = []
+        sink = Recording()
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(sink, encoding="latin-1"))
+        assert run(argv) == EXIT_OK
+        expected = (tmp_path / "out.txt").read_bytes()
+        assert expected.count(b"\n") == 5040
+        assert sink.getvalue() == expected
+        assert len(writes) > 1 and max(writes) <= len(expected) / 4
+
     def test_both_directions_prints_upstream_first(self, capsys):
         code, out, err = invoke(
             capsys, "trace", MODEL, "--interaction", "3",

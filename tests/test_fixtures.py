@@ -8,6 +8,7 @@ that would silently alter documented outputs fails here first.
 from __future__ import annotations
 
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -77,13 +78,38 @@ def test_goldens_regenerate_byte_identically(name):
 
 @pytest.mark.parametrize("name, traces", [("atc", 1), ("minimal", 0)])
 def test_regenerate_traces_at_most_once(monkeypatch, name, traces):
-    # One report bundle feeds every golden: SFM 4's pathways, when there is one.
+    # One report bundle feeds every golden: the README's trace, when there is one.
     calls = []
-    original = fixtures.trace
-    monkeypatch.setattr(fixtures, "trace", lambda *args, **kwargs: (
+    original = cli.trace
+    monkeypatch.setattr(cli, "trace", lambda *args, **kwargs: (
         calls.append(args) or original(*args, **kwargs)))
     regenerate(load_fixture(name))
     assert len(calls) == traces
+
+
+# The README's last quick-start command, run in the ATC fixture's directory.
+README_REPORT = ["report", "atc.hat", "--lens", "atc.lens", "--sfm", "atc.sfm", "--mit", "atc.mit",
+                 "--format", "md", "--interaction", "3", "--category", "timely",
+                 "--direction", "down"]
+
+
+def test_the_atc_goldens_are_the_readme_s_report_command(monkeypatch, capsys):
+    readme = (FIXTURE_ROOT.parents[2] / "README.md").read_text(encoding="utf-8")
+    assert f"hatlens {' '.join(README_REPORT)}\n" in readme.replace("\\\n    ", "")
+    root = FIXTURE_ROOT / "atc"
+    monkeypatch.chdir(root)
+    assert cli.run(README_REPORT) == cli.EXIT_OK
+    assert capsys.readouterr() == ((root / "report.md").read_text(encoding="utf-8"), "")
+    as_json = [("json" if arg == "md" else arg) for arg in README_REPORT]
+    assert cli.run(as_json) == cli.EXIT_OK
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert (json.dumps(report["second_order_effects"], indent=2, ensure_ascii=False) + "\n"
+            == (root / "second_order.json").read_text(encoding="utf-8"))
+    # The trace flags name SFM 4's interaction and category, as pathway_sfm4.dot does.
+    assert [(row["i_id"], row["category"]) for row in report["failure_modes"]
+            if row["sfm_id"] == 4] == [(3, "timely")]
+    assert err == ""
 
 
 def test_regenerate_raises_library_errors_and_prints_nothing(tmp_path, capsys):
@@ -105,13 +131,16 @@ def test_the_fixture_loader_and_the_cli_build_the_same_catalogs(name):
 def test_a_fixture_loads_its_catalogs_once_through_the_cli_s_loader(monkeypatch):
     assert fixtures.load_catalogs is cli.load_catalogs
     calls = []
-    monkeypatch.setattr(fixtures, "load_catalogs", lambda *args, **kwargs: (
-        calls.append(args) or cli.load_catalogs(*args, **kwargs)))
+    original = cli.load_catalogs
+    for module in (fixtures, cli):
+        monkeypatch.setattr(module, "load_catalogs", lambda *args, **kwargs: (
+            calls.append(args) or original(*args, **kwargs)))
     fixture = load_fixture("atc")
     assert calls == [([fixture.lens_path], [fixture.mitigation_path])]
     calls.clear()
+    # ``regenerate`` runs the report command, whose argv holds the paths as text.
     regenerate(fixture)
-    assert calls == [([fixture.lens_path], [fixture.mitigation_path])]
+    assert calls == [([str(fixture.lens_path)], [str(fixture.mitigation_path)])]
 
 
 def test_load_fixture_refuses_inputs_that_do_not_load(monkeypatch, tmp_path, capsys):
