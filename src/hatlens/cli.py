@@ -35,9 +35,10 @@ from .dsl import (
 )
 from .interactions import Interaction, extract_interactions, interaction_by_id
 from .lenses import CatalogError, LensCatalog, builtin_catalog, merge_catalogs
-from .mapping import SpecialisationError, apply_specialisations, map_failure_modes
+from .mapping import (SpecialisationError, SpecialisedFailureMode, apply_specialisations,
+                      map_failure_modes)
 from .mitigations import Mitigation, builtin_mitigations, suggest_mitigations
-from .model import Ooda2Model, Strictness, UnknownIdError, has_errors, validate
+from .model import Ooda2Model, Severity, Strictness, UnknownIdError, has_errors, validate
 from .report import (
     ReportBundle,
     ReportError,
@@ -63,10 +64,12 @@ def _say(line: str) -> None:
             print(line, file=sys.stderr)
 
 
-def _fail(message: str) -> None:
-    """Stop the command as a usage error, with ``message``."""
-    _say(f"error: {message}")
-    sys.exit(EXIT_USAGE)
+class _UsageError(ValueError):
+    """A command that cannot run as given: ``run`` prints it and returns 2."""
+
+
+class _FindingsError(ValueError):
+    """A model with error diagnostics, which ``_inputs`` has printed: ``run`` returns 1."""
 
 
 def _parse_file(path: str | Path, parser):
@@ -100,9 +103,10 @@ def load_catalogs(lens_paths: Sequence[str | Path] = (),
     return catalog, mitigations
 
 
-def _inputs(args) -> tuple[LensCatalog, list[Mitigation], Ooda2Model]:
-    """The catalogs and the model of a model command.  Parse and validate the
-    model against the catalogs; print diagnostics; stop on errors."""
+def _inputs(args) -> tuple[LensCatalog, list[Mitigation], Ooda2Model,
+                           list[SpecialisedFailureMode]]:
+    """The catalogs, model and ``--sfm`` bindings of a model command.  Print the
+    model's diagnostics against the catalogs; on errors raise ``_FindingsError``."""
     catalog, mitigations = load_catalogs(args.lens, args.mit,
                                          builtin_lenses=not args.no_builtin)
     model = _parse_file(args.model, parse_model)
@@ -110,11 +114,12 @@ def _inputs(args) -> tuple[LensCatalog, list[Mitigation], Ooda2Model]:
     diagnostics = validate(model, strictness, lens_catalog=catalog,
                            mitigation_catalog=mitigations)
     for diag in diagnostics:
-        line = diag.line if diag.line is not None else 0
-        _say(f"{args.model}:{line}: {diag.severity.value}: {diag.code}: {diag.message}")
+        _say(f"{args.model}:{diag.line or 0}: {diag.severity.value}: {diag.code}: {diag.message}")
     if has_errors(diagnostics):
-        sys.exit(EXIT_FINDINGS)
-    return catalog, mitigations, model
+        first = next(diag for diag in diagnostics if diag.severity is Severity.ERROR)
+        raise _FindingsError(f"{args.model}:{first.line or 0}: {first.code}: {first.message}")
+    return catalog, mitigations, model, (
+        _parse_file(args.sfm, parse_sfm_bindings) if args.sfm else [])
 
 
 def _output(args, write) -> None:
@@ -140,8 +145,8 @@ def _output(args, write) -> None:
                 os.truncate(args.output, 0)
                 if os.path.samestat(opened, os.lstat(args.output)):
                     os.remove(args.output)
-        _fail(f"cannot write {args.output or 'standard output'}: "
-              f"{exc.strerror or exc}")
+        raise _UsageError(f"cannot write {args.output or 'standard output'}: "
+                          f"{exc.strerror or exc}") from exc
 
 
 def _to_stdout(write) -> None:
@@ -167,13 +172,10 @@ def _trace_pathways(args, model: Ooda2Model, interactions: list[Interaction],
     pathways: list[TracePathway] = []
     for direction in TraceDirection:  # upstream first
         if args.direction in (direction.value, "both"):
-            try:
-                found = trace(model, interaction, args.category, direction,
-                              max_depth=args.max_depth, mitigation_catalog=mitigations)
-                # Up + down keeps both walks' forks (``Pathways.__add__``).
-                pathways = pathways + found if pathways else found
-            except ValueError as exc:
-                _fail(str(exc))
+            found = trace(model, interaction, args.category, direction,
+                          max_depth=args.max_depth, mitigation_catalog=mitigations)
+            # Up + down keeps both walks' forks (``Pathways.__add__``).
+            pathways = pathways + found if pathways else found
     defined = {mode.category for mode in catalog.modes()}
     if args.category not in defined and not any(
             args.category in mitigation.categories for mitigation in mitigations):
@@ -186,9 +188,8 @@ def _trace_pathways(args, model: Ooda2Model, interactions: list[Interaction],
 
 def _bundle(args) -> tuple[Ooda2Model, ReportBundle]:
     """The model, and the report of its table, ``--sfm`` and trace flags."""
-    catalog, mitigations, model = _inputs(args)
+    catalog, mitigations, model, sfms = _inputs(args)
     interactions = extract_interactions(model)
-    sfms = _parse_file(args.sfm, parse_sfm_bindings) if args.sfm else []
     table = apply_specialisations(map_failure_modes(interactions, catalog), sfms)
     pathways = ([] if args.interaction is None
                 else _trace_pathways(args, model, interactions, catalog, mitigations))
@@ -198,7 +199,7 @@ def _bundle(args) -> tuple[Ooda2Model, ReportBundle]:
 
 
 def _cmd_interactions(args) -> None:
-    _, _, model = _inputs(args)
+    model = _inputs(args)[2]
     rows = [
         [interaction.i_id, interaction.name, interaction.machine_stage.display(),
          interaction.human_stage.display(), interaction.direction.display()]
@@ -228,7 +229,7 @@ def _render(args, model: Ooda2Model, bundle: ReportBundle) -> None:
 
 
 def _cmd_trace(args) -> None:
-    catalog, mitigations, model = _inputs(args)
+    catalog, mitigations, model, _ = _inputs(args)
     pathways = _trace_pathways(args, model, extract_interactions(model), catalog, mitigations)
     _render(args, model, ReportBundle(pathways=pathways))
 
@@ -245,10 +246,10 @@ def _cmd_mitigations(args) -> None:
 
 def _cmd_report(args) -> None:
     if (args.interaction is None) != (args.category is None):
-        _fail("--interaction and --category must be given together")
+        raise _UsageError("--interaction and --category must be given together")
     model, bundle = _bundle(args)
     if args.format == "dot" and not bundle.pathways:
-        _fail("--format dot needs --interaction and --category")
+        raise _UsageError("--format dot needs --interaction and --category")
     _render(args, model, bundle)
 
 
@@ -372,10 +373,10 @@ def _build_parser(running: str | None = None) -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    """Execute one CLI invocation; returns the process exit code.  A library
-    finding (conflicting catalogs, a binding that does not apply, an unknown
-    id, pathways that do not fit the model) prints ``error: <message>`` and
-    returns 1.  An input that cannot be read or parsed prints its error and returns 2."""
+    """Execute one CLI invocation; returns the process exit code.  Only here does
+    a raised failure become stderr text and an exit code: 1 for a model's errors
+    or a library finding (conflicting catalogs, an unknown id, a binding or
+    pathways that do not fit), 2 for a bad input or usage, or a trace that cannot run."""
     # A command's data is acyclic and lives until the command ends, and so
     # does the parser, so the cyclic collector would only walk them again and
     # again: it is paused while the arguments are parsed and the command runs.
@@ -400,6 +401,11 @@ def run(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    except _FindingsError:
+        return EXIT_FINDINGS
+    except ValueError as exc:  # a usage error, or a trace that cannot run
+        _say(f"error: {exc}")
+        return EXIT_USAGE
     finally:
         if collecting:
             gc.enable()

@@ -11,12 +11,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .cli import _build_parser, _bundle, _parse_file, load_catalogs
-from .dsl import parse_model, parse_sfm_bindings
-from .lenses import LensCatalog
-from .mapping import SpecialisedFailureMode
-from .mitigations import Mitigation
-from .model import Ooda2Model, _HashRecord, _dataclass
+from .cli import _build_parser, _bundle, _inputs
+from .model import _HashRecord, _dataclass
 from .report import emit_csv, emit_dot, emit_markdown, emit_second_order_json
 
 _ROOT = Path(__file__).parent / "fixtures"
@@ -55,8 +51,9 @@ def available_fixtures() -> list[str]:
 
 
 def load_fixture(name: str) -> GoldenFixture:
-    """Locate a bundled fixture and check that its inputs load: every file
-    parses, and its lens catalog merges with the builtin one."""
+    """Locate a bundled fixture and load its inputs as the README's ``hatlens
+    report`` command does: the files parse, the catalogs merge with the
+    builtin ones and the model validates.  It raises, as ``regenerate`` does."""
     root = _ROOT / name
     model_path = root / f"{name}.hat"
     if not model_path.is_file():
@@ -67,42 +64,33 @@ def load_fixture(name: str) -> GoldenFixture:
         return path if path.is_file() else None
 
     fixture = GoldenFixture(
-        name=name,
-        root=root,
-        model_path=model_path,
-        lens_path=optional(".lens"),
-        sfm_path=optional(".sfm"),
-        mitigation_path=optional(".mit"),
-        expected={
-            path.name: path
-            for path in sorted(root.iterdir())
-            if path.suffix in _GOLDEN_SUFFIXES and path.name != "README.md"
-        },
-    )
-    _inputs(fixture)
+        name=name, root=root, model_path=model_path, lens_path=optional(".lens"),
+        sfm_path=optional(".sfm"), mitigation_path=optional(".mit"),
+        expected={path.name: path for path in sorted(root.iterdir())
+                  if path.suffix in _GOLDEN_SUFFIXES and path.name != "README.md"})
+    _inputs(_report_args(fixture))
     for path in fixture.expected.values():
         path.read_text(encoding="utf-8")
     return fixture
 
 
-def _inputs(fixture: GoldenFixture) -> tuple[
-        Ooda2Model, LensCatalog, list[Mitigation], list[SpecialisedFailureMode]]:
-    """The model, lens catalog, mitigations and bindings, loaded as the CLI loads them."""
-    lens, mit = ([path] if path else [] for path in (fixture.lens_path, fixture.mitigation_path))
-    catalog, mitigations = load_catalogs(lens, mit)
-    model = _parse_file(fixture.model_path, parse_model)
-    return model, catalog, mitigations, (
-        [] if fixture.sfm_path is None else _parse_file(fixture.sfm_path, parse_sfm_bindings))
-
-
-def regenerate(fixture: GoldenFixture) -> dict[str, str]:
-    """Every golden, from the README's ``hatlens report`` command on the fixture's files
-    and trace flags, run through ``hatlens.cli``: it validates the model as that command does."""
+def _report_args(fixture: GoldenFixture):
+    """The parsed README ``hatlens report`` command on the fixture's files and trace flags."""
     argv = ["report", str(fixture.model_path), "--format", "md"]
     for flag, value in [("--lens", fixture.lens_path), ("--mit", fixture.mitigation_path),
                         ("--sfm", fixture.sfm_path), *_TRACE_FLAGS.get(fixture.name, [])]:
         argv += [flag, str(value)] if value else []
-    model, bundle = _bundle(_build_parser("report").parse_args(argv))
+    return _build_parser("report").parse_args(argv)
+
+
+def regenerate(fixture: GoldenFixture) -> dict[str, str]:
+    """Every golden, from the README's ``hatlens report`` command on the fixture's
+    files and trace flags, run through ``hatlens.cli``.  It raises, never exits:
+    ``OSError``, ``UnicodeDecodeError``, ``DslParseError``, ``CatalogError``,
+    ``SpecialisationError``, or a ``ValueError`` for an invalid model (whose
+    diagnostics go to standard error, as the command prints them) or a trace
+    whose gain overflows."""
+    model, bundle = _bundle(_report_args(fixture))
     recipes = {
         "table.csv": lambda: emit_csv(bundle.table),
         "pathway_sfm4.dot": lambda: emit_dot(model, bundle.pathways),

@@ -30,7 +30,8 @@ from hatlens import (
     load_fixture,
     parse_model,
 )
-from hatlens.fixtures import _inputs
+from hatlens.cli import _inputs
+from hatlens.fixtures import _report_args
 
 FIXTURE_ROOT = Path(__file__).resolve().parent.parent / "src" / "hatlens" / "fixtures"
 
@@ -66,7 +67,7 @@ class TowerInputs:
 
 
 def tower_inputs() -> TowerInputs:
-    model, catalog, mitigations, sfms = _inputs(load_fixture("atc"))
+    catalog, mitigations, model, sfms = _inputs(_report_args(load_fixture("atc")))
     return TowerInputs(
         model=model,
         interactions=extract_interactions(model),

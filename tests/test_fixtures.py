@@ -10,6 +10,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 
@@ -119,26 +121,102 @@ def test_regenerate_raises_library_errors_and_prints_nothing(tmp_path, capsys):
     assert capsys.readouterr() == ("", "")
 
 
+# Responses that, added to the ATC model's nodes, make its model invalid, or
+# make the README report's trace overflow.
+UNKNOWN_CATEGORY = {"m_ingest": "response.nosuch=amplify:2.0"}
+OVERFLOWING = {"h_orient": "response.timely=amplify:1e308",
+               "h_decide": "response.timely=amplify:1e308"}
+UNKNOWN_CATEGORY_ERROR = ("UNKNOWN_CATEGORY: node 'm_ingest' response category 'nosuch' "
+                          "is not in the loaded lens catalog")
+OVERFLOW_ERROR = ("interaction 3 [timely, down]: the total gain of pathway h_obs_reco -> "
+                  "h_orient -> h_decide -> h_act_own -> h_obs_traffic is not finite (inf)")
+
+
+def atc_copy(tmp_path, responses):
+    """A copy of the ATC fixture's directory whose nodes also respond as
+    ``responses`` says, by node id."""
+    root = tmp_path / "atc"
+    shutil.copytree(FIXTURE_ROOT / "atc", root)
+    model = root / "atc.hat"
+    text = model.read_text(encoding="utf-8")
+    for node, response in responses.items():
+        text = re.sub(rf"^(node {node} .*)$", rf"\1 {response}", text, count=1, flags=re.M)
+    model.write_text(text, encoding="utf-8")
+    return root
+
+
+def test_regenerate_raises_a_model_s_error_diagnostics(tmp_path, capsys):
+    model = atc_copy(tmp_path, UNKNOWN_CATEGORY) / "atc.hat"
+    fixture = dataclasses.replace(load_fixture("atc"), model_path=model)
+    # A ValueError that names the model file and its error, not SystemExit.
+    with pytest.raises(ValueError) as raised:
+        regenerate(fixture)
+    assert str(raised.value) == f"{model}:14: {UNKNOWN_CATEGORY_ERROR}"
+    # The diagnostics still go to stderr, as ``hatlens report`` prints them.
+    assert capsys.readouterr() == ("", f"{model}:14: error: {UNKNOWN_CATEGORY_ERROR}\n")
+
+
+def test_load_fixture_refuses_a_model_with_error_diagnostics(monkeypatch, tmp_path, capsys):
+    atc_copy(tmp_path, UNKNOWN_CATEGORY)
+    monkeypatch.setattr(fixtures, "_ROOT", tmp_path)
+    model = tmp_path / "atc" / "atc.hat"
+    with pytest.raises(cli._FindingsError) as raised:
+        load_fixture("atc")
+    assert str(raised.value) == f"{model}:14: {UNKNOWN_CATEGORY_ERROR}"
+    assert capsys.readouterr() == ("", f"{model}:14: error: {UNKNOWN_CATEGORY_ERROR}\n")
+
+
+def test_a_trace_that_overflows_raises_the_cli_s_error_text(monkeypatch, tmp_path, capsys):
+    atc_copy(tmp_path, OVERFLOWING)
+    monkeypatch.setattr(fixtures, "_ROOT", tmp_path)
+    fixture = load_fixture("atc")  # the model is valid; only its trace overflows
+    for build in (regenerate, lambda fixture: cli._bundle(fixtures._report_args(fixture))):
+        with pytest.raises(ValueError) as raised:
+            build(fixture)
+        assert str(raised.value) == OVERFLOW_ERROR
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("responses, code, err", [
+    (UNKNOWN_CATEGORY, cli.EXIT_FINDINGS, f"atc.hat:14: error: {UNKNOWN_CATEGORY_ERROR}\n"),
+    (OVERFLOWING, cli.EXIT_USAGE, f"error: {OVERFLOW_ERROR}\n"),
+], ids=["invalid-model", "overflow"])
+def test_the_cli_prints_what_the_library_raises(monkeypatch, tmp_path, capsys, responses,
+                                                code, err):
+    monkeypatch.chdir(atc_copy(tmp_path, responses))
+    assert cli.run(README_REPORT) == code
+    assert capsys.readouterr() == ("", err)
+
+
+def test_the_readme_s_library_snippet_runs_as_written(capsys):
+    readme = (FIXTURE_ROOT.parents[2] / "README.md").read_text(encoding="utf-8")
+    snippet = readme.split("## Library use\n", 1)[1].split("```python\n", 1)[1].split("```")[0]
+    exec(compile(snippet, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    # The upstream stability pathways of ``trace atc.hat --interaction 3 --category
+    # stability --direction up``, each from the interaction's machine node.
+    assert len(lines) == 6
+    assert all(line.startswith("('hmi_recommend', ") for line in lines)
+
+
 @pytest.mark.parametrize("name", available_fixtures())
 def test_the_fixture_loader_and_the_cli_build_the_same_catalogs(name):
     fixture = load_fixture(name)
-    _, catalog, mitigations, _ = fixtures._inputs(fixture)
+    catalog, mitigations, _, _ = cli._inputs(fixtures._report_args(fixture))
     lens_paths = [fixture.lens_path] if fixture.lens_path else []
     mit_paths = [fixture.mitigation_path] if fixture.mitigation_path else []
     assert (catalog, mitigations) == load_catalogs(lens_paths, mit_paths)
 
 
 def test_a_fixture_loads_its_catalogs_once_through_the_cli_s_loader(monkeypatch):
-    assert fixtures.load_catalogs is cli.load_catalogs
     calls = []
     original = cli.load_catalogs
-    for module in (fixtures, cli):
-        monkeypatch.setattr(module, "load_catalogs", lambda *args, **kwargs: (
-            calls.append(args) or original(*args, **kwargs)))
+    monkeypatch.setattr(cli, "load_catalogs", lambda *args, **kwargs: (
+        calls.append(args) or original(*args, **kwargs)))
     fixture = load_fixture("atc")
-    assert calls == [([fixture.lens_path], [fixture.mitigation_path])]
+    # Both run the README's report command, whose argv holds the paths as text.
+    assert calls == [([str(fixture.lens_path)], [str(fixture.mitigation_path)])]
     calls.clear()
-    # ``regenerate`` runs the report command, whose argv holds the paths as text.
     regenerate(fixture)
     assert calls == [([str(fixture.lens_path)], [str(fixture.mitigation_path)])]
 
@@ -167,7 +245,7 @@ def test_load_fixture_refuses_inputs_that_do_not_load(monkeypatch, tmp_path, cap
     for name, suffix in [("badlens", ".lens"), ("badsfm", ".sfm")]:
         with pytest.raises(DslParseError, match="^2:1: ") as parsing:
             load_fixture(name)
-        assert parsing.value.filename == tmp_path / name / f"{name}{suffix}"
+        assert parsing.value.filename == str(tmp_path / name / f"{name}{suffix}")
     # The lens file parses; it is the merge with the builtins that fails.
     with pytest.raises(CatalogError, match="duplicate mode id 'accuracy'"):
         load_fixture("remerged")
@@ -180,7 +258,7 @@ def test_load_fixture_refuses_inputs_that_do_not_load(monkeypatch, tmp_path, cap
 
 @pytest.mark.parametrize("name", available_fixtures())
 def test_fixture_models_validate_clean_under_strict(name):
-    model, catalog, mitigations, _ = fixtures._inputs(load_fixture(name))
+    catalog, mitigations, model, _ = cli._inputs(fixtures._report_args(load_fixture(name)))
     diagnostics = validate(model, Strictness.STRICT, lens_catalog=catalog,
                            mitigation_catalog=mitigations)
     assert not has_errors(diagnostics)
